@@ -43,6 +43,8 @@ __all__ = [
 # MRPs blow up as the error rotation approaches +-2*pi (dq0 -> -1); reject
 # conversions inside this guard band instead of returning huge values.
 _MRP_SINGULARITY_EPS = 1e-6
+_EYE3 = np.eye(3)
+_EYE3.flags.writeable = False
 
 
 class NearSingularRotation(ValueError):
@@ -55,7 +57,8 @@ def quat_identity() -> np.ndarray:
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
-    return q / np.linalg.norm(q, axis=-1, keepdims=True)
+    # the sum-of-squares form np.linalg.norm evaluates, without its wrapper
+    return q / np.sqrt(np.add.reduce(q * q, axis=-1, keepdims=True))
 
 
 def quat_canonical(q: np.ndarray) -> np.ndarray:
@@ -70,8 +73,12 @@ def quat_canonical(q: np.ndarray) -> np.ndarray:
 
 
 def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Component-wise cross product; faster than np.cross for (..., 3) arrays."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    """Component-wise cross product of (..., 3) arrays.
+
+    Same operations in the same order as ``np.cross``, so the result is
+    bit-identical, without its per-call dispatch and axis handling.
+    """
+    out = np.empty(np.broadcast(a, b).shape)
     out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
     out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
     out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
@@ -84,7 +91,7 @@ def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     a0, av = a[..., :1], a[..., 1:]
     b0, bv = b[..., :1], b[..., 1:]
-    scalar = a0 * b0 - np.sum(av * bv, axis=-1, keepdims=True)
+    scalar = a0 * b0 - np.add.reduce(av * bv, axis=-1, keepdims=True)
     vector = a0 * bv + b0 * av + cross3(av, bv)
     return quat_normalize(np.concatenate([scalar, vector], axis=-1))
 
@@ -138,9 +145,8 @@ def rotmat_body_to_global(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     q0 = q[..., :1, None]
     qv = q[..., 1:]
-    eye = np.broadcast_to(np.eye(3), q.shape[:-1] + (3, 3))
     outer = qv[..., :, None] * qv[..., None, :]
-    return (2.0 * q0 * q0 - 1.0) * eye + 2.0 * outer + 2.0 * q0 * _skew(qv)
+    return (2.0 * q0 * q0 - 1.0) * _EYE3 + 2.0 * outer + 2.0 * q0 * _skew(qv)
 
 
 def rotmat_global_to_body(q: np.ndarray) -> np.ndarray:
@@ -168,7 +174,7 @@ def error_quat_to_mrp(dq: np.ndarray) -> np.ndarray:
 def mrp_to_error_quat(rho: np.ndarray) -> np.ndarray:
     """Inverse of :func:`error_quat_to_mrp` on its domain; always unit norm."""
     rho = np.asarray(rho, dtype=float)
-    s = np.sum(rho * rho, axis=-1, keepdims=True)
+    s = np.add.reduce(rho * rho, axis=-1, keepdims=True)
     dq0 = (1.0 - s) / (1.0 + s)
     dqv = rho * (1.0 + dq0)
     return quat_normalize(np.concatenate([dq0, dqv], axis=-1))

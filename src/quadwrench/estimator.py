@@ -6,19 +6,22 @@ Sigma-point Kalman filter over the 18-dimensional minimal vehicle state
 
 where the attitude mean is carried as a full unit quaternion and ``d_rho`` is
 the MRP of a left-multiplied perturbation about it.  Prediction augments the
-state with the 12-dimensional process noise (extended dimension 30); the
-correction augments with the 6-dimensional pose-measurement noise (extended
-dimension 24) and updates from position plus attitude-MRP residuals.
+state with the 12-dimensional process noise (extended dimension 30): each
+sigma point's MRP is converted to an error quaternion and injected onto the
+reference mean, the whole set is pushed through the rigid-body process model
+in one batched call, and relative quaternions against the central point are
+converted back to MRPs (short-arc sign) before recombination.
 
-Each sigma point's MRP is converted to an error quaternion and injected onto
-the reference mean, the whole set is pushed through the rigid-body process
-model in one batched call, and relative quaternions against the central point
-are converted back to MRPs (short-arc sign) before recombination.
+The pose measurement reads position and the attitude MRP straight off the
+minimal state and adds its noise, so the measurement model is linear in the
+state.  The correction is therefore the closed-form Kalman update with H
+selecting ``[pos, d_rho]``; an unscented transform of that model would give
+the same moments at the cost of a second sigma-point set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,7 +62,8 @@ _CONDITION_LIMIT = 1e12
 
 STATE_DIM = 18
 PROCESS_NOISE_DIM = 12
-MEAS_DIM = 6
+# minimal-state indices the pose measurement reads: position, then attitude MRP
+_POSE_IDX = np.r_[6:9, 0:3]
 
 
 class CovarianceNotPD(np.linalg.LinAlgError):
@@ -131,17 +135,6 @@ class GaussianBelief:
     def cov_diagonal(self) -> np.ndarray:
         return np.diag(self.cov).copy()
 
-    def record(self, t: float, include_full_cov: bool = False) -> dict:
-        """Serializable belief snapshot (timestamp, mean state, covariance)."""
-        out = {
-            "t": float(t),
-            "mean": self.mean.as_vector().tolist(),
-            "cov_diag": self.cov_diagonal().tolist(),
-        }
-        if include_full_cov:
-            out["cov"] = self.cov.tolist()
-        return out
-
 
 @dataclass
 class CorrectionArtifacts:
@@ -159,8 +152,6 @@ class SigmaPointSet:
 
     points: np.ndarray   # (2L+1, L)
     weights: np.ndarray  # (2L+1,)
-    kappa: float
-    reference_q: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0, 0.0]))
 
 
 def sigma_weights(dim: int, kappa: float) -> np.ndarray:
@@ -175,8 +166,7 @@ def _symmetrize(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
-def generate_sigma_points(mean: np.ndarray, cov: np.ndarray, kappa: float = DEFAULT_KAPPA,
-                          reference_q: np.ndarray | None = None) -> SigmaPointSet:
+def generate_sigma_points(mean: np.ndarray, cov: np.ndarray, kappa: float = DEFAULT_KAPPA) -> SigmaPointSet:
     """Points mean, mean +- sqrt(L+kappa) * columns of the Cholesky factor.
 
     If the Cholesky decomposition fails, retries once after adding
@@ -200,8 +190,7 @@ def generate_sigma_points(mean: np.ndarray, cov: np.ndarray, kappa: float = DEFA
 
     spread = np.sqrt(dim + kappa) * chol.T  # row j = sqrt(L+kappa) * col_j(S)
     points = np.concatenate([mean[None, :], mean + spread, mean - spread], axis=0)
-    ref = np.array([1.0, 0.0, 0.0, 0.0]) if reference_q is None else np.asarray(reference_q, dtype=float)
-    return SigmaPointSet(points=points, weights=sigma_weights(dim, kappa), kappa=kappa, reference_q=ref)
+    return SigmaPointSet(points=points, weights=sigma_weights(dim, kappa))
 
 
 def recombine(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -245,7 +234,7 @@ def predict(
     ext_cov[:STATE_DIM, :STATE_DIM] = belief.cov
     ext_cov[STATE_DIM:, STATE_DIM:] = noise.process_cov()
 
-    sp = generate_sigma_points(ext_mean, ext_cov, kappa, reference_q=belief.mean.q)
+    sp = generate_sigma_points(ext_mean, ext_cov, kappa)
 
     states = _states_from_points(sp.points[:, :STATE_DIM], belief.mean.q)
     eta = ProcessNoiseSample.from_matrix(sp.points[:, STATE_DIM:])
@@ -273,49 +262,49 @@ def correct(
     belief: GaussianBelief,
     measurement: PoseMeasurement,
     noise: NoiseConfig,
-    kappa: float = DEFAULT_KAPPA,
     gate_threshold: float | None = None,
 ) -> tuple[GaussianBelief, CorrectionArtifacts]:
-    """Kalman update from a 6-DoF pose measurement.
+    """Linear Kalman update from a 6-DoF pose measurement.
+
+    The measurement is ``H x + v`` with H selecting ``[pos, d_rho]`` and
+    ``v ~ N(0, R)``, so the cross covariance is ``P H'``, the innovation
+    covariance ``S = H P H' + R`` and the gain ``K = P H' inv(S)``.  The
+    covariance update is the Joseph form ``(I - K H) P (I - K H)' + K R K'``,
+    symmetrized, which stays positive semidefinite under rounding.
 
     The attitude residual is the MRP of the left-relative quaternion between
-    the measured and predicted attitude (short-arc sign).  With
-    ``gate_threshold`` set, an innovation whose Mahalanobis distance squared
-    exceeds it raises :class:`MeasurementRejected` instead of updating.
+    the measured and predicted attitude (short-arc sign).  ``S`` with a
+    non-finite entry or a 2-norm condition number above 1e12 raises
+    :class:`InnovationCovarianceSingular`.  With ``gate_threshold`` set, an
+    innovation whose Mahalanobis distance squared exceeds it raises
+    :class:`MeasurementRejected` instead of updating.
     """
-    ext_mean = np.concatenate([belief.minimal_mean(), np.zeros(MEAS_DIM)])
-    ext_cov = np.zeros((STATE_DIM + MEAS_DIM,) * 2)
-    ext_cov[:STATE_DIM, :STATE_DIM] = belief.cov
-    ext_cov[STATE_DIM:, STATE_DIM:] = noise.measurement_cov()
+    meas_cov = noise.measurement_cov()
+    cross_cov = belief.cov[:, _POSE_IDX]
+    innovation_cov = cross_cov[_POSE_IDX] + meas_cov
 
-    sp = generate_sigma_points(ext_mean, ext_cov, kappa, reference_q=belief.mean.q)
-    pts = sp.points
-
-    # observation model: measured position and measured attitude perturbation
-    predicted_meas = np.concatenate(
-        [pts[:, 6:9] + pts[:, 18:21], pts[:, 0:3] + pts[:, 21:24]], axis=1
-    )
-    meas_mean, innovation_cov = recombine(predicted_meas, sp.weights)
-    state_dev = pts[:, :STATE_DIM] - ext_mean[None, :STATE_DIM]
-    meas_dev = predicted_meas - meas_mean
-    cross_cov = (sp.weights[:, None] * state_dev).T @ meas_dev
-
-    if np.linalg.cond(innovation_cov) > _CONDITION_LIMIT:
+    if not np.isfinite(innovation_cov).all():
+        raise InnovationCovarianceSingular("predicted measurement covariance is not finite")
+    # singular values of a symmetric matrix are its absolute eigenvalues
+    eig = np.abs(np.linalg.eigvalsh(innovation_cov))
+    if eig.min() == 0.0 or eig.max() / eig.min() > _CONDITION_LIMIT:
         raise InnovationCovarianceSingular(
             f"predicted measurement covariance condition number exceeds {_CONDITION_LIMIT:g}"
         )
 
     d_q_meas = quat_canonical(quat_multiply(measurement.q, quat_conjugate(belief.mean.q)))
-    innovation = np.concatenate([measurement.pos, error_quat_to_mrp(d_q_meas)]) - meas_mean
+    innovation = np.concatenate([measurement.pos - belief.mean.pos, error_quat_to_mrp(d_q_meas)])
 
     if gate_threshold is not None:
         m2 = float(innovation @ np.linalg.solve(innovation_cov, innovation))
         if m2 > gate_threshold:
             raise MeasurementRejected(m2, gate_threshold)
 
-    gain = np.linalg.solve(innovation_cov.T, cross_cov.T).T
+    gain = np.linalg.solve(innovation_cov, cross_cov.T).T
     delta = gain @ innovation
-    cov = _symmetrize(belief.cov - gain @ cross_cov.T)
+    i_kh = np.eye(STATE_DIM)
+    i_kh[:, _POSE_IDX] -= gain
+    cov = _symmetrize(i_kh @ belief.cov @ i_kh.T + gain @ meas_cov @ gain.T)
 
     mean_q = quat_normalize(quat_multiply(mrp_to_error_quat(delta[0:3]), belief.mean.q))
     mean = VehicleState(
@@ -368,7 +357,6 @@ class UsqueEstimator:
                     self.belief,
                     measurement,
                     self.noise,
-                    self.kappa,
                     self.gate_threshold if self.gate_enabled else None,
                 )
             except MeasurementRejected:

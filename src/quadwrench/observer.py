@@ -20,12 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attitude import (
+    cross3,
     quat_canonical,
     quat_conjugate,
     quat_multiply,
     quat_to_rotvec,
     rotmat_body_to_global,
-    rotmat_global_to_body,
 )
 from .estimator import PoseMeasurement
 from .rigid_body import VehicleParams, collective_thrust, motor_torques
@@ -128,8 +128,8 @@ class MomentumObserver:
         st.f_e = self.gains.force * (momentum - st.force_integral)
 
         tau_m = motor_torques(p, rotor_speeds)
-        gyro = np.cross(self.body_rate, p.inertia @ self.body_rate)
-        tau_e_body = rotmat_global_to_body(measurement.q) @ st.tau_e
+        gyro = cross3(self.body_rate, p.inertia @ self.body_rate)
+        tau_e_body = R_bg.T @ st.tau_e
         st.torque_integral = st.torque_integral + dt * (tau_m - gyro + tau_e_body)
         ang_momentum = p.inertia @ self.body_rate - self._ang_momentum_ref
         st.tau_e = R_bg @ (self.gains.torque * (ang_momentum - st.torque_integral))

@@ -19,11 +19,11 @@ deterministic motion model used for filter prediction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attitude import cross3, quat_apply_body_rates, rotmat_body_to_global, rotmat_global_to_body
+from .attitude import cross3, quat_apply_body_rates, rotmat_body_to_global
 
 __all__ = [
     "VehicleParams",
@@ -165,9 +165,9 @@ class NoiseConfig:
 
     @classmethod
     def default(cls) -> "NoiseConfig":
-        # Estimator tuning defaults (documented knobs, see config.py): the
-        # wrench random-walk stds set the estimator bandwidth and are chosen
-        # for a ~1 s 10-90% rise at the default measurement noise.
+        # Estimator tuning defaults: the wrench random-walk stds set the
+        # estimator bandwidth and are chosen for a ~1 s 10-90% rise at the
+        # default measurement noise.
         return cls(
             q_ct=np.diag([0.025**2, 0.025**2, 0.05**2]),
             q_tau_m=np.eye(3) * 0.005**2,
@@ -192,9 +192,6 @@ class NoiseConfig:
         out[0:3, 0:3] = self.g_x
         out[3:6, 3:6] = self.g_rho
         return out
-
-    def scaled_measurement(self, pos_std: float, att_std_mrp: float) -> "NoiseConfig":
-        return replace(self, g_x=np.eye(3) * pos_std**2, g_rho=np.eye(3) * att_std_mrp**2)
 
 
 def collective_thrust(params: VehicleParams, rotor_speeds: np.ndarray) -> np.ndarray:
@@ -252,7 +249,8 @@ def process_step(
 
     q = quat_apply_body_rates(state.q, state.omega, T)
 
-    tau_e_body = np.einsum("...ij,...j->...i", rotmat_global_to_body(state.q), state.tau_e)
+    R_gb = np.swapaxes(R_bg, -1, -2)  # transpose: global vectors into body axes
+    tau_e_body = np.einsum("...ij,...j->...i", R_gb, state.tau_e)
     inertia_rate = np.einsum("ij,...j->...i", params.inertia, state.omega)
     torque_sum = tau_e_body + tau_m + noise.eta_tau_m - cross3(state.omega, inertia_rate)
     omega = state.omega + T * np.einsum("ij,...j->...i", params.inertia_inv, torque_sum)

@@ -14,11 +14,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .attitude import (
+    cross3,
     mrp_to_error_quat,
     quat_from_axis_angle,
     quat_multiply,
     rotmat_body_to_global,
-    rotmat_global_to_body,
 )
 from .control import AdmittanceConfig, admittance_command
 from .estimator import GaussianBelief, PoseMeasurement, UsqueEstimator
@@ -69,13 +69,19 @@ class FanModel:
     def __post_init__(self):
         self.position = np.asarray(self.position, dtype=float)
         self.axis = np.asarray(self.axis, dtype=float)
-        self.axis = self.axis / np.linalg.norm(self.axis)
+        length = np.linalg.norm(self.axis)
+        if not 0.0 < length < np.inf:
+            raise ValueError("fan axis must have a finite, nonzero length")
+        self.axis = self.axis / length
         if self.torque_peak_radius <= 0.0:
             raise ValueError("torque peak radius must be positive")
-
-    def _lateral_dir(self) -> np.ndarray:
-        lat = np.cross([0.0, 0.0, 1.0], self.axis)
-        return lat / np.linalg.norm(lat)
+        # the torque's sign follows the offset along global z x axis, which a
+        # vertical axis leaves undefined
+        lateral = cross3(np.array([0.0, 0.0, 1.0]), self.axis)
+        lateral_norm = np.linalg.norm(lateral)
+        if not lateral_norm > 0.0:
+            raise ValueError("fan axis must have a horizontal component")
+        self._lateral_dir = lateral / lateral_norm
 
     def wrench_at(self, point: np.ndarray, position=None) -> tuple[np.ndarray, np.ndarray]:
         """(force, torque) on a vehicle hovering at ``point``."""
@@ -87,7 +93,7 @@ class FanModel:
         radial = rel - d * self.axis
         r = float(np.linalg.norm(radial))
         f_mag = self.axial_force * np.exp(-d / self.axial_decay) * np.exp(-0.5 * (r / self.radial_sigma) ** 2)
-        s = float(rel @ self._lateral_dir())
+        s = float(rel @ self._lateral_dir)
         u = s / self.torque_peak_radius
         tau_z = self.torque_peak * u * np.exp(0.5 * (1.0 - u * u))
         return f_mag * self.axis, np.array([0.0, 0.0, tau_z])
@@ -108,9 +114,9 @@ class SteppedMass:
         if t < self.onset_s:
             return np.zeros(3), np.zeros(3)
         force = np.array([0.0, 0.0, -self.mass * 9.81])
-        f_body = rotmat_global_to_body(state.q) @ force
-        tau_body = np.cross(self.offset_body, f_body)
-        return force, rotmat_body_to_global(state.q) @ tau_body
+        R_bg = rotmat_body_to_global(state.q)
+        tau_body = cross3(self.offset_body, R_bg.T @ force)
+        return force, R_bg @ tau_body
 
 
 @dataclass
@@ -350,9 +356,9 @@ class FlightController:
         z_des = f_des / thrust if thrust > 1e-9 else np.array([0.0, 0.0, 1.0])
 
         x_c = np.array([np.cos(yaw), np.sin(yaw), 0.0])
-        y_des = np.cross(z_des, x_c)
+        y_des = cross3(z_des, x_c)
         y_des /= np.linalg.norm(y_des)
-        x_des = np.cross(y_des, z_des)
+        x_des = cross3(y_des, z_des)
         R_des = np.column_stack([x_des, y_des, z_des])
 
         R = rotmat_body_to_global(state.q)

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.spatial.transform import Rotation
 
 from quadwrench import attitude as att
@@ -21,6 +24,34 @@ def oracle_matrix(axis, angle):
 def random_unit_quats(rng, n):
     q = rng.standard_normal((n, 4))
     return q / np.linalg.norm(q, axis=1, keepdims=True)
+
+
+def finite_arrays(shape):
+    return hnp.arrays(np.float64, shape, elements=st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def broadcast_pair(draw, width):
+    shapes = draw(hnp.mutually_broadcastable_shapes(signature=f"({width}),({width})->({width})"))
+    return tuple(draw(finite_arrays(shape)) for shape in shapes.input_shapes)
+
+
+class TestFastKernelsMatchNumpy:
+    """The hand-written kernels repeat numpy's operations, so they are
+    bit-identical to it, overflow to inf and 0/0 to nan included."""
+
+    @given(broadcast_pair(3))
+    def test_cross3_is_np_cross(self, pair):
+        a, b = pair
+        with np.errstate(all="ignore"):
+            np.testing.assert_array_equal(att.cross3(a, b), np.cross(a, b), strict=True)
+
+    @given(hnp.array_shapes(min_dims=1, max_dims=3).flatmap(
+        lambda shape: finite_arrays(shape[:-1] + (4,))))
+    def test_quat_normalize_is_norm_division(self, q):
+        with np.errstate(all="ignore"):
+            want = q / np.linalg.norm(q, axis=-1, keepdims=True)
+            np.testing.assert_array_equal(att.quat_normalize(q), want, strict=True)
 
 
 class TestQuatMultiply:

@@ -1,15 +1,18 @@
 """Sigma-point machinery and filter-update tests.
 
 Oracles: an independent Cholesky factorization for point placement, exact
-linear-Gaussian Kalman algebra for the (position, velocity, force) chain, and
-a 1e5-sample Monte-Carlo propagation for the predicted moments.
+linear-Gaussian Kalman algebra for the (position, velocity, force) chain, a
+1e5-sample Monte-Carlo propagation for the predicted moments, and the
+sigma-point form of the pose correction for the closed-form update.
 """
 
 import numpy as np
 import pytest
 
 from quadwrench import attitude as att
+from quadwrench import estimator
 from quadwrench.estimator import (
+    CorrectionArtifacts,
     CovarianceNotPD,
     GaussianBelief,
     InnovationCovarianceSingular,
@@ -29,12 +32,60 @@ from quadwrench.rigid_body import (
     VehicleState,
     process_step,
 )
+from quadwrench.simulator import Hover, RunSetup, Scenario, SteppedMass, run_scenario
 
 PARAMS = VehicleParams()
+
+# closed-form correction against its sigma-point form: the two differ only by
+# rounding, so errors are bounded relative to the size of what is compared
+CLOSED_FORM_RTOL = 1e-12
+# per-column drift of the logged estimates (max |delta| over max |column|)
+# when a whole scenario runs on the closed form instead of the sigma points
+SCENARIO_DRIFT_RTOL = 1e-11
 
 
 def hover_speeds():
     return np.full(4, PARAMS.hover_speed())
+
+
+def sigma_point_correct(belief, measurement, noise, kappa=2.0):
+    """Pose correction as an unscented transform of the measurement model.
+
+    The state is augmented with the 6-dim measurement noise (extended
+    dimension 24); the predicted measurement of each point is its position
+    and MRP plus its noise.  Returns what the filter's ``correct`` returns,
+    without the gate.
+    """
+    ext_mean = np.concatenate([belief.minimal_mean(), np.zeros(6)])
+    ext_cov = np.zeros((24, 24))
+    ext_cov[:18, :18] = belief.cov
+    ext_cov[18:, 18:] = noise.measurement_cov()
+    sp = generate_sigma_points(ext_mean, ext_cov, kappa)
+    pts = sp.points
+
+    predicted_meas = np.concatenate([pts[:, 6:9] + pts[:, 18:21], pts[:, 0:3] + pts[:, 21:24]], axis=1)
+    meas_mean, innovation_cov = recombine(predicted_meas, sp.weights)
+    state_dev = pts[:, :18] - ext_mean[None, :18]
+    cross_cov = (sp.weights[:, None] * state_dev).T @ (predicted_meas - meas_mean)
+
+    d_q_meas = att.quat_canonical(att.quat_multiply(measurement.q, att.quat_conjugate(belief.mean.q)))
+    innovation = np.concatenate([measurement.pos, att.error_quat_to_mrp(d_q_meas)]) - meas_mean
+    gain = np.linalg.solve(innovation_cov.T, cross_cov.T).T
+    delta = gain @ innovation
+    cov = belief.cov - gain @ cross_cov.T
+
+    mean = VehicleState(
+        q=att.quat_normalize(att.quat_multiply(att.mrp_to_error_quat(delta[0:3]), belief.mean.q)),
+        omega=belief.mean.omega + delta[3:6],
+        pos=belief.mean.pos + delta[6:9],
+        vel=belief.mean.vel + delta[9:12],
+        tau_e=belief.mean.tau_e + delta[12:15],
+        f_e=belief.mean.f_e + delta[15:18],
+    )
+    artifacts = CorrectionArtifacts(
+        gain=gain, cross_cov=cross_cov, innovation_cov=innovation_cov, innovation=innovation
+    )
+    return GaussianBelief(mean=mean, cov=0.5 * (cov + cov.T)), artifacts
 
 
 def default_belief(p_rho=1e-4, p_omega=1e-4, p_pos=1e-4, p_vel=1e-4, p_tau=1e-4, p_f=1e-4):
@@ -280,6 +331,47 @@ class TestCorrect:
         with pytest.raises(InnovationCovarianceSingular):
             correct(belief, PoseMeasurement(pos=belief.mean.pos, q=belief.mean.q), noise)
 
+    def test_non_finite_innovation_covariance_is_typed(self):
+        # an overflowed position block must end in the typed error, not in a
+        # LinAlgError from the linear algebra underneath
+        belief = default_belief()
+        belief.cov[6, 6] = np.inf
+        noise = NoiseConfig.default()
+        with pytest.raises(InnovationCovarianceSingular, match="not finite"):
+            correct(belief, PoseMeasurement(pos=belief.mean.pos, q=belief.mean.q), noise)
+
+    def test_matches_sigma_point_oracle_on_random_beliefs(self):
+        rng = np.random.default_rng(9)
+        noise = NoiseConfig.default()
+        for _ in range(25):
+            mean = VehicleState.at_rest(pos=rng.uniform(-2.0, 2.0, 3))
+            mean.q = att.quat_from_rotvec(rng.uniform(-np.pi, np.pi, 3) / 2.0)
+            mean.omega, mean.vel, mean.tau_e, mean.f_e = rng.standard_normal((4, 3)) * 0.1
+            # random SPD covariance with per-axis scales over four decades
+            a = rng.standard_normal((18, 18)) * np.exp(rng.uniform(np.log(1e-4), np.log(1e-2), 18))
+            belief = GaussianBelief(mean=mean, cov=a @ a.T + 1e-8 * np.eye(18))
+            meas = PoseMeasurement(
+                pos=mean.pos + rng.standard_normal(3) * 0.01,
+                q=att.quat_multiply(att.quat_from_rotvec(rng.standard_normal(3) * 0.01), mean.q),
+            )
+
+            got, got_art = correct(belief, meas, noise)
+            want, want_art = sigma_point_correct(belief, meas, noise)
+
+            def close(x, y):
+                scale = max(np.linalg.norm(y), np.finfo(float).tiny)
+                assert np.linalg.norm(x - y) <= CLOSED_FORM_RTOL * scale
+
+            # the MRP of the posterior attitude relative to the oracle's
+            d_q = att.quat_canonical(att.quat_multiply(got.mean.q, att.quat_conjugate(want.mean.q)))
+            assert np.linalg.norm(att.error_quat_to_mrp(d_q)) <= CLOSED_FORM_RTOL
+            close(got.mean.as_vector()[4:], want.mean.as_vector()[4:])
+            close(got.cov, want.cov)
+            close(got_art.gain, want_art.gain)
+            close(got_art.cross_cov, want_art.cross_cov)
+            close(got_art.innovation_cov, want_art.innovation_cov)
+            close(got_art.innovation, want_art.innovation)
+
     def test_gate_rejects_outlier(self):
         belief = default_belief()
         noise = NoiseConfig.default()
@@ -376,6 +468,24 @@ class TestStepAndEquivariance:
             stepped_then_rotated.mean.as_vector(), rotated_then_stepped.mean.as_vector(), atol=1e-5
         )
         np.testing.assert_allclose(stepped_then_rotated.cov, rotated_then_stepped.cov, atol=1e-7)
+
+    def test_stepped_mass_scenario_matches_sigma_point_correction(self, monkeypatch):
+        # the logged estimates of a whole run stay within the stated drift of
+        # the same run with the sigma-point correction in the loop
+        def scenario():
+            return Scenario(duration_s=2.0, seed=5, trajectory=Hover(),
+                            disturbance=SteppedMass(offset_body=[0.05, 0.0, 0.0], onset_s=1.0))
+
+        got = run_scenario(scenario(), RunSetup())
+        monkeypatch.setattr(estimator, "correct",
+                            lambda belief, meas, noise, gate: sigma_point_correct(belief, meas, noise))
+        want = run_scenario(scenario(), RunSetup())
+
+        np.testing.assert_array_equal(got.truth, want.truth)
+        for g, w in ((got.estimates["usque"], want.estimates["usque"]),
+                     (got.cov_diags["usque"], want.cov_diags["usque"])):
+            drift = np.abs(g - w).max(axis=0)
+            assert np.all(drift <= SCENARIO_DRIFT_RTOL * np.abs(w).max(axis=0))
 
     def test_covariance_symmetry_and_psd_maintained(self):
         rng = np.random.default_rng(8)

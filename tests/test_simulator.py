@@ -106,6 +106,32 @@ class TestFanModel:
         for f in forces:
             np.testing.assert_allclose(f / np.linalg.norm(f), [1, 0, 0], atol=1e-12)
 
+    @pytest.mark.parametrize("axis", [[0.0, 0.0, 1.0], [0.0, 0.0, -2.0], [0.0, 0.0, 0.0], [np.nan, 1.0, 0.0]])
+    def test_axis_without_lateral_direction_rejected(self, axis):
+        # a vertical axis leaves the torque's sign undefined (it returned NaN)
+        with pytest.raises(ValueError):
+            FanModel(axis=axis)
+
+    @pytest.mark.parametrize("axis", [[1.0, 0.0, 0.0], [0.6, -0.8, 0.3]])
+    def test_wrench_matches_field_formula(self, axis):
+        fan = FanModel(position=[0, 0, 1], axis=axis)
+        unit = np.asarray(axis) / np.linalg.norm(axis)
+        lateral = np.cross([0.0, 0.0, 1.0], unit)
+        lateral /= np.linalg.norm(lateral)
+        rng = np.random.default_rng(2)
+        for point in rng.uniform([0.1, -1.5, 0.5], [2.5, 1.5, 1.5], size=(50, 3)):
+            rel = point - fan.position
+            d = rel @ unit
+            if d <= 0.0:
+                continue
+            r = np.linalg.norm(rel - d * unit)
+            f_mag = fan.axial_force * np.exp(-d / fan.axial_decay) * np.exp(-0.5 * (r / fan.radial_sigma) ** 2)
+            u = (rel @ lateral) / fan.torque_peak_radius
+            tau_z = fan.torque_peak * u * np.exp(0.5 * (1.0 - u * u))
+            f, tau = fan.wrench_at(point)
+            np.testing.assert_array_equal(f, f_mag * unit)
+            np.testing.assert_array_equal(tau, [0.0, 0.0, tau_z])
+
     def test_nothing_behind_the_fan(self):
         fan = FanModel(position=[0, 0, 1])
         f, tau = fan.wrench_at([-0.5, 0.3, 1.0])
