@@ -67,8 +67,8 @@ class WrenchMapCell:
     count: int
 
 
-_TAU_SLICE = slice(13, 16)
-_F_SLICE = slice(16, 19)
+_TAU_SLICE = slice(STATE_FIELDS.index("tau_e_x"), STATE_FIELDS.index("tau_e_z") + 1)
+_F_SLICE = slice(STATE_FIELDS.index("f_e_x"), STATE_FIELDS.index("f_e_z") + 1)
 
 
 def build_wrench_map(

@@ -67,7 +67,8 @@ _POSE_IDX = np.r_[6:9, 0:3]
 
 
 class CovarianceNotPD(np.linalg.LinAlgError):
-    """Cholesky failed even after diagonal jitter; offending matrix attached."""
+    """Cholesky failed even after diagonal jitter, or a predicted covariance
+    is not finite; offending matrix attached."""
 
     def __init__(self, message, cov):
         super().__init__(message)
@@ -202,14 +203,15 @@ def recombine(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _states_from_points(points: np.ndarray, reference_q: np.ndarray) -> VehicleState:
-    d_q = mrp_to_error_quat(points[:, 0:3])
+    """Minimal-state rows (..., 18) as full states about ``reference_q``."""
+    d_q = mrp_to_error_quat(points[..., 0:3])
     return VehicleState(
         q=quat_multiply(d_q, reference_q),
-        omega=points[:, 3:6],
-        pos=points[:, 6:9],
-        vel=points[:, 9:12],
-        tau_e=points[:, 12:15],
-        f_e=points[:, 15:18],
+        omega=points[..., 3:6],
+        pos=points[..., 6:9],
+        vel=points[..., 9:12],
+        tau_e=points[..., 12:15],
+        f_e=points[..., 15:18],
     )
 
 
@@ -226,15 +228,17 @@ def predict(
     rotor_speeds: np.ndarray,
     noise: NoiseConfig,
     params: VehicleParams,
-    kappa: float = DEFAULT_KAPPA,
 ) -> GaussianBelief:
-    """Sigma-point propagation of the belief through the process model."""
+    """Sigma-point propagation of the belief through the process model.
+
+    A non-finite predicted covariance raises :class:`CovarianceNotPD`.
+    """
     ext_mean = np.concatenate([belief.minimal_mean(), np.zeros(PROCESS_NOISE_DIM)])
     ext_cov = np.zeros((STATE_DIM + PROCESS_NOISE_DIM,) * 2)
     ext_cov[:STATE_DIM, :STATE_DIM] = belief.cov
     ext_cov[STATE_DIM:, STATE_DIM:] = noise.process_cov()
 
-    sp = generate_sigma_points(ext_mean, ext_cov, kappa)
+    sp = generate_sigma_points(ext_mean, ext_cov)
 
     states = _states_from_points(sp.points[:, :STATE_DIM], belief.mean.q)
     eta = ProcessNoiseSample.from_matrix(sp.points[:, STATE_DIM:])
@@ -243,19 +247,12 @@ def predict(
     reference = propagated.q[0]
     minimal = _minimal_from_states(propagated, reference)
     mean_min, cov = recombine(minimal, sp.weights)
+    if not np.isfinite(cov).all():
+        raise CovarianceNotPD("predicted covariance is not finite", cov)
 
-    mean_q = quat_normalize(quat_multiply(mrp_to_error_quat(mean_min[0:3]), reference))
-    mean = VehicleState(
-        q=mean_q,
-        omega=mean_min[3:6],
-        pos=mean_min[6:9],
-        vel=mean_min[9:12],
-        tau_e=mean_min[12:15],
-        f_e=mean_min[15:18],
-    )
     # the MRP coordinate is re-zeroed against the new reference quaternion;
     # the recombined covariance is kept unchanged (standard USQUE reset)
-    return GaussianBelief(mean=mean, cov=cov)
+    return GaussianBelief(mean=_states_from_points(mean_min, reference), cov=cov)
 
 
 def correct(
@@ -306,15 +303,7 @@ def correct(
     i_kh[:, _POSE_IDX] -= gain
     cov = _symmetrize(i_kh @ belief.cov @ i_kh.T + gain @ meas_cov @ gain.T)
 
-    mean_q = quat_normalize(quat_multiply(mrp_to_error_quat(delta[0:3]), belief.mean.q))
-    mean = VehicleState(
-        q=mean_q,
-        omega=belief.mean.omega + delta[3:6],
-        pos=belief.mean.pos + delta[6:9],
-        vel=belief.mean.vel + delta[9:12],
-        tau_e=belief.mean.tau_e + delta[12:15],
-        f_e=belief.mean.f_e + delta[15:18],
-    )
+    mean = _states_from_points(belief.minimal_mean() + delta, belief.mean.q)
     artifacts = CorrectionArtifacts(
         gain=gain, cross_cov=cross_cov, innovation_cov=innovation_cov, innovation=innovation
     )
@@ -326,7 +315,11 @@ class UsqueEstimator:
 
     One instance is a sequential state machine; run independent instances for
     concurrent scenarios.  A missing measurement performs prediction only,
-    supporting measurement dropout.
+    supporting measurement dropout; with ``gate_threshold`` set, a pose failing
+    the chi-square gate is skipped and counted in ``rejected_count``.
+
+    Record interface shared with the observer: ``step``, ``wrench``,
+    ``mean_vector()`` (19 logged entries), ``cov_diagonal()`` (18 variances).
     """
 
     name = "usque"
@@ -336,28 +329,21 @@ class UsqueEstimator:
         params: VehicleParams,
         noise: NoiseConfig,
         belief: GaussianBelief,
-        kappa: float = DEFAULT_KAPPA,
-        gate_enabled: bool = False,
-        gate_threshold: float = DEFAULT_GATE_THRESHOLD,
+        gate_threshold: float | None = None,
     ):
         self.params = params
         self.noise = noise
         self.belief = belief
-        self.kappa = kappa
-        self.gate_enabled = gate_enabled
         self.gate_threshold = gate_threshold
         self.last_artifacts: CorrectionArtifacts | None = None
         self.rejected_count = 0
 
     def step(self, rotor_speeds: np.ndarray, measurement: PoseMeasurement | None = None) -> GaussianBelief:
-        self.belief = predict(self.belief, rotor_speeds, self.noise, self.params, self.kappa)
+        self.belief = predict(self.belief, rotor_speeds, self.noise, self.params)
         if measurement is not None:
             try:
                 self.belief, self.last_artifacts = correct(
-                    self.belief,
-                    measurement,
-                    self.noise,
-                    self.gate_threshold if self.gate_enabled else None,
+                    self.belief, measurement, self.noise, self.gate_threshold
                 )
             except MeasurementRejected:
                 self.rejected_count += 1
@@ -366,3 +352,9 @@ class UsqueEstimator:
     @property
     def wrench(self) -> tuple[np.ndarray, np.ndarray]:
         return self.belief.mean.f_e.copy(), self.belief.mean.tau_e.copy()
+
+    def mean_vector(self) -> np.ndarray:
+        return self.belief.mean.as_vector()
+
+    def cov_diagonal(self) -> np.ndarray:
+        return self.belief.cov_diagonal()

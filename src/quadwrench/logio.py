@@ -123,8 +123,3 @@ class TimeSeriesLog:
             segments=segments,
             meta=meta,
         )
-
-    # named slices into a 19-column state block
-    @staticmethod
-    def wrench_slices() -> dict[str, slice]:
-        return {"tau_e": slice(13, 16), "f_e": slice(16, 19)}

@@ -28,6 +28,7 @@ from .attitude import (
     rotmat_body_to_global,
 )
 from .estimator import PoseMeasurement
+from .logio import COV_FIELDS
 from .rigid_body import VehicleParams, collective_thrust, motor_torques
 
 __all__ = ["LowPassFilter", "ObserverGains", "MomentumObserver"]
@@ -81,6 +82,9 @@ class MomentumObserver:
     and the pose measurement for that period; estimates hold when a
     measurement drops out.  Deterministic: identical inputs give identical
     outputs.
+
+    Record interface shared with the unscented estimator: ``step``,
+    ``wrench``, ``mean_vector()`` and ``cov_diagonal()`` (zeros: no covariance).
     """
 
     name = "observer"
@@ -139,7 +143,7 @@ class MomentumObserver:
     def wrench(self) -> tuple[np.ndarray, np.ndarray]:
         return self.state.f_e.copy(), self.state.tau_e.copy()
 
-    def mean_vector(self, measurement_pos=None) -> np.ndarray:
+    def mean_vector(self) -> np.ndarray:
         """Log record in the shared estimator schema (19 entries).
 
         Attitude and pose slots carry the observer's filtered signals so both
@@ -148,3 +152,6 @@ class MomentumObserver:
         q = self._prev_meas.q if self._prev_meas is not None else np.array([1.0, 0, 0, 0])
         pos = self._prev_meas.pos if self._prev_meas is not None else np.zeros(3)
         return np.concatenate([q, self.body_rate, pos, self.velocity, self.state.tau_e, self.state.f_e])
+
+    def cov_diagonal(self) -> np.ndarray:
+        return np.zeros(len(COV_FIELDS))

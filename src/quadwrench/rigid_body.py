@@ -110,11 +110,6 @@ class VehicleState:
         """Flat [q(4), omega, pos, vel, tau_e, f_e] record, 19 entries."""
         return np.concatenate([self.q, self.omega, self.pos, self.vel, self.tau_e, self.f_e], axis=-1)
 
-    @classmethod
-    def from_vector(cls, v: np.ndarray) -> "VehicleState":
-        v = np.asarray(v, dtype=float)
-        return cls(v[..., 0:4], v[..., 4:7], v[..., 7:10], v[..., 10:13], v[..., 13:16], v[..., 16:19])
-
 
 @dataclass
 class ProcessNoiseSample:

@@ -21,8 +21,8 @@ from .attitude import (
     rotmat_body_to_global,
 )
 from .control import AdmittanceConfig, admittance_command
-from .estimator import GaussianBelief, PoseMeasurement, UsqueEstimator
-from .logio import DwellSegment, TimeSeriesLog
+from .estimator import DEFAULT_GATE_THRESHOLD, GaussianBelief, PoseMeasurement, UsqueEstimator
+from .logio import COV_FIELDS, MEAS_FIELDS, STATE_FIELDS, DwellSegment, TimeSeriesLog
 from .observer import MomentumObserver, ObserverGains
 from .rigid_body import NoiseConfig, VehicleParams, VehicleState, process_step
 
@@ -377,12 +377,14 @@ class FlightController:
 
 @dataclass
 class Scenario:
+    """A flight to simulate; the vehicle's yaw comes from the trajectory's
+    ``yaw`` attribute (0 when it has none)."""
+
     duration_s: float
     seed: int = 0
     sensor_rate_hz: float = 200.0
     trajectory: Hover | GridSurvey | FanTrack = field(default_factory=Hover)
     disturbance: SteppedMass | FanDisturbance | None = None
-    yaw: float = 0.0
 
     def __post_init__(self):
         if self.duration_s <= 0.0:
@@ -397,7 +399,11 @@ class Scenario:
 
 @dataclass
 class RunSetup:
-    """Everything a run needs besides the scenario itself."""
+    """Everything a run needs besides the scenario itself.
+
+    The first of ``estimators`` steers a ``FanTrack`` reference with its
+    z-torque estimate; the gate applies only while ``gate_enabled`` is set.
+    """
 
     params: VehicleParams = field(default_factory=VehicleParams)
     noise: NoiseConfig = field(default_factory=NoiseConfig.default)
@@ -405,9 +411,8 @@ class RunSetup:
     controller_gains: ControllerGains = field(default_factory=ControllerGains)
     observer_gains: ObserverGains = field(default_factory=ObserverGains)
     estimators: tuple[str, ...] = ("usque",)
-    kappa: float = 2.0
     gate_enabled: bool = False
-    gate_threshold: float = 9.49
+    gate_threshold: float = DEFAULT_GATE_THRESHOLD
     init_stds: dict = field(default_factory=lambda: {
         "rho": 0.005, "omega": 0.05, "pos": 0.005, "vel": 0.05, "tau_e": 0.01, "f_e": 0.05,
     })
@@ -420,7 +425,7 @@ def truth_step(state: VehicleState, rotor_speeds: np.ndarray,
                wrench: tuple[np.ndarray, np.ndarray], params: VehicleParams) -> VehicleState:
     """One ground-truth step: the deterministic process model with the
     scenario wrench injected in place of the random walk."""
-    seeded = replace(state.copy(), f_e=np.asarray(wrench[0], dtype=float),
+    seeded = replace(state, f_e=np.asarray(wrench[0], dtype=float),
                      tau_e=np.asarray(wrench[1], dtype=float))
     return process_step(seeded, rotor_speeds, None, params)
 
@@ -429,14 +434,10 @@ def _make_estimators(setup: RunSetup, initial: VehicleState):
     out = {}
     for name in setup.estimators:
         if name == "usque":
-            mean = initial.copy()
-            mean.f_e = np.zeros(3)
-            mean.tau_e = np.zeros(3)
+            mean = replace(initial.copy(), f_e=np.zeros(3), tau_e=np.zeros(3))
             belief = GaussianBelief.from_std(mean, setup.init_stds)
-            out[name] = UsqueEstimator(
-                setup.params, setup.noise, belief, kappa=setup.kappa,
-                gate_enabled=setup.gate_enabled, gate_threshold=setup.gate_threshold,
-            )
+            gate = setup.gate_threshold if setup.gate_enabled else None
+            out[name] = UsqueEstimator(setup.params, setup.noise, belief, gate_threshold=gate)
         elif name == "observer":
             out[name] = MomentumObserver(setup.params, setup.observer_gains)
         else:
@@ -459,16 +460,19 @@ def run_scenario(scenario: Scenario, setup: RunSetup | None = None) -> TimeSerie
     meas_every = scenario.steps_per_measurement(dt)
 
     traj = scenario.trajectory
-    yaw = getattr(traj, "yaw", scenario.yaw)
+    yaw = getattr(traj, "yaw", 0.0)
     truth = VehicleState.at_rest(pos=traj.start(), q=quat_from_axis_angle([0, 0, 1], yaw))
     estimators = _make_estimators(setup, truth)
+    if isinstance(traj, FanTrack) and not estimators:
+        raise ValueError("a FanTrack reference is steered by an estimator; list one")
+    steering = next(iter(estimators.values())) if isinstance(traj, FanTrack) else None
 
     n = int(round(scenario.duration_s / dt))
     time = np.empty(n)
-    truth_log = np.empty((n, 19))
-    meas_log = np.full((n, 7), np.nan)
-    est_log = {name: np.empty((n, 19)) for name in estimators}
-    cov_log = {name: np.zeros((n, 18)) for name in estimators}
+    truth_log = np.empty((n, len(STATE_FIELDS)))
+    meas_log = np.full((n, len(MEAS_FIELDS)), np.nan)
+    est_log = {name: np.empty((n, len(STATE_FIELDS))) for name in estimators}
+    cov_log = {name: np.empty((n, len(COV_FIELDS))) for name in estimators}
 
     for k in range(n):
         t = k * dt
@@ -489,16 +493,11 @@ def run_scenario(scenario: Scenario, setup: RunSetup | None = None) -> TimeSerie
 
         for name, est in estimators.items():
             est.step(speeds, measurement)
-            if name == "usque":
-                est_log[name][k] = est.belief.mean.as_vector()
-                cov_log[name][k] = est.belief.cov_diagonal()
-            else:
-                est_log[name][k] = est.mean_vector()
+            est_log[name][k] = est.mean_vector()
+            cov_log[name][k] = est.cov_diagonal()
 
-        if isinstance(traj, FanTrack):
-            feedback = "usque" if "usque" in estimators else next(iter(estimators))
-            tau_z = est_log[feedback][k][15]  # tau_e z component
-            traj.advance(tau_z, dt)
+        if steering is not None:
+            traj.advance(steering.wrench[1][2], dt)
 
         time[k] = t_next
         truth_log[k] = truth.as_vector()

@@ -154,6 +154,15 @@ class TestSigmaPoints:
 
 
 class TestPredict:
+    def test_non_finite_prediction_is_typed(self):
+        # a finite but enormous covariance overflows in the process model;
+        # predict must raise rather than hand back a non-finite belief
+        belief = GaussianBelief(mean=VehicleState.at_rest(pos=(0, 0, 1)), cov=1e307 * np.eye(18))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(CovarianceNotPD, match="not finite") as exc:
+                predict(belief, hover_speeds(), NoiseConfig.default(), PARAMS)
+        assert not np.isfinite(exc.value.cov).all()
+
     def test_zero_covariance_limit_matches_deterministic_step(self):
         eps = 1e-10
         belief = default_belief(*(eps,) * 6)
@@ -486,6 +495,26 @@ class TestStepAndEquivariance:
                      (got.cov_diags["usque"], want.cov_diags["usque"])):
             drift = np.abs(g - w).max(axis=0)
             assert np.all(drift <= SCENARIO_DRIFT_RTOL * np.abs(w).max(axis=0))
+
+    def test_record_is_belief_mean_and_covariance_diagonal(self):
+        rng = np.random.default_rng(9)
+        est = UsqueEstimator(PARAMS, NoiseConfig.default(), default_belief())
+        truth = VehicleState.at_rest(pos=(0, 0, 1))
+        for _ in range(5):
+            truth = process_step(truth, hover_speeds(), None, PARAMS)
+            est.step(hover_speeds(), PoseMeasurement(pos=truth.pos + 0.001 * rng.standard_normal(3),
+                                                     q=truth.q))
+            np.testing.assert_array_equal(est.mean_vector(), est.belief.mean.as_vector())
+            np.testing.assert_array_equal(est.cov_diagonal(), est.belief.cov_diagonal())
+
+    def test_mean_quaternion_stays_unit(self):
+        # predict and correct compose the mean attitude with quat_multiply,
+        # which returns a unit quaternion; no further renormalization is needed
+        log = run_scenario(Scenario(duration_s=2.0, seed=4, trajectory=Hover(),
+                                    disturbance=SteppedMass(offset_body=[0.05, 0.0, 0.0], onset_s=1.0)),
+                           RunSetup(estimators=("usque",)))
+        q = log.estimates["usque"][:, 0:4]
+        assert np.abs(np.linalg.norm(q, axis=1) - 1.0).max() <= 1e-15
 
     def test_covariance_symmetry_and_psd_maintained(self):
         rng = np.random.default_rng(8)

@@ -5,7 +5,7 @@ import pytest
 
 from quadwrench import attitude as att
 from quadwrench.control import AdmittanceConfig
-from quadwrench.logio import TimeSeriesLog
+from quadwrench.logio import STATE_FIELDS, TimeSeriesLog
 from quadwrench.rigid_body import VehicleParams, VehicleState, collective_thrust, motor_torques, process_step
 from quadwrench.simulator import (
     ControllerGains,
@@ -304,3 +304,35 @@ class TestScenarios:
         assert back.estimator_names() == ["usque", "observer"]
         assert len(back.segments) == len(log.segments)
         assert back.meta["seed"] == 3
+
+
+class TestEstimatorRecord:
+    @pytest.mark.parametrize("order", [("usque", "observer"), ("observer", "usque")])
+    def test_first_listed_estimator_steers_fan_track(self, order, monkeypatch):
+        seen = []
+        advance = FanTrack.advance
+
+        def recording(self, tau_z, dt):
+            seen.append(tau_z)
+            advance(self, tau_z, dt)
+
+        monkeypatch.setattr(FanTrack, "advance", recording)
+        scen = Scenario(duration_s=1.0, seed=2, trajectory=FanTrack(),
+                        disturbance=FanDisturbance(FanModel()))
+        log = run_scenario(scen, RunSetup(estimators=order))
+        col = STATE_FIELDS.index("tau_e_z")
+        np.testing.assert_array_equal(seen, log.estimates[order[0]][:, col])
+        # the two estimates differ, so the check tells the estimators apart
+        assert not np.array_equal(seen, log.estimates[order[1]][:, col])
+
+    def test_fan_track_needs_an_estimator(self):
+        with pytest.raises(ValueError, match="FanTrack"):
+            run_scenario(Scenario(duration_s=0.1, trajectory=FanTrack()), RunSetup(estimators=()))
+
+    def test_observer_logs_zero_covariance(self):
+        scen = Scenario(duration_s=0.5, seed=1, trajectory=Hover(),
+                        disturbance=SteppedMass(onset_s=0.2))
+        log = run_scenario(scen, RunSetup(estimators=("usque", "observer")))
+        assert log.cov_diags["observer"].shape == log.cov_diags["usque"].shape
+        assert np.all(log.cov_diags["observer"] == 0.0)
+        assert np.all(log.cov_diags["usque"] > 0.0)
