@@ -14,8 +14,17 @@ Conventions used throughout the package:
   are singular only for rotations of +-2*pi.
 
 All functions broadcast over leading axes: quaternions are ``(..., 4)``
-arrays, vectors ``(..., 3)``.  Every public operation re-normalizes its
-quaternion output, so unit norm holds to machine precision after each call.
+arrays, vectors ``(..., 3)``.  Every public operation returns its quaternion
+at unit norm to machine precision: re-normalized, or, for
+``mrp_to_error_quat``, unit by construction.
+
+The Hamilton product and the rotation matrix are both bilinear in quaternion
+components.  Each is computed as the 16 component products
+``a[..., :, None] * b[..., None, :]`` (row ``4*i + j`` holds ``a_i * b_j``)
+times a constant signed map, (16, 4) for the product and (16, 9) for the
+matrix, so a whole sigma-point set costs the same few numpy calls as one
+quaternion.  The maps sum their terms in another order than the written-out
+component formulas, so results agree with those to a few ulp, not bitwise.
 """
 
 from __future__ import annotations
@@ -36,15 +45,51 @@ __all__ = [
     "rotmat_global_to_body",
     "error_quat_to_mrp",
     "mrp_to_error_quat",
-    "rate_transition_matrix",
     "quat_apply_body_rates",
 ]
 
 # MRPs blow up as the error rotation approaches +-2*pi (dq0 -> -1); reject
 # conversions inside this guard band instead of returning huge values.
 _MRP_SINGULARITY_EPS = 1e-6
-_EYE3 = np.eye(3)
-_EYE3.flags.writeable = False
+
+
+def _product_map(columns: list[str]) -> np.ndarray:
+    """(16, len(columns)) map of the component products.
+
+    Column ``k`` sums the signed terms of ``columns[k]``; ``"-12"`` stands for
+    ``-a_1 * b_2``, the product in row ``4*1 + 2``.
+    """
+    out = np.zeros((16, len(columns)))
+    for k, terms in enumerate(columns):
+        for term in terms.split():
+            out[4 * int(term[1]) + int(term[2]), k] = 1.0 if term[0] == "+" else -1.0
+    return out
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# Hamilton product a (x) b, scalar-first
+_QUAT_PRODUCT = _frozen(_product_map([
+    "+00 -11 -22 -33",
+    "+01 +10 +23 -32",
+    "+02 -13 +20 +31",
+    "+03 +12 -21 +30",
+]))
+# row-major R = (2 q0^2 - 1) I + 2 qv qv' + 2 q0 [qv]x from the products
+# q_i * q_j; _EYE9 is the identity the map leaves on the diagonal
+_ROTATION = _frozen(2.0 * _product_map([
+    "+00 +11", "+12 -03", "+13 +02",
+    "+12 +03", "+00 +22", "+23 -01",
+    "+13 -02", "+23 +01", "+00 +33",
+]))
+_EYE9 = _frozen(np.eye(3).ravel())
+_CONJUGATE = _frozen(np.array([1.0, -1.0, -1.0, -1.0]))
+# cross3 operand orders: c_i = a_(i+1) b_(i+2) - a_(i+2) b_(i+1)
+_NEXT = _frozen(np.array([1, 2, 0]))
+_AFTER_NEXT = _frozen(np.array([2, 0, 1]))
 
 
 class NearSingularRotation(ValueError):
@@ -78,28 +123,25 @@ def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Same operations in the same order as ``np.cross``, so the result is
     bit-identical, without its per-call dispatch and axis handling.
     """
-    out = np.empty(np.broadcast(a, b).shape)
-    out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
-    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
-    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-    return out
+    return a[..., _NEXT] * b[..., _AFTER_NEXT] - a[..., _AFTER_NEXT] * b[..., _NEXT]
+
+
+def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The 16 products a_i * b_j of two (..., 4) arrays, as (..., 16)."""
+    p = a[..., :, None] * b[..., None, :]
+    return p.reshape(p.shape[:-2] + (16,))
 
 
 def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product a (x) b: rotation ``b`` followed by perturbation ``a``."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    a0, av = a[..., :1], a[..., 1:]
-    b0, bv = b[..., :1], b[..., 1:]
-    scalar = a0 * b0 - np.add.reduce(av * bv, axis=-1, keepdims=True)
-    vector = a0 * bv + b0 * av + cross3(av, bv)
-    return quat_normalize(np.concatenate([scalar, vector], axis=-1))
+    return quat_normalize(_products(a, b) @ _QUAT_PRODUCT)
 
 
 def quat_conjugate(q: np.ndarray) -> np.ndarray:
     """Conjugate (q0, -qv); the inverse for unit quaternions."""
-    q = np.asarray(q, dtype=float)
-    return np.concatenate([q[..., :1], -q[..., 1:]], axis=-1)
+    return np.asarray(q, dtype=float) * _CONJUGATE
 
 
 def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
@@ -111,7 +153,7 @@ def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
 def quat_from_rotvec(v: np.ndarray) -> np.ndarray:
     """Quaternion for a rotation vector (axis * angle), safe at zero angle."""
     v = np.asarray(v, dtype=float)
-    angle = np.linalg.norm(v, axis=-1, keepdims=True)
+    angle = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
     half = 0.5 * angle
     # sin(x)/x via np.sinc avoids the 0/0 at zero rotation
     vector = 0.5 * v * np.sinc(half / np.pi)
@@ -122,31 +164,18 @@ def quat_from_rotvec(v: np.ndarray) -> np.ndarray:
 def quat_to_rotvec(q: np.ndarray) -> np.ndarray:
     """Rotation vector (axis * angle) of a unit quaternion, angle in [0, pi]."""
     q = quat_canonical(quat_normalize(q))
-    sin_half = np.linalg.norm(q[..., 1:], axis=-1, keepdims=True)
+    qv = q[..., 1:]
+    sin_half = np.sqrt(np.add.reduce(qv * qv, axis=-1, keepdims=True))
     angle = 2.0 * np.arctan2(sin_half, q[..., :1])
     scale = np.where(sin_half > 1e-12, angle / np.where(sin_half > 1e-12, sin_half, 1.0), 2.0)
-    return q[..., 1:] * scale
-
-
-def _skew(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    out = np.zeros(v.shape[:-1] + (3, 3))
-    out[..., 0, 1] = -v[..., 2]
-    out[..., 0, 2] = v[..., 1]
-    out[..., 1, 0] = v[..., 2]
-    out[..., 1, 2] = -v[..., 0]
-    out[..., 2, 0] = -v[..., 1]
-    out[..., 2, 1] = v[..., 0]
-    return out
+    return qv * scale
 
 
 def rotmat_body_to_global(q: np.ndarray) -> np.ndarray:
     """Active rotation matrix of ``q``: maps body-frame vectors to global."""
     q = np.asarray(q, dtype=float)
-    q0 = q[..., :1, None]
-    qv = q[..., 1:]
-    outer = qv[..., :, None] * qv[..., None, :]
-    return (2.0 * q0 * q0 - 1.0) * _EYE3 + 2.0 * outer + 2.0 * q0 * _skew(qv)
+    flat = _products(q, q) @ _ROTATION - _EYE9
+    return flat.reshape(flat.shape[:-1] + (3, 3))
 
 
 def rotmat_global_to_body(q: np.ndarray) -> np.ndarray:
@@ -172,39 +201,17 @@ def error_quat_to_mrp(dq: np.ndarray) -> np.ndarray:
 
 
 def mrp_to_error_quat(rho: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`error_quat_to_mrp` on its domain; always unit norm."""
+    """Inverse of :func:`error_quat_to_mrp` on its domain.
+
+    ``[1 - s, 2 rho] / (1 + s)`` with ``s = |rho|^2`` is unit norm by
+    construction, since ``(1 - s)^2 + 4 s = (1 + s)^2``.
+    """
     rho = np.asarray(rho, dtype=float)
     s = np.add.reduce(rho * rho, axis=-1, keepdims=True)
-    dq0 = (1.0 - s) / (1.0 + s)
-    dqv = rho * (1.0 + dq0)
-    return quat_normalize(np.concatenate([dq0, dqv], axis=-1))
-
-
-def rate_transition_matrix(omega: np.ndarray, dt: float) -> np.ndarray:
-    """Orthogonal 4x4 matrix propagating a quaternion under body rates.
-
-    ``rate_transition_matrix(omega, dt) @ q`` equals the body-frame rotation of
-    ``q`` by angle ``|omega|*dt`` about ``omega/|omega|``, i.e.
-    ``quat_multiply(q, quat_from_rotvec(omega*dt))``.  A series-expanded branch
-    below ``|omega|*dt < 1e-8`` avoids the 0/0 at zero rate.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    omega = np.asarray(omega, dtype=float)
-    angle = np.linalg.norm(omega) * dt
-    c = np.cos(0.5 * angle)
-    if angle < 1e-8:
-        psi = 0.5 * dt * omega
-    else:
-        psi = np.sin(0.5 * angle) * omega / np.linalg.norm(omega)
-    out = np.empty((4, 4))
-    out[0, 0] = c
-    out[0, 1:] = -psi
-    out[1:, 0] = psi
-    out[1:, 1:] = c * np.eye(3) - _skew(psi)
-    return out
+    return np.concatenate([1.0 - s, 2.0 * rho], axis=-1) / (1.0 + s)
 
 
 def quat_apply_body_rates(q: np.ndarray, omega: np.ndarray, dt: float) -> np.ndarray:
-    """Rotate ``q`` by body rates over one step (batched form of the 4x4 map)."""
+    """Rotate ``q`` in its body frame by the angle ``|omega| * dt`` about
+    ``omega``: ``q (x) quat_from_rotvec(omega * dt)``."""
     return quat_multiply(q, quat_from_rotvec(np.asarray(omega, dtype=float) * dt))

@@ -22,6 +22,7 @@ the same moments at the cost of a second sigma-point set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -108,11 +109,13 @@ class GaussianBelief:
 
     The MRP block of ``cov`` expresses attitude uncertainty about ``mean.q``;
     the MRP coordinate of the mean itself is always zero (re-zeroed after
-    every predict and correct).
+    every predict and correct).  ``jittered`` is set on a prediction whose
+    prior covariance needed diagonal jitter to factor.
     """
 
     mean: VehicleState
     cov: np.ndarray
+    jittered: bool = False
 
     def __post_init__(self):
         self.cov = np.asarray(self.cov, dtype=float)
@@ -149,17 +152,22 @@ class CorrectionArtifacts:
 
 @dataclass
 class SigmaPointSet:
-    """2L+1 extended-state points with their recombination weights."""
+    """2L+1 extended-state points with their recombination weights;
+    ``jittered`` marks a covariance that needed diagonal jitter to factor."""
 
     points: np.ndarray   # (2L+1, L)
-    weights: np.ndarray  # (2L+1,)
+    weights: np.ndarray  # (2L+1,), read-only
+    jittered: bool = False
 
 
+@lru_cache(maxsize=8)
 def sigma_weights(dim: int, kappa: float) -> np.ndarray:
+    """Read-only recombination weights, built once per ``(dim, kappa)``."""
     if kappa <= -dim:
         raise ValueError("kappa must exceed -L")
     w = np.full(2 * dim + 1, 1.0 / (2.0 * (dim + kappa)))
     w[0] = kappa / (dim + kappa)
+    w.flags.writeable = False
     return w
 
 
@@ -171,8 +179,9 @@ def generate_sigma_points(mean: np.ndarray, cov: np.ndarray, kappa: float = DEFA
     """Points mean, mean +- sqrt(L+kappa) * columns of the Cholesky factor.
 
     If the Cholesky decomposition fails, retries once after adding
-    ``1e-9 * trace(cov)/L`` to the diagonal; a second failure raises
-    :class:`CovarianceNotPD` with the covariance attached.
+    ``1e-9 * trace(cov)/L`` to the diagonal and marks the set ``jittered``; a
+    second failure raises :class:`CovarianceNotPD` with the covariance
+    attached.
     """
     mean = np.asarray(mean, dtype=float)
     cov = _symmetrize(np.asarray(cov, dtype=float))
@@ -180,6 +189,7 @@ def generate_sigma_points(mean: np.ndarray, cov: np.ndarray, kappa: float = DEFA
     if cov.shape != (dim, dim):
         raise ValueError("mean/covariance dimensions disagree")
 
+    jittered = False
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
@@ -188,10 +198,11 @@ def generate_sigma_points(mean: np.ndarray, cov: np.ndarray, kappa: float = DEFA
             chol = np.linalg.cholesky(cov + jitter * np.eye(dim))
         except np.linalg.LinAlgError:
             raise CovarianceNotPD("covariance not positive definite after jitter", cov) from None
+        jittered = True
 
     spread = np.sqrt(dim + kappa) * chol.T  # row j = sqrt(L+kappa) * col_j(S)
     points = np.concatenate([mean[None, :], mean + spread, mean - spread], axis=0)
-    return SigmaPointSet(points=points, weights=sigma_weights(dim, kappa))
+    return SigmaPointSet(points=points, weights=sigma_weights(dim, kappa), jittered=jittered)
 
 
 def recombine(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -252,7 +263,7 @@ def predict(
 
     # the MRP coordinate is re-zeroed against the new reference quaternion;
     # the recombined covariance is kept unchanged (standard USQUE reset)
-    return GaussianBelief(mean=_states_from_points(mean_min, reference), cov=cov)
+    return GaussianBelief(mean=_states_from_points(mean_min, reference), cov=cov, jittered=sp.jittered)
 
 
 def correct(
@@ -317,6 +328,8 @@ class UsqueEstimator:
     concurrent scenarios.  A missing measurement performs prediction only,
     supporting measurement dropout; with ``gate_threshold`` set, a pose failing
     the chi-square gate is skipped and counted in ``rejected_count``.
+    Predictions whose covariance needed jitter to factor are counted in
+    ``jitter_count``.
 
     Record interface shared with the observer: ``step``, ``wrench``,
     ``mean_vector()`` (19 logged entries), ``cov_diagonal()`` (18 variances).
@@ -337,9 +350,11 @@ class UsqueEstimator:
         self.gate_threshold = gate_threshold
         self.last_artifacts: CorrectionArtifacts | None = None
         self.rejected_count = 0
+        self.jitter_count = 0
 
     def step(self, rotor_speeds: np.ndarray, measurement: PoseMeasurement | None = None) -> GaussianBelief:
         self.belief = predict(self.belief, rotor_speeds, self.noise, self.params)
+        self.jitter_count += self.belief.jittered
         if measurement is not None:
             try:
                 self.belief, self.last_artifacts = correct(

@@ -30,12 +30,20 @@ __all__ = [
     "VehicleState",
     "ProcessNoiseSample",
     "NoiseConfig",
+    "rotor_wrench",
     "collective_thrust",
     "motor_torques",
     "process_step",
 ]
 
 _EZ = np.array([0.0, 0.0, 1.0])
+# sign of each motor's term in [thrust, tau_x, tau_y, tau_z]; see motor_torques
+_ROTOR_SIGNS = np.array([
+    [1.0, 1.0, 1.0, 1.0],
+    [1.0, 1.0, -1.0, -1.0],
+    [-1.0, 1.0, 1.0, -1.0],
+    [1.0, -1.0, 1.0, -1.0],
+])
 
 
 @dataclass(frozen=True)
@@ -70,6 +78,18 @@ class VehicleParams:
         if self.drag_coeff.shape != (4,) or np.any(self.drag_coeff <= 0.0):
             raise ValueError("drag_coeff must be 4 positive values")
         object.__setattr__(self, "inertia_inv", np.linalg.inv(self.inertia))
+        # run constants of rotor_wrench, and the inverse of its map from
+        # per-motor thrust k_i * Omega_i^2 to [T, tau] for the motor mixer
+        k, d = self.thrust_coeff, self.drag_coeff
+        l = np.full(4, self.arm_length)
+        constants = {
+            "rotor_coeffs": _ROTOR_SIGNS * np.stack([k, k, k, d]),
+            "rotor_scale": np.array([1.0, self.arm_length, self.arm_length, 1.0]),
+            "mixer_inv": np.linalg.inv(_ROTOR_SIGNS * np.stack([np.ones(4), l, l, d / k])),
+        }
+        for name, value in constants.items():
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     def hover_speed(self) -> float:
         """Per-motor turn rate (rad/s) balancing gravity with equal motors."""
@@ -189,10 +209,22 @@ class NoiseConfig:
         return out
 
 
+def rotor_wrench(params: VehicleParams, rotor_speeds: np.ndarray) -> np.ndarray:
+    """Rotor thrust along body z and body-frame torque, ``[T, tau_x, tau_y, tau_z]``.
+
+    Each entry sums the signed per-motor terms left to right,
+    ``k_i * Omega_i^2`` for thrust and roll/pitch (times the arm length after
+    the sum) and ``d_i * Omega_i^2`` for yaw, so equal speeds give exactly
+    zero torque.
+    """
+    w = np.asarray(rotor_speeds, dtype=float)[..., None, :]
+    t = params.rotor_coeffs * w * w
+    return params.rotor_scale * (t[..., 0] + t[..., 1] + t[..., 2] + t[..., 3])
+
+
 def collective_thrust(params: VehicleParams, rotor_speeds: np.ndarray) -> np.ndarray:
     """Total thrust sum(k_i * Omega_i^2) along the body z-axis, in newtons."""
-    w = np.asarray(rotor_speeds, dtype=float)
-    return np.sum(params.thrust_coeff * w * w, axis=-1)
+    return rotor_wrench(params, rotor_speeds)[..., 0]
 
 
 def motor_torques(params: VehicleParams, rotor_speeds: np.ndarray) -> np.ndarray:
@@ -202,14 +234,7 @@ def motor_torques(params: VehicleParams, rotor_speeds: np.ndarray) -> np.ndarray
     axes; motors 2 and 4 spin about +body-z, motors 1 and 3 about -body-z, so
     their drag reactions alternate sign on the yaw axis.
     """
-    w = np.asarray(rotor_speeds, dtype=float)
-    c = params.thrust_coeff * w * w
-    drag = params.drag_coeff * w * w
-    l = params.arm_length
-    tau_x = l * (c[..., 0] + c[..., 1] - c[..., 2] - c[..., 3])
-    tau_y = l * (-c[..., 0] + c[..., 1] + c[..., 2] - c[..., 3])
-    tau_z = drag[..., 0] - drag[..., 1] + drag[..., 2] - drag[..., 3]
-    return np.stack([tau_x, tau_y, tau_z], axis=-1)
+    return rotor_wrench(params, rotor_speeds)[..., 1:]
 
 
 def process_step(
@@ -229,11 +254,12 @@ def process_step(
     T = params.dt
     m = params.mass
 
-    ct = collective_thrust(params, rotor_speeds)
-    tau_m = motor_torques(params, rotor_speeds)
+    wrench = rotor_wrench(params, rotor_speeds)
 
+    # matvecs: einsum is the cheaper form of R v on a sigma-point set,
+    # v-times-matrix matmul the cheaper form of R' v and of the inertia maps
     R_bg = rotmat_body_to_global(state.q)
-    thrust_body = ct[..., None] * _EZ + noise.eta_ct
+    thrust_body = wrench[..., :1] * _EZ + noise.eta_ct
     acc = (
         np.einsum("...ij,...j->...i", R_bg, thrust_body) / m
         - params.gravity
@@ -244,11 +270,10 @@ def process_step(
 
     q = quat_apply_body_rates(state.q, state.omega, T)
 
-    R_gb = np.swapaxes(R_bg, -1, -2)  # transpose: global vectors into body axes
-    tau_e_body = np.einsum("...ij,...j->...i", R_gb, state.tau_e)
-    inertia_rate = np.einsum("ij,...j->...i", params.inertia, state.omega)
-    torque_sum = tau_e_body + tau_m + noise.eta_tau_m - cross3(state.omega, inertia_rate)
-    omega = state.omega + T * np.einsum("ij,...j->...i", params.inertia_inv, torque_sum)
+    tau_e_body = (state.tau_e[..., None, :] @ R_bg)[..., 0, :]  # R' tau_e: global into body axes
+    inertia_rate = state.omega @ params.inertia.T
+    torque_sum = tau_e_body + wrench[..., 1:] + noise.eta_tau_m - cross3(state.omega, inertia_rate)
+    omega = state.omega + T * (torque_sum @ params.inertia_inv.T)
 
     return VehicleState(
         q=q,

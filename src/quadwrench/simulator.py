@@ -309,15 +309,7 @@ def mix_motor_speeds(params: VehicleParams, thrust: float, torque: np.ndarray,
     motor's thrust demand; when it is clear, the speeds reproduce the
     demanded thrust and torque exactly up to rounding.
     """
-    l = params.arm_length
-    gamma = params.drag_coeff / params.thrust_coeff
-    mix = np.array([
-        [1.0, 1.0, 1.0, 1.0],
-        [l, l, -l, -l],
-        [-l, l, l, -l],
-        [gamma[0], -gamma[1], gamma[2], -gamma[3]],
-    ])
-    per_motor = np.linalg.solve(mix, np.array([thrust, *torque]))
+    per_motor = params.mixer_inv @ np.array([thrust, *torque])
     clipped = np.clip(per_motor, 0.0, params.thrust_coeff * omega_max**2)
     saturated = bool(np.any(per_motor != clipped))
     return np.sqrt(clipped / params.thrust_coeff), saturated
@@ -509,6 +501,8 @@ def run_scenario(scenario: Scenario, setup: RunSetup | None = None) -> TimeSerie
         "sensor_rate_hz": scenario.sensor_rate_hz,
         "saturation_steps": controller.saturation_count,
         "estimators": list(estimators.keys()),
+        "jitter_count": {name: est.jitter_count for name, est in estimators.items()
+                         if isinstance(est, UsqueEstimator)},
     }
     return TimeSeriesLog(
         time=time, truth=truth_log, meas=meas_log,

@@ -8,6 +8,8 @@ from hypothesis.extra import numpy as hnp
 from scipy.spatial.transform import Rotation
 
 from quadwrench import attitude as att
+from quadwrench import estimator, observer, rigid_body, simulator
+from quadwrench.simulator import Hover, RunSetup, Scenario, SensorModel, SteppedMass, run_scenario
 
 
 def oracle_quat(axis, angle):
@@ -36,6 +38,101 @@ def broadcast_pair(draw, width):
     return tuple(draw(finite_arrays(shape)) for shape in shapes.input_shapes)
 
 
+def _unit(q):
+    # rows too short to normalize accurately become a fixed unit quaternion
+    q = np.where(np.linalg.norm(q, axis=-1, keepdims=True) >= 0.1, q, 0.5)
+    return q / np.linalg.norm(q, axis=-1, keepdims=True)
+
+
+def unit_quats(shape):
+    """Unit quaternions of ``shape`` (last axis 4), normalized from draws in
+    [-1, 1]."""
+    return hnp.arrays(np.float64, shape, elements=st.floats(-1.0, 1.0)).map(_unit)
+
+
+@st.composite
+def unit_quat_pair(draw):
+    shapes = draw(hnp.mutually_broadcastable_shapes(signature="(4),(4)->(4)", max_dims=3))
+    return tuple(draw(unit_quats(shape)) for shape in shapes.input_shapes)
+
+
+# The product maps sum the component products in another order than the
+# written-out formulas; on unit quaternions the outputs are O(1), so the two
+# agree within a few ulp of 1.
+KERNEL_ATOL = 4 * np.finfo(float).eps
+# A closed-loop run on the product maps against the same run on the formulas,
+# speed quantization off (it can turn an ulp into a different speed level):
+# truth and measurements within TRAJECTORY_ATOL, every logged estimator column
+# within ESTIMATE_RTOL of its largest magnitude.
+TRAJECTORY_ATOL = 1e-12
+ESTIMATE_RTOL = 1e-11
+
+
+def _skew(v):
+    v = np.asarray(v, dtype=float)
+    out = np.zeros(v.shape[:-1] + (3, 3))
+    out[..., 0, 1] = -v[..., 2]
+    out[..., 0, 2] = v[..., 1]
+    out[..., 1, 0] = v[..., 2]
+    out[..., 1, 2] = -v[..., 0]
+    out[..., 2, 0] = -v[..., 1]
+    out[..., 2, 1] = v[..., 0]
+    return out
+
+
+def oracle_quat_multiply(a, b):
+    """Hamilton product from its scalar/vector formula."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    a0, av = a[..., :1], a[..., 1:]
+    b0, bv = b[..., :1], b[..., 1:]
+    scalar = a0 * b0 - np.sum(av * bv, axis=-1, keepdims=True)
+    vector = a0 * bv + b0 * av + np.cross(av, bv)
+    return att.quat_normalize(np.concatenate([scalar, vector], axis=-1))
+
+
+def oracle_rotmat_body_to_global(q):
+    """R = (2 q0^2 - 1) I + 2 qv qv' + 2 q0 [qv]x."""
+    q = np.asarray(q, dtype=float)
+    q0 = q[..., :1, None]
+    qv = q[..., 1:]
+    outer = qv[..., :, None] * qv[..., None, :]
+    return (2.0 * q0 * q0 - 1.0) * np.eye(3) + 2.0 * outer + 2.0 * q0 * _skew(qv)
+
+
+def oracle_mrp_to_error_quat(rho):
+    """dq0 = (1 - s)/(1 + s), dqv = rho (1 + dq0), renormalized."""
+    rho = np.asarray(rho, dtype=float)
+    s = np.sum(rho * rho, axis=-1, keepdims=True)
+    dq0 = (1.0 - s) / (1.0 + s)
+    return att.quat_normalize(np.concatenate([dq0, rho * (1.0 + dq0)], axis=-1))
+
+
+def rate_transition_matrix(omega, dt):
+    """Orthogonal 4x4 matrix propagating a quaternion under body rates.
+
+    ``rate_transition_matrix(omega, dt) @ q`` equals the body-frame rotation of
+    ``q`` by angle ``|omega|*dt`` about ``omega/|omega|``, i.e.
+    ``quat_multiply(q, quat_from_rotvec(omega*dt))``.  A series-expanded branch
+    below ``|omega|*dt < 1e-8`` avoids the 0/0 at zero rate.
+    """
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    omega = np.asarray(omega, dtype=float)
+    angle = np.linalg.norm(omega) * dt
+    c = np.cos(0.5 * angle)
+    if angle < 1e-8:
+        psi = 0.5 * dt * omega
+    else:
+        psi = np.sin(0.5 * angle) * omega / np.linalg.norm(omega)
+    out = np.empty((4, 4))
+    out[0, 0] = c
+    out[0, 1:] = -psi
+    out[1:, 0] = psi
+    out[1:, 1:] = c * np.eye(3) - _skew(psi)
+    return out
+
+
 class TestFastKernelsMatchNumpy:
     """The hand-written kernels repeat numpy's operations, so they are
     bit-identical to it, overflow to inf and 0/0 to nan included."""
@@ -52,6 +149,35 @@ class TestFastKernelsMatchNumpy:
         with np.errstate(all="ignore"):
             want = q / np.linalg.norm(q, axis=-1, keepdims=True)
             np.testing.assert_array_equal(att.quat_normalize(q), want, strict=True)
+
+
+class TestProductMapsMatchFormulas:
+    """The product-map kernels against the written-out component formulas."""
+
+    @given(unit_quat_pair())
+    def test_quat_multiply(self, pair):
+        a, b = pair
+        got = att.quat_multiply(a, b)
+        want = oracle_quat_multiply(a, b)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=KERNEL_ATOL)
+
+    @given(hnp.array_shapes(min_dims=0, max_dims=2).flatmap(lambda shape: unit_quats(shape + (4,))))
+    def test_rotmat_body_to_global(self, q):
+        got = att.rotmat_body_to_global(q)
+        want = oracle_rotmat_body_to_global(q)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=KERNEL_ATOL)
+
+    # short-arc MRPs have |rho| <= 1; far beyond, the oracle's 1 + dq0 loses
+    # digits to cancellation and it becomes the less accurate of the two
+    @given(hnp.array_shapes(min_dims=0, max_dims=2).flatmap(
+        lambda shape: hnp.arrays(np.float64, shape + (3,), elements=st.floats(-1.0, 1.0))))
+    def test_mrp_to_error_quat(self, rho):
+        got = att.mrp_to_error_quat(rho)
+        want = oracle_mrp_to_error_quat(rho)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=KERNEL_ATOL)
 
 
 class TestQuatMultiply:
@@ -183,7 +309,7 @@ class TestMrpConversions:
 
 class TestRateTransition:
     def test_zero_rate_is_identity(self):
-        np.testing.assert_allclose(att.rate_transition_matrix(np.zeros(3), 0.005), np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(rate_transition_matrix(np.zeros(3), 0.005), np.eye(4), atol=1e-12)
 
     def test_z_spin_matches_quat_multiply(self):
         omega = np.array([0.0, 0.0, 2.0])
@@ -192,7 +318,7 @@ class TestRateTransition:
         q = random_unit_quats(rng, 1)[0]
         dq = oracle_quat([0, 0, 1], 0.01)  # theta = |omega| * dt
         np.testing.assert_allclose(
-            att.rate_transition_matrix(omega, dt) @ q,
+            rate_transition_matrix(omega, dt) @ q,
             att.quat_multiply(q, dq),
             atol=1e-12,
         )
@@ -201,7 +327,7 @@ class TestRateTransition:
         rng = np.random.default_rng(11)
         for _ in range(50):
             omega = rng.standard_normal(3) * 10.0
-            M = att.rate_transition_matrix(omega, 0.005)
+            M = rate_transition_matrix(omega, 0.005)
             np.testing.assert_allclose(M.T @ M, np.eye(4), atol=1e-12)
 
     def test_body_frame_rotation_against_oracle(self):
@@ -212,7 +338,7 @@ class TestRateTransition:
             omega = rng.standard_normal(3) * rng.uniform(0.0, 20.0)
             dt = rng.uniform(1e-4, 0.05)
             q = random_unit_quats(rng, 1)[0]
-            q_next = att.rate_transition_matrix(omega, dt) @ q
+            q_next = rate_transition_matrix(omega, dt) @ q
             R_next = att.rotmat_body_to_global(att.quat_normalize(q_next))
             R_oracle = att.rotmat_body_to_global(q) @ Rotation.from_rotvec(omega * dt).as_matrix()
             np.testing.assert_allclose(R_next, R_oracle, atol=1e-9)
@@ -223,7 +349,7 @@ class TestRateTransition:
         omega = rng.standard_normal((40, 3)) * 5.0
         batched = att.quat_apply_body_rates(q, omega, 0.005)
         for i in range(40):
-            single = att.rate_transition_matrix(omega[i], 0.005) @ q[i]
+            single = rate_transition_matrix(omega[i], 0.005) @ q[i]
             np.testing.assert_allclose(batched[i], att.quat_normalize(single), atol=1e-12)
 
 
@@ -238,3 +364,32 @@ class TestRotvec:
     def test_zero(self):
         np.testing.assert_allclose(att.quat_from_rotvec(np.zeros(3)), att.quat_identity())
         np.testing.assert_allclose(att.quat_to_rotvec(att.quat_identity()), np.zeros(3))
+
+
+def test_stepped_mass_run_matches_formula_kernels(monkeypatch):
+    def run():
+        scenario = Scenario(duration_s=2.0, seed=5, trajectory=Hover(),
+                            disturbance=SteppedMass(offset_body=[0.05, 0.0, 0.0], onset_s=1.0))
+        setup = RunSetup(estimators=("usque", "observer"), sensor=SensorModel(quant_bits=0))
+        return run_scenario(scenario, setup)
+
+    got = run()
+    oracles = {
+        att.quat_multiply: oracle_quat_multiply,
+        att.rotmat_body_to_global: oracle_rotmat_body_to_global,
+        att.mrp_to_error_quat: oracle_mrp_to_error_quat,
+    }
+    # every module that binds a kernel under its own name, attitude included
+    for module in (att, rigid_body, estimator, observer, simulator):
+        for name, fn in list(vars(module).items()):
+            if callable(fn) and fn in oracles:
+                monkeypatch.setattr(module, name, oracles[fn])
+    want = run()
+
+    np.testing.assert_allclose(got.truth, want.truth, rtol=0, atol=TRAJECTORY_ATOL)
+    np.testing.assert_allclose(got.meas, want.meas, rtol=0, atol=TRAJECTORY_ATOL)
+    for g, w in ((got.estimates["usque"], want.estimates["usque"]),
+                 (got.cov_diags["usque"], want.cov_diags["usque"]),
+                 (got.estimates["observer"], want.estimates["observer"])):
+        drift = np.abs(g - w).max(axis=0)
+        assert np.all(drift <= ESTIMATE_RTOL * np.abs(w).max(axis=0))

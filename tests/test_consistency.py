@@ -7,6 +7,7 @@ chi-square distributed if the filter is consistent.
 """
 
 import numpy as np
+import pytest
 from scipy.stats import chi2
 
 from quadwrench import attitude as att
@@ -56,6 +57,7 @@ def _minimal_error(truth: VehicleState, belief: GaussianBelief) -> np.ndarray:
     ])
 
 
+@pytest.mark.slow
 def test_nees_within_chi_square_envelope():
     n_runs = 50
     duration = 10.0

@@ -140,11 +140,20 @@ class TestSigmaPoints:
         np.testing.assert_allclose(w[1:], 1.0 / (2 * (dim + kappa)))
         assert np.sum(w) == pytest.approx(1.0, abs=1e-12)
 
+    def test_weights_built_once_and_read_only(self):
+        w = sigma_weights(30, 2.0)
+        assert sigma_weights(30, 2.0) is w
+        assert not w.flags.writeable
+
     def test_jitter_recovers_semidefinite(self):
         cov = np.diag([1.0, 0.0])  # PSD but not PD
         sp = generate_sigma_points(np.zeros(2), cov, kappa=2.0)
         _, got = recombine(sp.points, sp.weights)
         np.testing.assert_allclose(got, cov, atol=1e-8)
+
+    def test_jitter_is_marked(self):
+        assert generate_sigma_points(np.zeros(2), np.diag([1.0, 0.0])).jittered
+        assert not generate_sigma_points(np.zeros(2), np.eye(2)).jittered
 
     def test_not_pd_reports_covariance(self):
         cov = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -495,6 +504,15 @@ class TestStepAndEquivariance:
                      (got.cov_diags["usque"], want.cov_diags["usque"])):
             drift = np.abs(g - w).max(axis=0)
             assert np.all(drift <= SCENARIO_DRIFT_RTOL * np.abs(w).max(axis=0))
+
+    def test_jittered_predictions_are_counted(self):
+        # a zero rate variance makes the first prior semidefinite; process
+        # noise makes every later one positive definite
+        est = UsqueEstimator(PARAMS, NoiseConfig.default(), default_belief(p_omega=0.0))
+        est.step(hover_speeds())
+        assert est.jitter_count == 1
+        est.step(hover_speeds())
+        assert est.jitter_count == 1
 
     def test_record_is_belief_mean_and_covariance_diagonal(self):
         rng = np.random.default_rng(9)

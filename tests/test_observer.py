@@ -131,6 +131,14 @@ class TestMomentumObserver:
             outs.append(np.concatenate([obs.state.f_e, obs.state.tau_e]))
         np.testing.assert_array_equal(outs[0], outs[1])
 
+    @pytest.mark.parametrize("cutoffs", [{"pos_cutoff_hz": 500.0}, {"att_cutoff_hz": 100.0},
+                                         {"pos_cutoff_hz": 0.0}])
+    def test_cutoff_outside_nyquist_rejected_at_construction(self, cutoffs):
+        # Nyquist is 100 Hz at dt = 5 ms; the filters run only from the
+        # second measurement on, so a late check would fail mid-run
+        with pytest.raises(ValueError):
+            MomentumObserver(PARAMS, ObserverGains(**cutoffs))
+
     def test_holds_estimate_on_dropout(self):
         obs = MomentumObserver(PARAMS)
         speeds = np.full(4, PARAMS.hover_speed())

@@ -13,6 +13,7 @@ from quadwrench.rigid_body import (
     collective_thrust,
     motor_torques,
     process_step,
+    rotor_wrench,
 )
 
 
@@ -23,6 +24,20 @@ def params():
 
 def hover_speeds(params):
     return np.full(4, params.hover_speed())
+
+
+def oracle_rotor_wrench(params, rotor_speeds):
+    """[thrust, tau] from the per-motor formulas, summed left to right."""
+    w = np.asarray(rotor_speeds, dtype=float)
+    c = params.thrust_coeff * w * w
+    drag = params.drag_coeff * w * w
+    l = params.arm_length
+    return np.stack([
+        np.sum(c, axis=-1),
+        l * (c[..., 0] + c[..., 1] - c[..., 2] - c[..., 3]),
+        l * (-c[..., 0] + c[..., 1] + c[..., 2] - c[..., 3]),
+        drag[..., 0] - drag[..., 1] + drag[..., 2] - drag[..., 3],
+    ], axis=-1)
 
 
 class TestParams:
@@ -43,6 +58,10 @@ class TestParams:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             VehicleParams(**kwargs)
+
+    def test_run_constants_read_only(self, params):
+        for name in ("rotor_coeffs", "rotor_scale", "mixer_inv"):
+            assert not getattr(params, name).flags.writeable
 
     def test_hover_balance(self, params):
         ct = collective_thrust(params, hover_speeds(params))
@@ -70,6 +89,27 @@ class TestThrustAndTorque:
 
     def test_equal_speeds_no_torque(self, params):
         np.testing.assert_allclose(motor_torques(params, np.full(4, 1500.0)), np.zeros(3), atol=1e-12)
+
+    @pytest.mark.parametrize("rows", [(), (61,)])
+    def test_rotor_wrench_is_the_per_motor_formulas(self, rows):
+        # same terms added in the same order: bit-identical, and the two
+        # single-quantity functions are its slices
+        rng = np.random.default_rng(7)
+        p = VehicleParams(thrust_coeff=rng.uniform(3e-7, 4e-7, 4), drag_coeff=rng.uniform(5e-9, 6e-9, 4))
+        for params_ in (VehicleParams(), p):
+            for _ in range(300):
+                w = rng.uniform(0.0, 2550.0, size=rows + (4,))
+                want = oracle_rotor_wrench(params_, w)
+                np.testing.assert_array_equal(rotor_wrench(params_, w), want, strict=True)
+                np.testing.assert_array_equal(collective_thrust(params_, w), want[..., 0])
+                np.testing.assert_array_equal(motor_torques(params_, w), want[..., 1:], strict=True)
+
+    def test_equal_speeds_give_exactly_zero_torque(self, params):
+        rng = np.random.default_rng(8)
+        speeds = np.repeat(rng.uniform(0.0, 2550.0, size=(200, 1)), 4, axis=1)
+        thrust = np.sum(params.thrust_coeff * speeds * speeds, axis=-1)
+        want = np.stack([thrust, *np.zeros((3, 200))], axis=-1)
+        np.testing.assert_array_equal(rotor_wrench(params, speeds), want)
 
     def test_swap_pairs_negates_roll(self, params):
         rng = np.random.default_rng(1)

@@ -288,6 +288,19 @@ class TestScenarios:
         assert np.all(np.isnan(log.meas[0]))
         assert not np.any(np.isnan(log.meas[1]))
 
+    @pytest.mark.parametrize("quant_bits", [8, 0])
+    def test_yaw_zero_hover_stays_on_the_vertical_until_onset(self, quant_bits):
+        # equal motor speeds give exactly zero rotor torque, so nothing tilts
+        # or moves the vehicle sideways before the offset mass is hung on
+        onset = 1.0
+        scen = Scenario(duration_s=2.0, seed=1, trajectory=Hover(),
+                        disturbance=SteppedMass(offset_body=[0.05, 0.0, 0.0], onset_s=onset))
+        log = run_scenario(scen, RunSetup(estimators=(), sensor=SensorModel(quant_bits=quant_bits)))
+        vertical = [STATE_FIELDS.index(f) for f in ("q0", "pos_z", "vel_z")]
+        before = log.time <= onset  # row k is the state after the step from t = k dt
+        assert np.all(np.delete(log.truth[before], vertical, axis=1) == 0.0)
+        assert log.truth[-1, STATE_FIELDS.index("wy")] != 0.0  # the offset mass pitches it
+
     def test_csv_round_trip(self, tmp_path):
         traj = GridSurvey(x_range=(1.0, 1.5), y_range=(0.0, 0.5), spacing=0.5, dwell_s=0.5,
                           travel_speed=1.0)
@@ -328,6 +341,13 @@ class TestEstimatorRecord:
     def test_fan_track_needs_an_estimator(self):
         with pytest.raises(ValueError, match="FanTrack"):
             run_scenario(Scenario(duration_s=0.1, trajectory=FanTrack()), RunSetup(estimators=()))
+
+    def test_jitter_count_in_meta(self):
+        scen = Scenario(duration_s=0.1, seed=1, trajectory=Hover())
+        stds = {**RunSetup().init_stds, "omega": 0.0}
+        for init_stds, count in ((RunSetup().init_stds, 0), (stds, 1)):
+            log = run_scenario(scen, RunSetup(estimators=("usque", "observer"), init_stds=init_stds))
+            assert log.meta["jitter_count"] == {"usque": count}
 
     def test_observer_logs_zero_covariance(self):
         scen = Scenario(duration_s=0.5, seed=1, trajectory=Hover(),
