@@ -42,7 +42,6 @@ __all__ = [
     "quat_from_rotvec",
     "quat_to_rotvec",
     "rotmat_body_to_global",
-    "rotmat_global_to_body",
     "error_quat_to_mrp",
     "mrp_to_error_quat",
     "quat_apply_body_rates",
@@ -176,11 +175,6 @@ def rotmat_body_to_global(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     flat = _products(q, q) @ _ROTATION - _EYE9
     return flat.reshape(flat.shape[:-1] + (3, 3))
-
-
-def rotmat_global_to_body(q: np.ndarray) -> np.ndarray:
-    """Transpose orientation: maps global-frame vectors into body coordinates."""
-    return np.swapaxes(rotmat_body_to_global(q), -1, -2)
 
 
 def error_quat_to_mrp(dq: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logio import STATE_FIELDS, TimeSeriesLog
+from .logio import STATE_FIELDS, TimeSeriesLog, write_csv
 
 __all__ = [
     "AdmittanceConfig",
@@ -113,8 +113,8 @@ def wrench_map_to_csv(cells: list[WrenchMapCell], path) -> None:
     )
     rows = np.array([
         [c.x, c.y, *c.mean_f, *c.mean_tau, *c.std_f, *c.std_tau, c.count] for c in cells
-    ])
-    np.savetxt(path, rows, delimiter=",", header=header, comments="", fmt="%.10g")
+    ]).reshape(len(cells), 15)
+    write_csv(path, header, rows)
 
 
 def rise_time_10_90(time: np.ndarray, signal: np.ndarray, baseline_window_s: float = 1.0) -> float:

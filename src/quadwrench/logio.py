@@ -10,9 +10,14 @@ One row per simulation step.  Column groups:
   minimal coordinates (MRP, rates, position, velocity, torque, force); the
   observer logs zeros for the diagonal
 
-The first line is a schema version comment, the second carries run metadata
-(and dwell segments) as JSON so post-processing tools can work from the CSV
-alone.
+File contract: the first line is a schema version comment, the second carries
+run metadata (and dwell segments) as JSON so post-processing tools can work
+from the CSV alone, and the third names the columns in the fixed layout above.
+Every value is printed with ``%.10g``, comma separated, one row per line: the
+bytes ``np.savetxt(path, log.to_matrix(), fmt="%.10g", delimiter=",",
+header=..., comments="")`` writes.  The reader checks the header against the
+layout for the estimator names it finds and raises ``ValueError`` on any
+other.
 """
 
 from __future__ import annotations
@@ -38,6 +43,40 @@ COV_FIELDS = [
     for a in "xyz"
 ]
 MEAS_FIELDS = [f"meas_pos_{a}" for a in "xyz"] + [f"meas_q{i}" for i in range(4)]
+
+_TRUTH_COLS = slice(1, 1 + len(STATE_FIELDS))
+_MEAS_COLS = slice(_TRUTH_COLS.stop, _TRUTH_COLS.stop + len(MEAS_FIELDS))
+_EST_WIDTH = len(STATE_FIELDS) + len(COV_FIELDS)
+
+CSV_BLOCK_ROWS = 256   # rows printed by one string formatting operation
+
+
+def log_columns(estimators) -> list[str]:
+    """Column names of a log carrying ``estimators``, in file order."""
+    names = ["time_s"] + [f"truth_{f}" for f in STATE_FIELDS] + MEAS_FIELDS
+    for est in estimators:
+        names += [f"{est}_{f}" for f in STATE_FIELDS]
+        names += [f"{est}_{f}" for f in COV_FIELDS]
+    return names
+
+
+def write_csv(path, header: str, matrix: np.ndarray) -> None:
+    """Write the non-empty ``header`` and the rows of the 2-D ``matrix`` printed with ``%.10g``.
+
+    The bytes are those of ``np.savetxt(path, matrix, fmt="%.10g",
+    delimiter=",", header=header, comments="")``.  Rows are formatted
+    ``CSV_BLOCK_ROWS`` at a time from one flat list of Python floats, so no
+    per-row tuple of numpy scalars and no whole-file string is built.
+    """
+    n_rows, n_cols = matrix.shape
+    row_fmt = ",".join(["%.10g"] * n_cols) + "\n"
+    block_fmt = row_fmt * CSV_BLOCK_ROWS
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for start in range(0, n_rows, CSV_BLOCK_ROWS):
+            block = matrix[start:start + CSV_BLOCK_ROWS]
+            fmt = block_fmt if len(block) == CSV_BLOCK_ROWS else row_fmt * len(block)
+            fh.write(fmt % tuple(block.ravel().tolist()))
 
 
 @dataclass
@@ -67,11 +106,7 @@ class TimeSeriesLog:
         return list(self.estimates.keys())
 
     def column_names(self) -> list[str]:
-        names = ["time_s"] + [f"truth_{f}" for f in STATE_FIELDS] + MEAS_FIELDS
-        for est in self.estimates:
-            names += [f"{est}_{f}" for f in STATE_FIELDS]
-            names += [f"{est}_{f}" for f in COV_FIELDS]
-        return names
+        return log_columns(self.estimates)
 
     def to_matrix(self) -> np.ndarray:
         cols = [self.time[:, None], self.truth, self.meas]
@@ -87,7 +122,7 @@ class TimeSeriesLog:
             f"# meta: {json.dumps(meta, sort_keys=True)}\n"
             + ",".join(self.column_names())
         )
-        np.savetxt(path, self.to_matrix(), delimiter=",", header=header, comments="", fmt="%.10g")
+        write_csv(path, header, self.to_matrix())
 
     @classmethod
     def from_csv(cls, path) -> "TimeSeriesLog":
@@ -100,26 +135,24 @@ class TimeSeriesLog:
                 raise ValueError("missing metadata line")
             meta = json.loads(meta_line[len("# meta: "):])
             names = fh.readline().strip().split(",")
+            # every estimator block starts with its q0 column
+            estimators = [name.removesuffix("_q0") for name in names[_MEAS_COLS.stop::_EST_WIDTH]]
+            if names != log_columns(estimators) or len(set(estimators)) < len(estimators):
+                raise ValueError(f"columns do not follow the {SCHEMA_VERSION} layout")
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        if data.shape[1] != len(names):
+            raise ValueError(f"rows have {data.shape[1]} values for {len(names)} columns")
 
-        col = {n: i for i, n in enumerate(names)}
-        n_fixed = 1 + len(STATE_FIELDS) + len(MEAS_FIELDS)
-        est_names: list[str] = []
-        for name in names[n_fixed:]:
-            prefix = name.rsplit("_q0", 1)[0]
-            if name.endswith("_q0") and prefix not in est_names:
-                est_names.append(prefix)
-
-        def block(prefix, fields):
-            return data[:, [col[f"{prefix}_{f}"] for f in fields]]
-
+        # column slices of the one matrix, not copies
+        n_state = len(STATE_FIELDS)
+        starts = {est: _MEAS_COLS.stop + i * _EST_WIDTH for i, est in enumerate(estimators)}
         segments = [DwellSegment(*row) for row in meta.pop("segments", [])]
         return cls(
-            time=data[:, col["time_s"]],
-            truth=block("truth", STATE_FIELDS),
-            meas=data[:, [col[f] for f in MEAS_FIELDS]],
-            estimates={e: block(e, STATE_FIELDS) for e in est_names},
-            cov_diags={e: block(e, COV_FIELDS) for e in est_names},
+            time=data[:, 0],
+            truth=data[:, _TRUTH_COLS],
+            meas=data[:, _MEAS_COLS],
+            estimates={est: data[:, i:i + n_state] for est, i in starts.items()},
+            cov_diags={est: data[:, i + n_state:i + _EST_WIDTH] for est, i in starts.items()},
             segments=segments,
             meta=meta,
         )

@@ -151,13 +151,15 @@ class ProcessNoiseSample:
         return cls(m[..., 0:3], m[..., 3:6], m[..., 6:9], m[..., 9:12])
 
 
-@dataclass
+@dataclass(frozen=True)
 class NoiseConfig:
     """Diagonal process and measurement covariances.
 
     ``q_*`` are per-step process covariances, ``g_x`` the pose-position
     measurement covariance (m^2) and ``g_rho`` the attitude measurement
     covariance in MRP units squared (a rotation by angle a has |rho| ~ a/4).
+    Every matrix is a read-only copy, and the stacked covariances are built
+    once at construction.
     """
 
     q_ct: np.ndarray
@@ -169,14 +171,24 @@ class NoiseConfig:
 
     def __post_init__(self):
         for name in ("q_ct", "q_tau_m", "q_f_e", "q_tau_e", "g_x", "g_rho"):
-            mat = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
+            mat = np.array(np.atleast_1d(getattr(self, name)), dtype=float)
             if mat.ndim == 1:
                 mat = np.diag(mat)
             if mat.shape != (3, 3):
                 raise ValueError(f"{name} must be a 3x3 matrix or length-3 diagonal")
             if np.any(np.diag(mat) <= 0.0):
                 raise ValueError(f"{name} diagonal must be strictly positive")
-            setattr(self, name, mat)
+            mat.flags.writeable = False
+            object.__setattr__(self, name, mat)
+        process = np.zeros((12, 12))
+        for i, mat in enumerate((self.q_tau_m, self.q_tau_e, self.q_ct, self.q_f_e)):
+            process[3 * i:3 * i + 3, 3 * i:3 * i + 3] = mat
+        measurement = np.zeros((6, 6))
+        measurement[0:3, 0:3] = self.g_x
+        measurement[3:6, 3:6] = self.g_rho
+        for name, value in (("_process_cov", process), ("_measurement_cov", measurement)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @classmethod
     def default(cls) -> "NoiseConfig":
@@ -194,19 +206,11 @@ class NoiseConfig:
 
     def process_cov(self) -> np.ndarray:
         """Stacked 12x12 process covariance, ordered [tau_m, tau_e, ct, f_e]."""
-        out = np.zeros((12, 12))
-        out[0:3, 0:3] = self.q_tau_m
-        out[3:6, 3:6] = self.q_tau_e
-        out[6:9, 6:9] = self.q_ct
-        out[9:12, 9:12] = self.q_f_e
-        return out
+        return self._process_cov
 
     def measurement_cov(self) -> np.ndarray:
         """Stacked 6x6 measurement covariance, ordered [position, mrp]."""
-        out = np.zeros((6, 6))
-        out[0:3, 0:3] = self.g_x
-        out[3:6, 3:6] = self.g_rho
-        return out
+        return self._measurement_cov
 
 
 def rotor_wrench(params: VehicleParams, rotor_speeds: np.ndarray) -> np.ndarray:

@@ -446,6 +446,9 @@ def run_scenario(scenario: Scenario, setup: RunSetup | None = None) -> TimeSerie
     setup = setup or RunSetup()
     params = setup.params
     dt = params.dt
+    n = int(round(scenario.duration_s / dt))
+    if n < 1:
+        raise ValueError(f"duration {scenario.duration_s:g} s rounds to zero {dt:g} s steps")
     rng = np.random.default_rng(scenario.seed)
     sensor = setup.resolved_sensor()
     controller = FlightController(params, setup.controller_gains, omega_max=sensor.omega_max)
@@ -459,7 +462,6 @@ def run_scenario(scenario: Scenario, setup: RunSetup | None = None) -> TimeSerie
         raise ValueError("a FanTrack reference is steered by an estimator; list one")
     steering = next(iter(estimators.values())) if isinstance(traj, FanTrack) else None
 
-    n = int(round(scenario.duration_s / dt))
     time = np.empty(n)
     truth_log = np.empty((n, len(STATE_FIELDS)))
     meas_log = np.full((n, len(MEAS_FIELDS)), np.nan)

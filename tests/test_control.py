@@ -16,6 +16,7 @@ from quadwrench.control import (
     build_wrench_map,
     log_metrics,
     rise_time_10_90,
+    wrench_map_to_csv,
 )
 from quadwrench.logio import COV_FIELDS, MEAS_FIELDS, STATE_FIELDS, DwellSegment, TimeSeriesLog
 
@@ -75,6 +76,19 @@ class TestWrenchMap:
     def test_log_without_segments_rejected(self):
         with pytest.raises(ValueError):
             build_wrench_map(synthetic_log(), "usque")
+
+    @pytest.mark.parametrize("n_cells", [0, 2])
+    def test_csv_bytes_equal_savetxt(self, n_cells, tmp_path):
+        cells = build_wrench_map(synthetic_log(segments=self.SEGMENTS), "usque")[:n_cells]
+        path = tmp_path / "map.csv"
+        wrench_map_to_csv(cells, path)
+        rows = [[c.x, c.y, *c.mean_f, *c.mean_tau, *c.std_f, *c.std_tau, c.count] for c in cells]
+        lines = path.read_text().split("\n")
+        assert len(lines[1].split(",")) == 15
+        oracle = tmp_path / "oracle.csv"
+        np.savetxt(oracle, np.array(rows), fmt="%.10g", delimiter=",", comments="",
+                   header="\n".join(lines[:2]))
+        assert path.read_bytes() == oracle.read_bytes()
 
 
 class TestLogMetrics:

@@ -6,6 +6,8 @@ linear-Gaussian Kalman algebra for the (position, velocity, force) chain, a
 sigma-point form of the pose correction for the closed-form update.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -343,9 +345,7 @@ class TestCorrect:
         # wildly disparate position vs attitude scales push the innovation
         # covariance condition number past the 1e12 limit
         belief = default_belief(p_pos=1.0, p_rho=1e-16)
-        noise = NoiseConfig.default()
-        noise.g_x = np.eye(3) * 0.1
-        noise.g_rho = np.eye(3) * 1e-16
+        noise = replace(NoiseConfig.default(), g_x=np.eye(3) * 0.1, g_rho=np.eye(3) * 1e-16)
         with pytest.raises(InnovationCovarianceSingular):
             correct(belief, PoseMeasurement(pos=belief.mean.pos, q=belief.mean.q), noise)
 

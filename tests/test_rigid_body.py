@@ -1,5 +1,7 @@
 """Process-model tests: hand values, physical limits, Monte-Carlo moments."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
@@ -281,3 +283,17 @@ class TestNoiseConfig:
         G = cfg.measurement_cov()
         np.testing.assert_allclose(G[0:3, 0:3], cfg.g_x)
         np.testing.assert_allclose(G[3:6, 3:6], cfg.g_rho)
+
+    def test_frozen_and_built_once(self):
+        diag = np.ones(3)
+        cfg = NoiseConfig(q_ct=diag, q_tau_m=diag, q_f_e=diag, q_tau_e=diag, g_x=diag, g_rho=diag)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.g_x = np.eye(3)
+        assert cfg.process_cov() is cfg.process_cov()
+        assert cfg.measurement_cov() is cfg.measurement_cov()
+        for mat in (cfg.q_ct, cfg.g_rho, cfg.process_cov(), cfg.measurement_cov()):
+            with pytest.raises(ValueError, match="read-only"):
+                mat[0, 0] = 2.0
+        # the caller's array is copied, not frozen in place
+        diag[0] = 2.0
+        assert cfg.q_ct[0, 0] == 1.0

@@ -277,6 +277,12 @@ class TestScenarios:
         assert len(traj.segments()) == 25
         assert len(traj.cells) == 25
 
+    def test_duration_shorter_than_a_step_rejected(self):
+        # a zero-step run would leave a log whose CSV has no rows to read back
+        with pytest.raises(ValueError, match="zero"):
+            run_scenario(Scenario(duration_s=0.001), RunSetup())
+        assert len(run_scenario(Scenario(duration_s=0.004), RunSetup(estimators=()))) == 1
+
     def test_sensor_rate_must_divide(self):
         with pytest.raises(ValueError):
             Scenario(duration_s=1.0, sensor_rate_hz=130.0).steps_per_measurement(0.005)
@@ -311,6 +317,12 @@ class TestScenarios:
         log.to_csv(path)
         with open(path) as fh:
             assert fh.readline().startswith("# quadwrench-timeseries v1")
+            fh.readline()
+            assert fh.readline().strip().split(",") == log.column_names()
+            rows = fh.read()
+        oracle = tmp_path / "oracle.csv"
+        np.savetxt(oracle, log.to_matrix(), fmt="%.10g", delimiter=",")
+        assert rows == oracle.read_text()
         back = TimeSeriesLog.from_csv(path)
         np.testing.assert_allclose(back.truth, log.truth, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(back.estimates["usque"], log.estimates["usque"], rtol=1e-9, atol=1e-12)
