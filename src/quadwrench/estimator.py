@@ -34,13 +34,7 @@ from .attitude import (
     quat_multiply,
     quat_normalize,
 )
-from .rigid_body import (
-    NoiseConfig,
-    ProcessNoiseSample,
-    VehicleParams,
-    VehicleState,
-    process_step,
-)
+from .rigid_body import NoiseConfig, VehicleParams, VehicleState, process_step
 
 __all__ = [
     "CovarianceNotPD",
@@ -56,7 +50,8 @@ __all__ = [
     "UsqueEstimator",
 ]
 
-DEFAULT_KAPPA = 2.0
+# sigma-point spread of the USQUE construction (Crassidis & Markley 2003)
+KAPPA = 2.0
 # chi-square 95% quantile for a 6-dof residual; used by the optional gate
 DEFAULT_GATE_THRESHOLD = 9.49
 _CONDITION_LIMIT = 1e12
@@ -92,7 +87,8 @@ class MeasurementRejected(RuntimeError):
 
 @dataclass
 class PoseMeasurement:
-    """6-DoF pose sample: global position, attitude quaternion, timestamp."""
+    """6-DoF pose sample: global position, attitude quaternion (normalized
+    here; a non-finite or zero-norm input raises ``ValueError``), timestamp."""
 
     pos: np.ndarray
     q: np.ndarray
@@ -100,7 +96,11 @@ class PoseMeasurement:
 
     def __post_init__(self):
         self.pos = np.asarray(self.pos, dtype=float)
-        self.q = quat_normalize(np.asarray(self.q, dtype=float))
+        q = np.asarray(self.q, dtype=float)
+        # q @ q is NaN or inf for a non-finite q, and 0 for a zero one
+        if not (np.isfinite(self.pos).all() and 0.0 < q @ q < np.inf):
+            raise ValueError("pose needs a finite position and a finite, nonzero quaternion")
+        self.q = quat_normalize(q)
 
 
 @dataclass
@@ -161,12 +161,10 @@ class SigmaPointSet:
 
 
 @lru_cache(maxsize=8)
-def sigma_weights(dim: int, kappa: float) -> np.ndarray:
-    """Read-only recombination weights, built once per ``(dim, kappa)``."""
-    if kappa <= -dim:
-        raise ValueError("kappa must exceed -L")
-    w = np.full(2 * dim + 1, 1.0 / (2.0 * (dim + kappa)))
-    w[0] = kappa / (dim + kappa)
+def sigma_weights(dim: int) -> np.ndarray:
+    """Read-only recombination weights at :data:`KAPPA`, built once per ``dim``."""
+    w = np.full(2 * dim + 1, 1.0 / (2.0 * (dim + KAPPA)))
+    w[0] = KAPPA / (dim + KAPPA)
     w.flags.writeable = False
     return w
 
@@ -175,8 +173,8 @@ def _symmetrize(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
-def generate_sigma_points(mean: np.ndarray, cov: np.ndarray, kappa: float = DEFAULT_KAPPA) -> SigmaPointSet:
-    """Points mean, mean +- sqrt(L+kappa) * columns of the Cholesky factor.
+def generate_sigma_points(mean: np.ndarray, cov: np.ndarray) -> SigmaPointSet:
+    """Points mean, mean +- sqrt(L + KAPPA) * columns of the Cholesky factor.
 
     If the Cholesky decomposition fails, retries once after adding
     ``1e-9 * trace(cov)/L`` to the diagonal and marks the set ``jittered``; a
@@ -200,9 +198,9 @@ def generate_sigma_points(mean: np.ndarray, cov: np.ndarray, kappa: float = DEFA
             raise CovarianceNotPD("covariance not positive definite after jitter", cov) from None
         jittered = True
 
-    spread = np.sqrt(dim + kappa) * chol.T  # row j = sqrt(L+kappa) * col_j(S)
+    spread = np.sqrt(dim + KAPPA) * chol.T  # row j = sqrt(L + KAPPA) * col_j(S)
     points = np.concatenate([mean[None, :], mean + spread, mean - spread], axis=0)
-    return SigmaPointSet(points=points, weights=sigma_weights(dim, kappa), jittered=jittered)
+    return SigmaPointSet(points=points, weights=sigma_weights(dim), jittered=jittered)
 
 
 def recombine(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -252,8 +250,7 @@ def predict(
     sp = generate_sigma_points(ext_mean, ext_cov)
 
     states = _states_from_points(sp.points[:, :STATE_DIM], belief.mean.q)
-    eta = ProcessNoiseSample.from_matrix(sp.points[:, STATE_DIM:])
-    propagated = process_step(states, rotor_speeds, eta, params)
+    propagated = process_step(states, rotor_speeds, sp.points[:, STATE_DIM:], params)
 
     reference = propagated.q[0]
     minimal = _minimal_from_states(propagated, reference)

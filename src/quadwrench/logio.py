@@ -27,6 +27,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+__all__ = [
+    "SCHEMA_VERSION", "STATE_FIELDS", "COV_FIELDS", "MEAS_FIELDS", "CSV_BLOCK_ROWS",
+    "log_columns", "write_csv", "DwellSegment", "TimeSeriesLog",
+]
+
 SCHEMA_VERSION = "quadwrench-timeseries v1"
 
 STATE_FIELDS = (

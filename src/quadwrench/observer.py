@@ -31,34 +31,16 @@ from .estimator import PoseMeasurement
 from .logio import COV_FIELDS
 from .rigid_body import VehicleParams, rotor_wrench
 
-__all__ = ["LowPassFilter", "ObserverGains", "MomentumObserver"]
+__all__ = ["lowpass_alpha", "ObserverGains", "MomentumObserver"]
 
 
-@dataclass
-class LowPassFilter:
-    """First-order discrete low-pass: y += a (u - y), a = T/(T + 1/(2 pi fc))."""
-
-    cutoff_hz: float
-    state: np.ndarray | None = None
-
-    def alpha(self, dt: float) -> float:
-        """Smoothing coefficient at sampling period ``dt``; raises
-        ``ValueError`` unless the cutoff lies in (0, Nyquist)."""
-        if not 0.0 < self.cutoff_hz < 0.5 / dt:
-            raise ValueError("cutoff must lie in (0, Nyquist)")
-        return dt / (dt + 1.0 / (2.0 * np.pi * self.cutoff_hz))
-
-    def step(self, u: np.ndarray, dt: float) -> np.ndarray:
-        return self.update(u, self.alpha(dt))
-
-    def update(self, u: np.ndarray, alpha: float) -> np.ndarray:
-        """One filter step with a coefficient from :meth:`alpha`."""
-        u = np.asarray(u, dtype=float)
-        if self.state is None:
-            self.state = u.copy()
-        else:
-            self.state = self.state + alpha * (u - self.state)
-        return self.state.copy()
+def lowpass_alpha(cutoff_hz: float, dt: float) -> float:
+    """Coefficient ``a`` of the first-order low-pass ``y += a (u - y)``,
+    ``a = dt/(dt + 1/(2 pi fc))`` at sampling period ``dt``; raises
+    ``ValueError`` unless the cutoff lies in (0, Nyquist)."""
+    if not 0.0 < cutoff_hz < 0.5 / dt:
+        raise ValueError("cutoff must lie in (0, Nyquist)")
+    return dt / (dt + 1.0 / (2.0 * np.pi * cutoff_hz))
 
 
 @dataclass
@@ -99,14 +81,12 @@ class MomentumObserver:
         self.params = params
         self.gains = gains or ObserverGains()
         self.state = ObserverState()
-        self._lp_vel = LowPassFilter(self.gains.pos_cutoff_hz)
-        self._lp_rate = LowPassFilter(self.gains.att_cutoff_hz)
         # fixed for the run; a cutoff above Nyquist raises here, not mid-run
-        self._alpha_vel = self._lp_vel.alpha(params.dt)
-        self._alpha_rate = self._lp_rate.alpha(params.dt)
+        self._alpha_vel = lowpass_alpha(self.gains.pos_cutoff_hz, params.dt)
+        self._alpha_rate = lowpass_alpha(self.gains.att_cutoff_hz, params.dt)
         self._prev_meas: PoseMeasurement | None = None
-        self._momentum_ref: np.ndarray | None = None
-        self._ang_momentum_ref: np.ndarray | None = None
+        # low-passed signals; they start from rest, so momenta are measured
+        # from zero
         self.velocity = np.zeros(3)
         self.body_rate = np.zeros(3)
 
@@ -118,17 +98,13 @@ class MomentumObserver:
 
         if self._prev_meas is None:
             self._prev_meas = measurement
-            self.velocity = self._lp_vel.update(np.zeros(3), self._alpha_vel)
-            self.body_rate = self._lp_rate.update(np.zeros(3), self._alpha_rate)
-            self._momentum_ref = p.mass * self.velocity
-            self._ang_momentum_ref = p.inertia @ self.body_rate
             return self.state
 
         vel_raw = (measurement.pos - self._prev_meas.pos) / dt
         dq = quat_canonical(quat_multiply(quat_conjugate(self._prev_meas.q), measurement.q))
         rate_raw = quat_to_rotvec(dq) / dt
-        self.velocity = self._lp_vel.update(vel_raw, self._alpha_vel)
-        self.body_rate = self._lp_rate.update(rate_raw, self._alpha_rate)
+        self.velocity = self.velocity + self._alpha_vel * (vel_raw - self.velocity)
+        self.body_rate = self.body_rate + self._alpha_rate * (rate_raw - self.body_rate)
         self._prev_meas = measurement
 
         R_bg = rotmat_body_to_global(measurement.q)
@@ -137,13 +113,13 @@ class MomentumObserver:
 
         st = self.state
         st.force_integral = st.force_integral + dt * (thrust_global - p.mass * p.gravity + st.f_e)
-        momentum = p.mass * self.velocity - self._momentum_ref
+        momentum = p.mass * self.velocity
         st.f_e = self.gains.force * (momentum - st.force_integral)
 
         gyro = cross3(self.body_rate, p.inertia @ self.body_rate)
         tau_e_body = R_bg.T @ st.tau_e
         st.torque_integral = st.torque_integral + dt * (rotor[1:] - gyro + tau_e_body)
-        ang_momentum = p.inertia @ self.body_rate - self._ang_momentum_ref
+        ang_momentum = p.inertia @ self.body_rate
         st.tau_e = R_bg @ (self.gains.torque * (ang_momentum - st.torque_integral))
         return st
 

@@ -28,16 +28,16 @@ from .attitude import cross3, quat_apply_body_rates, rotmat_body_to_global
 __all__ = [
     "VehicleParams",
     "VehicleState",
-    "ProcessNoiseSample",
     "NoiseConfig",
     "rotor_wrench",
-    "collective_thrust",
-    "motor_torques",
     "process_step",
 ]
 
 _EZ = np.array([0.0, 0.0, 1.0])
-# sign of each motor's term in [thrust, tau_x, tau_y, tau_z]; see motor_torques
+# the noise block of the deterministic map, [tau_m, tau_e, ct, f_e]
+_ZERO_NOISE = np.zeros(12)
+_ZERO_NOISE.flags.writeable = False
+# sign of each motor's term in [thrust, tau_x, tau_y, tau_z]; see rotor_wrench
 _ROTOR_SIGNS = np.array([
     [1.0, 1.0, 1.0, 1.0],
     [1.0, 1.0, -1.0, -1.0],
@@ -57,18 +57,19 @@ class VehicleParams:
     drag_coeff: np.ndarray = field(default_factory=lambda: np.full(4, 5.6e-9))    # N m/(rad/s)^2
     gravity: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 9.81]))  # m/s^2
     dt: float = 0.005                       # s
+    omega_max: float = 2550.0               # rad/s, motor limit and telemetry full scale
 
     def __post_init__(self):
-        object.__setattr__(self, "inertia", np.asarray(self.inertia, dtype=float))
-        object.__setattr__(self, "thrust_coeff", np.asarray(self.thrust_coeff, dtype=float))
-        object.__setattr__(self, "drag_coeff", np.asarray(self.drag_coeff, dtype=float))
-        object.__setattr__(self, "gravity", np.asarray(self.gravity, dtype=float))
+        for name in ("inertia", "thrust_coeff", "drag_coeff", "gravity"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.mass <= 0.0:
             raise ValueError("mass must be positive")
         if self.arm_length <= 0.0:
             raise ValueError("arm_length must be positive")
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
+        if self.omega_max <= 0.0:
+            raise ValueError("omega_max must be positive")
         if self.inertia.shape != (3, 3) or not np.allclose(self.inertia, self.inertia.T, atol=1e-12):
             raise ValueError("inertia must be a symmetric 3x3 matrix")
         if np.any(np.linalg.eigvalsh(self.inertia) <= 0.0):
@@ -129,26 +130,6 @@ class VehicleState:
     def as_vector(self) -> np.ndarray:
         """Flat [q(4), omega, pos, vel, tau_e, f_e] record, 19 entries."""
         return np.concatenate([self.q, self.omega, self.pos, self.vel, self.tau_e, self.f_e], axis=-1)
-
-
-@dataclass
-class ProcessNoiseSample:
-    """One draw of the four process-noise terms; zeros give the deterministic map."""
-
-    eta_tau_m: np.ndarray   # N m, motor-torque noise (body frame)
-    eta_tau_e: np.ndarray   # N m, external-torque random walk
-    eta_ct: np.ndarray      # N, thrust noise (body frame)
-    eta_f_e: np.ndarray     # N, external-force random walk
-
-    @classmethod
-    def zero(cls) -> "ProcessNoiseSample":
-        return cls(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3))
-
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "ProcessNoiseSample":
-        """Split a (..., 12) block ordered [tau_m, tau_e, ct, f_e]."""
-        m = np.asarray(m, dtype=float)
-        return cls(m[..., 0:3], m[..., 3:6], m[..., 6:9], m[..., 9:12])
 
 
 @dataclass(frozen=True)
@@ -220,41 +201,34 @@ def rotor_wrench(params: VehicleParams, rotor_speeds: np.ndarray) -> np.ndarray:
     ``k_i * Omega_i^2`` for thrust and roll/pitch (times the arm length after
     the sum) and ``d_i * Omega_i^2`` for yaw, so equal speeds give exactly
     zero torque.
+
+    Motor layout: each motor sits ``arm_length`` from both horizontal body
+    axes; motors 2 and 4 spin about +body-z, motors 1 and 3 about -body-z, so
+    their drag reactions alternate sign on the yaw axis.
     """
     w = np.asarray(rotor_speeds, dtype=float)[..., None, :]
     t = params.rotor_coeffs * w * w
     return params.rotor_scale * (t[..., 0] + t[..., 1] + t[..., 2] + t[..., 3])
 
 
-def collective_thrust(params: VehicleParams, rotor_speeds: np.ndarray) -> np.ndarray:
-    """Total thrust sum(k_i * Omega_i^2) along the body z-axis, in newtons."""
-    return rotor_wrench(params, rotor_speeds)[..., 0]
-
-
-def motor_torques(params: VehicleParams, rotor_speeds: np.ndarray) -> np.ndarray:
-    """Body-frame torque from differential thrust and motor drag.
-
-    Motor layout: each motor sits ``arm_length`` from both horizontal body
-    axes; motors 2 and 4 spin about +body-z, motors 1 and 3 about -body-z, so
-    their drag reactions alternate sign on the yaw axis.
-    """
-    return rotor_wrench(params, rotor_speeds)[..., 1:]
-
-
 def process_step(
     state: VehicleState,
     rotor_speeds: np.ndarray,
-    noise: ProcessNoiseSample | None,
+    noise: np.ndarray | None,
     params: VehicleParams,
 ) -> VehicleState:
     """Propagate the state one sampling period.
 
-    With ``noise=None`` (or all zeros) this is the deterministic motion model;
-    the simulator adds scenario wrenches by seeding ``tau_e``/``f_e`` and the
-    filter perturbs each sigma point through ``noise``.
+    ``noise`` is a ``(..., 12)`` block of process-noise draws ordered
+    ``[tau_m, tau_e, ct, f_e]`` like :meth:`NoiseConfig.process_cov`: body
+    motor-torque noise (N m), external-torque random walk (N m), body thrust
+    noise (N) and external-force random walk (N).  With ``noise=None`` (or all
+    zeros) this is the deterministic motion model; the simulator adds scenario
+    wrenches by seeding ``tau_e``/``f_e`` and the filter perturbs each sigma
+    point through its noise columns.
     """
     if noise is None:
-        noise = ProcessNoiseSample.zero()
+        noise = _ZERO_NOISE
     T = params.dt
     m = params.mass
 
@@ -263,7 +237,7 @@ def process_step(
     # matvecs: einsum is the cheaper form of R v on a sigma-point set,
     # v-times-matrix matmul the cheaper form of R' v and of the inertia maps
     R_bg = rotmat_body_to_global(state.q)
-    thrust_body = wrench[..., :1] * _EZ + noise.eta_ct
+    thrust_body = wrench[..., :1] * _EZ + noise[..., 6:9]
     acc = (
         np.einsum("...ij,...j->...i", R_bg, thrust_body) / m
         - params.gravity
@@ -276,7 +250,7 @@ def process_step(
 
     tau_e_body = (state.tau_e[..., None, :] @ R_bg)[..., 0, :]  # R' tau_e: global into body axes
     inertia_rate = state.omega @ params.inertia.T
-    torque_sum = tau_e_body + wrench[..., 1:] + noise.eta_tau_m - cross3(state.omega, inertia_rate)
+    torque_sum = tau_e_body + wrench[..., 1:] + noise[..., 0:3] - cross3(state.omega, inertia_rate)
     omega = state.omega + T * (torque_sum @ params.inertia_inv.T)
 
     return VehicleState(
@@ -284,6 +258,6 @@ def process_step(
         omega=omega,
         pos=pos,
         vel=vel,
-        tau_e=state.tau_e + noise.eta_tau_e,
-        f_e=state.f_e + noise.eta_f_e,
+        tau_e=state.tau_e + noise[..., 3:6],
+        f_e=state.f_e + noise[..., 9:12],
     )

@@ -165,6 +165,9 @@ class GridSurvey:
     travel_speed: float = 0.5  # m/s between cells
 
     def __post_init__(self):
+        if not (self.spacing > 0.0 and self.dwell_s > 0.0 and self.travel_speed > 0.0
+                and self.x_range[0] <= self.x_range[1] and self.y_range[0] <= self.y_range[1]):
+            raise ValueError("grid spacing, dwell and travel speed must be positive and ranges ordered")
         xs = np.arange(self.x_range[0], self.x_range[1] + 1e-9, self.spacing)
         ys = np.arange(self.y_range[0], self.y_range[1] + 1e-9, self.spacing)
         cells = []
@@ -248,25 +251,21 @@ class SensorModel:
 
     ``pos_std`` in metres, ``att_std_mrp`` in MRP units (a small rotation by
     angle a has |rho| ~ a/4).  Zero stds give exact measurements; bits=0
-    disables quantization.
+    disables quantization, whose full scale is the vehicle's ``omega_max``.
     """
 
     pos_std: float = 0.001
     att_std_mrp: float = 0.0005
     quant_bits: int = 8
-    omega_max: float = 2550.0  # rad/s full telemetry scale
-
-    def __post_init__(self):
-        if self.omega_max <= 0.0:
-            raise ValueError("omega_max must be positive")
 
     @classmethod
     def from_noise(cls, noise: NoiseConfig, **kwargs) -> "SensorModel":
-        return cls(
-            pos_std=float(np.sqrt(noise.g_x[0, 0])),
-            att_std_mrp=float(np.sqrt(noise.g_rho[0, 0])),
-            **kwargs,
-        )
+        """The sensor ``noise`` describes; one std per block samples only an
+        isotropic diagonal ``g_x``/``g_rho``, so any other raises ``ValueError``."""
+        if not all(np.array_equal(m, m[0, 0] * np.eye(3)) for m in (noise.g_x, noise.g_rho)):
+            raise ValueError("g_x and g_rho must be isotropic diagonals to build a SensorModel")
+        pos_var, att_var = noise.g_x[0, 0], noise.g_rho[0, 0]
+        return cls(pos_std=float(np.sqrt(pos_var)), att_std_mrp=float(np.sqrt(att_var)), **kwargs)
 
     def sample_pose(self, state: VehicleState, rng: np.random.Generator, t: float) -> PoseMeasurement:
         pos = state.pos + self.pos_std * rng.standard_normal(3)
@@ -274,11 +273,12 @@ class SensorModel:
         q = quat_multiply(mrp_to_error_quat(rho), state.q)
         return PoseMeasurement(pos=pos, q=q, t=t)
 
-    def quantize_speeds(self, speeds: np.ndarray) -> np.ndarray:
+    def quantize_speeds(self, speeds: np.ndarray, omega_max: float) -> np.ndarray:
+        """Speeds on the telemetry grid whose full scale is ``omega_max``."""
         if self.quant_bits <= 0:
             return np.asarray(speeds, dtype=float).copy()
-        step = self.omega_max / (2**self.quant_bits - 1)
-        return np.clip(np.round(np.asarray(speeds) / step) * step, 0.0, self.omega_max)
+        step = omega_max / (2**self.quant_bits - 1)
+        return np.clip(np.round(np.asarray(speeds) / step) * step, 0.0, omega_max)
 
 
 # ---------------------------------------------------------------------------
@@ -294,15 +294,14 @@ class ControllerGains:
     max_vert_acc: float = 5.0   # m/s^2
 
 
-def mix_motor_speeds(params: VehicleParams, thrust: float, torque: np.ndarray,
-                     omega_max: float) -> tuple[np.ndarray, bool]:
-    """Invert thrust/torque maps to per-motor speeds; clamp to [0, omega_max].
+def mix_motor_speeds(params: VehicleParams, thrust: float, torque: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Invert thrust/torque maps to per-motor speeds; clamp to [0, params.omega_max].
 
     The demand is reachable when every per-motor thrust k_i * Omega_i^2 that
     solves the mixing rows lies in [0, k_i * omega_max^2]. Yaw torque comes
     only from motor drag, gamma = drag_coeff / thrust_coeff times the
     differential thrust, so its authority is small: with the default vehicle
-    (gamma = 0.016 m, 2.28 N per motor at 2550 rad/s) it is about 0.07 N m
+    (gamma = 0.016 m, 2.28 N per motor at omega_max) it is about 0.07 N m
     around hover and shrinks towards zero and full thrust.
 
     Returns the speeds and a flag set when clipping changed at least one
@@ -310,7 +309,7 @@ def mix_motor_speeds(params: VehicleParams, thrust: float, torque: np.ndarray,
     demanded thrust and torque exactly up to rounding.
     """
     per_motor = params.mixer_inv @ np.array([thrust, *torque])
-    clipped = np.clip(per_motor, 0.0, params.thrust_coeff * omega_max**2)
+    clipped = np.clip(per_motor, 0.0, params.thrust_coeff * params.omega_max**2)
     saturated = bool(np.any(per_motor != clipped))
     return np.sqrt(clipped / params.thrust_coeff), saturated
 
@@ -323,11 +322,9 @@ class FlightController:
     inner loop.
     """
 
-    def __init__(self, params: VehicleParams, gains: ControllerGains | None = None,
-                 omega_max: float = 2550.0):
+    def __init__(self, params: VehicleParams, gains: ControllerGains | None = None):
         self.params = params
         self.gains = gains or ControllerGains()
-        self.omega_max = omega_max
         self.saturation_count = 0
 
     def command(self, state: VehicleState, ref_pos: np.ndarray,
@@ -358,7 +355,7 @@ class FlightController:
         e_rot = np.array([err[2, 1], err[0, 2], err[1, 0]])  # body-frame attitude error
         torque = p.inertia @ (-g.att_p * e_rot - g.att_d * state.omega)
 
-        speeds, saturated = mix_motor_speeds(p, thrust, torque, self.omega_max)
+        speeds, saturated = mix_motor_speeds(p, thrust, torque)
         if saturated:
             self.saturation_count += 1
         return speeds
@@ -394,7 +391,8 @@ class RunSetup:
     """Everything a run needs besides the scenario itself.
 
     The first of ``estimators`` steers a ``FanTrack`` reference with its
-    z-torque estimate; the gate applies only while ``gate_enabled`` is set.
+    z-torque estimate; the chi-square gate, at ``DEFAULT_GATE_THRESHOLD``,
+    applies only while ``gate_enabled`` is set.
     """
 
     params: VehicleParams = field(default_factory=VehicleParams)
@@ -404,7 +402,6 @@ class RunSetup:
     observer_gains: ObserverGains = field(default_factory=ObserverGains)
     estimators: tuple[str, ...] = ("usque",)
     gate_enabled: bool = False
-    gate_threshold: float = DEFAULT_GATE_THRESHOLD
     init_stds: dict = field(default_factory=lambda: {
         "rho": 0.005, "omega": 0.05, "pos": 0.005, "vel": 0.05, "tau_e": 0.01, "f_e": 0.05,
     })
@@ -428,7 +425,7 @@ def _make_estimators(setup: RunSetup, initial: VehicleState):
         if name == "usque":
             mean = replace(initial.copy(), f_e=np.zeros(3), tau_e=np.zeros(3))
             belief = GaussianBelief.from_std(mean, setup.init_stds)
-            gate = setup.gate_threshold if setup.gate_enabled else None
+            gate = DEFAULT_GATE_THRESHOLD if setup.gate_enabled else None
             out[name] = UsqueEstimator(setup.params, setup.noise, belief, gate_threshold=gate)
         elif name == "observer":
             out[name] = MomentumObserver(setup.params, setup.observer_gains)
@@ -451,7 +448,7 @@ def run_scenario(scenario: Scenario, setup: RunSetup | None = None) -> TimeSerie
         raise ValueError(f"duration {scenario.duration_s:g} s rounds to zero {dt:g} s steps")
     rng = np.random.default_rng(scenario.seed)
     sensor = setup.resolved_sensor()
-    controller = FlightController(params, setup.controller_gains, omega_max=sensor.omega_max)
+    controller = FlightController(params, setup.controller_gains)
     meas_every = scenario.steps_per_measurement(dt)
 
     traj = scenario.trajectory
@@ -474,7 +471,7 @@ def run_scenario(scenario: Scenario, setup: RunSetup | None = None) -> TimeSerie
         # actuator commands share the telemetry's 8-bit word, so the vehicle
         # flies exactly the speeds the estimators are told about; thrust-map
         # error away from hover is what Q_ct covers
-        speeds = sensor.quantize_speeds(controller.command(truth, ref_pos, ref_vel, yaw=yaw))
+        speeds = sensor.quantize_speeds(controller.command(truth, ref_pos, ref_vel, yaw=yaw), params.omega_max)
 
         wrench = scenario.disturbance.wrench(t, truth) if scenario.disturbance else (np.zeros(3), np.zeros(3))
         truth = truth_step(truth, speeds, wrench, params)

@@ -12,13 +12,7 @@ from scipy.stats import chi2
 
 from quadwrench import attitude as att
 from quadwrench.estimator import GaussianBelief, PoseMeasurement, UsqueEstimator
-from quadwrench.rigid_body import (
-    NoiseConfig,
-    ProcessNoiseSample,
-    VehicleParams,
-    VehicleState,
-    process_step,
-)
+from quadwrench.rigid_body import NoiseConfig, VehicleParams, VehicleState, process_step
 from quadwrench.simulator import ControllerGains, FlightController
 
 PARAMS = VehicleParams()
@@ -76,7 +70,7 @@ def test_nees_within_chi_square_envelope():
         controller = FlightController(PARAMS, ControllerGains())
         for k in range(n_steps):
             speeds = controller.command(truth, ref)
-            eta = ProcessNoiseSample.from_matrix(q_chol @ rng.standard_normal(12))
+            eta = q_chol @ rng.standard_normal(12)
             truth = process_step(truth, speeds, eta, PARAMS)
             meas = PoseMeasurement(
                 pos=truth.pos + pos_std * rng.standard_normal(3),

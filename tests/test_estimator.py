@@ -27,13 +27,7 @@ from quadwrench.estimator import (
     recombine,
     sigma_weights,
 )
-from quadwrench.rigid_body import (
-    NoiseConfig,
-    ProcessNoiseSample,
-    VehicleParams,
-    VehicleState,
-    process_step,
-)
+from quadwrench.rigid_body import NoiseConfig, VehicleParams, VehicleState, process_step
 from quadwrench.simulator import Hover, RunSetup, Scenario, SteppedMass, run_scenario
 
 PARAMS = VehicleParams()
@@ -50,7 +44,7 @@ def hover_speeds():
     return np.full(4, PARAMS.hover_speed())
 
 
-def sigma_point_correct(belief, measurement, noise, kappa=2.0):
+def sigma_point_correct(belief, measurement, noise):
     """Pose correction as an unscented transform of the measurement model.
 
     The state is augmented with the 6-dim measurement noise (extended
@@ -62,7 +56,7 @@ def sigma_point_correct(belief, measurement, noise, kappa=2.0):
     ext_cov = np.zeros((24, 24))
     ext_cov[:18, :18] = belief.cov
     ext_cov[18:, 18:] = noise.measurement_cov()
-    sp = generate_sigma_points(ext_mean, ext_cov, kappa)
+    sp = generate_sigma_points(ext_mean, ext_cov)
     pts = sp.points
 
     predicted_meas = np.concatenate([pts[:, 6:9] + pts[:, 18:21], pts[:, 0:3] + pts[:, 21:24]], axis=1)
@@ -98,13 +92,13 @@ def default_belief(p_rho=1e-4, p_omega=1e-4, p_pos=1e-4, p_vel=1e-4, p_tau=1e-4,
 
 class TestSigmaPoints:
     def test_unit_cov_l2(self):
-        sp = generate_sigma_points(np.zeros(2), np.eye(2), kappa=2.0)
+        sp = generate_sigma_points(np.zeros(2), np.eye(2))
         expected = np.array([[0, 0], [2, 0], [0, 2], [-2, 0], [0, -2]], dtype=float)
         np.testing.assert_allclose(sp.points, expected, atol=1e-12)
 
     def test_anisotropic_cov_against_cholesky_oracle(self):
         cov = np.diag([4.0, 1.0])
-        sp = generate_sigma_points(np.zeros(2), cov, kappa=2.0)
+        sp = generate_sigma_points(np.zeros(2), cov)
         chol = np.linalg.cholesky(cov)
         np.testing.assert_allclose(sp.points[1], 2.0 * chol[:, 0], atol=1e-12)  # (4, 0)
         np.testing.assert_allclose(sp.points[2], 2.0 * chol[:, 1], atol=1e-12)  # (0, 2)
@@ -115,7 +109,7 @@ class TestSigmaPoints:
         a = rng.standard_normal((6, 6))
         cov = a @ a.T + 6 * np.eye(6)
         mean = rng.standard_normal(6)
-        sp = generate_sigma_points(mean, cov, kappa=2.0)
+        sp = generate_sigma_points(mean, cov)
         got_mean, got_cov = recombine(sp.points, sp.weights)
         np.testing.assert_allclose(got_mean, mean, atol=1e-12)
         np.testing.assert_allclose(got_cov, cov, atol=1e-9)
@@ -127,29 +121,29 @@ class TestSigmaPoints:
         mean = rng.standard_normal(5)
         A = rng.standard_normal((4, 5))
         b = rng.standard_normal(4)
-        sp = generate_sigma_points(mean, cov, kappa=2.0)
+        sp = generate_sigma_points(mean, cov)
         got_mean, got_cov = recombine(sp.points @ A.T + b, sp.weights)
         np.testing.assert_allclose(got_mean, A @ mean + b, atol=1e-9)
         np.testing.assert_allclose(got_cov, A @ cov @ A.T, atol=1e-9)
 
-    @pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0, 5.0, -10.0])
-    def test_weight_pattern(self, kappa):
-        dim = 30
-        if kappa <= -dim:
-            pytest.skip("outside domain")
-        w = sigma_weights(dim, kappa)
-        assert w[0] == pytest.approx(kappa / (dim + kappa))
-        np.testing.assert_allclose(w[1:], 1.0 / (2 * (dim + kappa)))
+    @pytest.mark.parametrize("dim", [1, 2, 6, 18, 30])
+    def test_weight_pattern(self, dim):
+        # the USQUE spread: kappa = 2 for every state dimension
+        assert estimator.KAPPA == 2.0
+        w = sigma_weights(dim)
+        assert w.shape == (2 * dim + 1,)
+        assert w[0] == pytest.approx(2.0 / (dim + 2.0))
+        np.testing.assert_allclose(w[1:], 1.0 / (2 * (dim + 2.0)))
         assert np.sum(w) == pytest.approx(1.0, abs=1e-12)
 
     def test_weights_built_once_and_read_only(self):
-        w = sigma_weights(30, 2.0)
-        assert sigma_weights(30, 2.0) is w
+        w = sigma_weights(30)
+        assert sigma_weights(30) is w
         assert not w.flags.writeable
 
     def test_jitter_recovers_semidefinite(self):
         cov = np.diag([1.0, 0.0])  # PSD but not PD
-        sp = generate_sigma_points(np.zeros(2), cov, kappa=2.0)
+        sp = generate_sigma_points(np.zeros(2), cov)
         _, got = recombine(sp.points, sp.weights)
         np.testing.assert_allclose(got, cov, atol=1e-8)
 
@@ -160,7 +154,7 @@ class TestSigmaPoints:
     def test_not_pd_reports_covariance(self):
         cov = np.array([[1.0, 0.0], [0.0, -1.0]])
         with pytest.raises(CovarianceNotPD) as exc:
-            generate_sigma_points(np.zeros(2), cov, kappa=2.0)
+            generate_sigma_points(np.zeros(2), cov)
         np.testing.assert_allclose(exc.value.cov, 0.5 * (cov + cov.T))
 
 
@@ -250,8 +244,7 @@ class TestPredict:
             tau_e=mean.tau_e + z[:, 12:15],
             f_e=mean.f_e + z[:, 15:18],
         )
-        eta = ProcessNoiseSample.from_matrix(z[:, 18:30])
-        prop = process_step(states, w, eta, PARAMS)
+        prop = process_step(states, w, z[:, 18:30], PARAMS)
 
         ref_q = process_step(mean, w, None, PARAMS).q
         d_rho = att.error_quat_to_mrp(att.quat_canonical(att.quat_multiply(prop.q, att.quat_conjugate(ref_q))))
@@ -398,6 +391,19 @@ class TestCorrect:
             correct(belief, meas, noise, gate_threshold=9.49)
         # same measurement passes with gating off
         correct(belief, meas, noise, gate_threshold=None)
+
+    @pytest.mark.parametrize("pos, q", [
+        ([0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0]),
+        ([0.0, 0.0, 1.0], [1.0, np.nan, 0.0, 0.0]),
+        ([0.0, 0.0, 1.0], [np.inf, 0.0, 0.0, 0.0]),
+        ([0.0, np.nan, 1.0], [1.0, 0.0, 0.0, 0.0]),
+        ([np.inf, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0]),
+    ])
+    def test_pose_measurement_rejects_non_finite_or_zero_quaternion(self, pos, q):
+        # each of these normalized to an all-NaN quaternion (or kept a non-finite
+        # position) that correct() spread into the estimate
+        with pytest.raises(ValueError):
+            PoseMeasurement(pos=pos, q=q)
 
 
 class TestStepAndEquivariance:

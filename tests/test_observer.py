@@ -5,49 +5,52 @@ import pytest
 
 from quadwrench import attitude as att
 from quadwrench.estimator import PoseMeasurement
-from quadwrench.observer import LowPassFilter, MomentumObserver, ObserverGains
+from quadwrench.observer import MomentumObserver, ObserverGains, lowpass_alpha
 from quadwrench.rigid_body import VehicleParams, VehicleState, process_step
 
 PARAMS = VehicleParams()
 DT = PARAMS.dt
 
 
+def lowpass_run(cutoff_hz, inputs):
+    """Outputs of y += a (u - y) from rest, the recursion the observer runs."""
+    a = lowpass_alpha(cutoff_hz, DT)
+    y = np.zeros_like(np.asarray(inputs[0], dtype=float))
+    out = []
+    for u in inputs:
+        y = y + a * (u - y)
+        out.append(y)
+    return np.asarray(out)
+
+
 class TestLowPass:
     def test_dc_gain_is_one(self):
-        lp = LowPassFilter(cutoff_hz=2.0)
-        y = np.zeros(3)
-        lp.step(np.zeros(3), DT)
-        for _ in range(5000):
-            y = lp.step(np.array([1.0, -2.0, 0.5]), DT)
+        y = lowpass_run(2.0, [np.array([1.0, -2.0, 0.5])] * 5000)[-1]
         np.testing.assert_allclose(y, [1.0, -2.0, 0.5], atol=1e-9)
 
     def test_wide_open_cutoff_passes_input(self):
         # alpha -> 1 with increasing cutoff; at the Nyquist limit the output
         # reaches the input within a handful of samples
         cutoffs = np.array([1.0, 5.0, 20.0, 80.0, 0.499 / DT])
-        alphas = [LowPassFilter(c).alpha(DT) for c in cutoffs]
+        alphas = [lowpass_alpha(c, DT) for c in cutoffs]
         assert np.all(np.diff(alphas) > 0)
-        lp = LowPassFilter(cutoff_hz=0.499 / DT)
-        lp.step(np.zeros(1), DT)
-        for _ in range(5):
-            y = lp.step(np.ones(1), DT)
+        y = lowpass_run(0.499 / DT, [np.ones(1)] * 5)[-1]
         assert y[0] == pytest.approx(1.0, abs=0.01)
 
     def test_time_constant_of_unit_step(self):
         # first-order oracle: 63.2% of the final value at t = 1/(2 pi fc)
-        lp = LowPassFilter(cutoff_hz=1.0)
-        lp.step(np.zeros(1), DT)
+        a = lowpass_alpha(1.0, DT)
         t, y = 0.0, 0.0
         while y < 1.0 - np.exp(-1.0):
-            y = lp.step(np.ones(1), DT)[0]
+            y = y + a * (1.0 - y)
             t += DT
         assert t == pytest.approx(1.0 / (2 * np.pi), abs=0.01)
 
     def test_rejects_bad_cutoff(self):
         with pytest.raises(ValueError):
-            LowPassFilter(cutoff_hz=0.0).alpha(DT)
+            lowpass_alpha(0.0, DT)
         with pytest.raises(ValueError):
-            LowPassFilter(cutoff_hz=101.0).alpha(DT)  # above Nyquist at 200 Hz
+            lowpass_alpha(101.0, DT)  # above Nyquist at 200 Hz
 
 
 def run_observer(truth_sequence, speeds, gains=None):

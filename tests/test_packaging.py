@@ -1,7 +1,8 @@
-"""Packaging metadata points only at code and data that exist."""
+"""Packaging metadata and module exports point only at code and data that exist."""
 
 import importlib
 import importlib.util
+import pkgutil
 from pathlib import Path
 
 import pytest
@@ -30,3 +31,16 @@ def test_package_data_globs_match_files():
     for package, globs in package_data.items():
         for pattern in globs:
             assert any(SRC.joinpath(*package.split(".")).glob(pattern)), (package, pattern)
+
+
+def test_every_module_exports_only_names_it_defines():
+    # a module without __all__ would escape the check, so each must list one
+    import quadwrench
+
+    modules = [info.name for info in pkgutil.iter_modules(quadwrench.__path__, "quadwrench.")]
+    assert modules
+    for name in modules:
+        module = importlib.import_module(name)
+        assert hasattr(module, "__all__"), name
+        for attr in module.__all__:
+            assert hasattr(module, attr), (name, attr)

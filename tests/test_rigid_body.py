@@ -9,11 +9,8 @@ from scipy.spatial.transform import Rotation
 from quadwrench import attitude as att
 from quadwrench.rigid_body import (
     NoiseConfig,
-    ProcessNoiseSample,
     VehicleParams,
     VehicleState,
-    collective_thrust,
-    motor_torques,
     process_step,
     rotor_wrench,
 )
@@ -55,6 +52,7 @@ class TestParams:
             {"dt": 0.0},
             {"inertia": np.diag([1.0, 1.0, -1.0])},
             {"thrust_coeff": np.zeros(4)},
+            {"omega_max": 0.0},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -66,36 +64,35 @@ class TestParams:
             assert not getattr(params, name).flags.writeable
 
     def test_hover_balance(self, params):
-        ct = collective_thrust(params, hover_speeds(params))
+        ct = rotor_wrench(params, hover_speeds(params))[..., 0]
         assert ct == pytest.approx(params.mass * 9.81, rel=1e-12)
 
 
 class TestThrustAndTorque:
     def test_zero_speeds(self, params):
-        assert collective_thrust(params, np.zeros(4)) == 0.0
-        np.testing.assert_allclose(motor_torques(params, np.zeros(4)), np.zeros(3))
+        assert rotor_wrench(params, np.zeros(4))[..., 0] == 0.0
+        np.testing.assert_allclose(rotor_wrench(params, np.zeros(4))[..., 1:], np.zeros(3))
 
     def test_direct_substitution(self):
         p = VehicleParams(thrust_coeff=np.full(4, 2e-8), drag_coeff=np.full(4, 1e-9))
-        assert collective_thrust(p, np.full(4, 1000.0)) == pytest.approx(0.08)
+        assert rotor_wrench(p, np.full(4, 1000.0))[..., 0] == pytest.approx(0.08)
 
     def test_quadratic_homogeneity(self, params):
         rng = np.random.default_rng(0)
         w = rng.uniform(100, 2000, size=4)
-        assert collective_thrust(params, 2 * w) == pytest.approx(4 * collective_thrust(params, w))
+        assert rotor_wrench(params, 2 * w)[..., 0] == pytest.approx(4 * rotor_wrench(params, w)[..., 0])
 
     def test_single_motor_torque(self):
         p = VehicleParams(thrust_coeff=np.full(4, 2e-8), drag_coeff=np.full(4, 1e-9), arm_length=0.13)
         w = np.array([1000.0, 0.0, 0.0, 0.0])
-        np.testing.assert_allclose(motor_torques(p, w), [0.0026, -0.0026, 0.001], atol=1e-12)
+        np.testing.assert_allclose(rotor_wrench(p, w)[..., 1:], [0.0026, -0.0026, 0.001], atol=1e-12)
 
     def test_equal_speeds_no_torque(self, params):
-        np.testing.assert_allclose(motor_torques(params, np.full(4, 1500.0)), np.zeros(3), atol=1e-12)
+        np.testing.assert_allclose(rotor_wrench(params, np.full(4, 1500.0))[..., 1:], np.zeros(3), atol=1e-12)
 
     @pytest.mark.parametrize("rows", [(), (61,)])
     def test_rotor_wrench_is_the_per_motor_formulas(self, rows):
-        # same terms added in the same order: bit-identical, and the two
-        # single-quantity functions are its slices
+        # same terms added in the same order: bit-identical
         rng = np.random.default_rng(7)
         p = VehicleParams(thrust_coeff=rng.uniform(3e-7, 4e-7, 4), drag_coeff=rng.uniform(5e-9, 6e-9, 4))
         for params_ in (VehicleParams(), p):
@@ -103,8 +100,6 @@ class TestThrustAndTorque:
                 w = rng.uniform(0.0, 2550.0, size=rows + (4,))
                 want = oracle_rotor_wrench(params_, w)
                 np.testing.assert_array_equal(rotor_wrench(params_, w), want, strict=True)
-                np.testing.assert_array_equal(collective_thrust(params_, w), want[..., 0])
-                np.testing.assert_array_equal(motor_torques(params_, w), want[..., 1:], strict=True)
 
     def test_equal_speeds_give_exactly_zero_torque(self, params):
         rng = np.random.default_rng(8)
@@ -117,7 +112,7 @@ class TestThrustAndTorque:
         rng = np.random.default_rng(1)
         w = rng.uniform(500, 2000, size=4)
         swapped = w[[2, 3, 0, 1]]
-        assert motor_torques(params, swapped)[0] == pytest.approx(-motor_torques(params, w)[0])
+        assert rotor_wrench(params, swapped)[..., 1] == pytest.approx(-rotor_wrench(params, w)[..., 1])
 
 
 class TestProcessStep:
@@ -125,6 +120,19 @@ class TestProcessStep:
         s = VehicleState.at_rest(pos=(0, 0, 1))
         out = process_step(s, hover_speeds(params), None, params)
         np.testing.assert_allclose(out.as_vector(), s.as_vector(), atol=1e-12)
+
+    def test_noise_block_order(self, params):
+        # columns [tau_m, tau_e, ct, f_e], as in NoiseConfig.process_cov()
+        s = VehicleState.at_rest(pos=(0, 0, 1))
+        w = hover_speeds(params)
+        base = process_step(s, w, None, params)
+        np.testing.assert_array_equal(process_step(s, w, np.zeros(12), params).as_vector(), base.as_vector())
+        eta = np.arange(1.0, 13.0) * 1e-3
+        out = process_step(s, w, eta, params)
+        np.testing.assert_array_equal(out.tau_e, eta[3:6])
+        np.testing.assert_array_equal(out.f_e, eta[9:12])
+        np.testing.assert_allclose(out.omega - base.omega, params.dt * params.inertia_inv @ eta[0:3], rtol=1e-12)
+        np.testing.assert_allclose(out.vel - base.vel, params.dt * eta[6:9] / params.mass, rtol=1e-9)
 
     def test_free_fall(self, params):
         s = VehicleState.at_rest()
@@ -209,13 +217,13 @@ class TestProcessStep:
             f_e=rng.standard_normal((n, 3)),
         )
         w = rng.uniform(500, 2000, size=4)
-        eta = ProcessNoiseSample.from_matrix(rng.standard_normal((n, 12)) * 0.01)
+        eta = rng.standard_normal((n, 12)) * 0.01
         out = process_step(batch, w, eta, params)
         for i in range(n):
             single = process_step(
                 VehicleState(batch.q[i], batch.omega[i], batch.pos[i], batch.vel[i], batch.tau_e[i], batch.f_e[i]),
                 w,
-                ProcessNoiseSample(eta.eta_tau_m[i], eta.eta_tau_e[i], eta.eta_ct[i], eta.eta_f_e[i]),
+                eta[i],
                 params,
             )
             np.testing.assert_allclose(out.as_vector()[i], single.as_vector(), atol=1e-12)
@@ -239,7 +247,7 @@ class TestMonteCarloMoments:
             tau_e=np.broadcast_to(s0.tau_e, (n, 3)),
             f_e=np.broadcast_to(s0.f_e, (n, 3)),
         )
-        out = process_step(batch, w, ProcessNoiseSample.from_matrix(draws), params)
+        out = process_step(batch, w, draws, params)
         det = process_step(s0, w, None, params)
 
         # sample mean within 3 standard errors of the zero-noise step

@@ -1,12 +1,14 @@
 """Simulator tests: truth/model equivalence, sensors, controller, scenarios."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from quadwrench import attitude as att
 from quadwrench.control import AdmittanceConfig
 from quadwrench.logio import STATE_FIELDS, TimeSeriesLog
-from quadwrench.rigid_body import VehicleParams, VehicleState, collective_thrust, motor_torques, process_step
+from quadwrench.rigid_body import NoiseConfig, VehicleParams, VehicleState, process_step, rotor_wrench
 from quadwrench.simulator import (
     ControllerGains,
     FanDisturbance,
@@ -145,8 +147,22 @@ class TestSensorModel:
         m = sensor.sample_pose(state, np.random.default_rng(0), 0.0)
         np.testing.assert_array_equal(m.pos, state.pos)
         np.testing.assert_allclose(m.q, state.q, atol=1e-15)
-        np.testing.assert_array_equal(sensor.quantize_speeds(np.array([1003.0, 7.0, 0.0, 2549.0])),
-                                      [1003.0, 7.0, 0.0, 2549.0])
+        speeds = np.array([1003.0, 7.0, 0.0, 2549.0])
+        np.testing.assert_array_equal(sensor.quantize_speeds(speeds, PARAMS.omega_max), speeds)
+
+    def test_from_noise_samples_the_filter_covariance(self):
+        noise = NoiseConfig.default()
+        sensor = SensorModel.from_noise(noise)
+        assert sensor.pos_std ** 2 == pytest.approx(noise.g_x[0, 0], rel=1e-12)
+        assert sensor.att_std_mrp ** 2 == pytest.approx(noise.g_rho[0, 0], rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["g_x", "g_rho"])
+    def test_from_noise_rejects_anisotropic_covariance(self, name):
+        # one std per block would sample z at the x variance while the
+        # filter's R says otherwise
+        noise = dataclasses.replace(NoiseConfig.default(), **{name: [1e-6, 1e-6, 9e-6]})
+        with pytest.raises(ValueError, match=name):
+            SensorModel.from_noise(noise)
 
     def test_position_noise_statistics(self):
         sensor = SensorModel(pos_std=0.01, att_std_mrp=0.0)
@@ -156,10 +172,10 @@ class TestSensorModel:
         np.testing.assert_allclose(draws.std(axis=0), 0.01, rtol=0.05)
 
     def test_eight_bit_quantization(self):
-        sensor = SensorModel(quant_bits=8, omega_max=2550.0)
+        sensor = SensorModel(quant_bits=8)
         np.testing.assert_array_equal(
-            sensor.quantize_speeds(np.array([1003.0, 1006.0, 0.0, 3000.0])),
-            [1000.0, 1010.0, 0.0, 2550.0],
+            sensor.quantize_speeds(np.array([1003.0, 1006.0, 0.0, 3000.0]), PARAMS.omega_max),
+            [1000.0, 1010.0, 0.0, PARAMS.omega_max],
         )
 
 
@@ -168,8 +184,8 @@ class TestFlightController:
         ctrl = FlightController(PARAMS)
         state = VehicleState.at_rest(pos=(0, 0, 1))
         speeds = ctrl.command(state, np.array([0, 0, 1.0]))
-        assert collective_thrust(PARAMS, speeds) == pytest.approx(PARAMS.mass * 9.81, rel=1e-9)
-        np.testing.assert_allclose(motor_torques(PARAMS, speeds), np.zeros(3), atol=1e-12)
+        assert rotor_wrench(PARAMS, speeds)[..., 0] == pytest.approx(PARAMS.mass * 9.81, rel=1e-9)
+        np.testing.assert_allclose(rotor_wrench(PARAMS, speeds)[..., 1:], np.zeros(3), atol=1e-12)
 
     def test_step_response_settles_fast_without_overshoot(self):
         # tuning oracle: simulated 0.1 m step in x
@@ -204,53 +220,58 @@ class TestFlightController:
         # does not fit inside it, since yaw authority vanishes at both ends.
         rng = np.random.default_rng(3)
         for _ in range(50):
-            drawn = rng.uniform(0.0, 2550.0, size=4)
-            thrust = collective_thrust(PARAMS, drawn)
-            torque = motor_torques(PARAMS, drawn)
-            speeds, saturated = mix_motor_speeds(PARAMS, thrust, torque, omega_max=2550.0)
+            drawn = rng.uniform(0.0, PARAMS.omega_max, size=4)
+            wrench = rotor_wrench(PARAMS, drawn)
+            thrust, torque = wrench[0], wrench[1:]
+            speeds, saturated = mix_motor_speeds(PARAMS, thrust, torque)
             assert not saturated
-            assert collective_thrust(PARAMS, speeds) == pytest.approx(thrust, rel=1e-9)
-            np.testing.assert_allclose(motor_torques(PARAMS, speeds), torque, atol=1e-12)
+            assert rotor_wrench(PARAMS, speeds)[..., 0] == pytest.approx(thrust, rel=1e-9)
+            np.testing.assert_allclose(rotor_wrench(PARAMS, speeds)[..., 1:], torque, atol=1e-12)
 
         # 0.05 N m of yaw is reachable at hover thrust ...
         hover = PARAMS.mass * PARAMS.gravity[2]
         yaw = np.array([0.0, 0.0, 0.05])
-        speeds, saturated = mix_motor_speeds(PARAMS, hover, yaw, omega_max=2550.0)
+        speeds, saturated = mix_motor_speeds(PARAMS, hover, yaw)
         assert not saturated
-        assert collective_thrust(PARAMS, speeds) == pytest.approx(hover, rel=1e-9)
-        np.testing.assert_allclose(motor_torques(PARAMS, speeds), yaw, atol=1e-12)
+        assert rotor_wrench(PARAMS, speeds)[..., 0] == pytest.approx(hover, rel=1e-9)
+        np.testing.assert_allclose(rotor_wrench(PARAMS, speeds)[..., 1:], yaw, atol=1e-12)
 
         # ... but 0.041 N m is not reachable at 1.21 N: flagged, and clipped into range.
-        speeds, saturated = mix_motor_speeds(PARAMS, 1.21, np.array([0.0, 0.0, -0.041]),
-                                             omega_max=2550.0)
+        speeds, saturated = mix_motor_speeds(PARAMS, 1.21, np.array([0.0, 0.0, -0.041]))
         assert saturated
-        assert np.all((speeds >= 0.0) & (speeds <= 2550.0))
+        assert np.all((speeds >= 0.0) & (speeds <= PARAMS.omega_max))
 
     def test_mixing_round_trip_within_one_quantization_step(self):
         sensor = SensorModel()
         rng = np.random.default_rng(4)
-        step = 2550.0 / 255
+        step = PARAMS.omega_max / 255
         for _ in range(50):
             thrust = rng.uniform(2.0, 7.0)
             torque = rng.uniform(-0.03, 0.03, size=3)
-            speeds, saturated = mix_motor_speeds(PARAMS, thrust, torque, omega_max=2550.0)
+            speeds, saturated = mix_motor_speeds(PARAMS, thrust, torque)
             assert not saturated  # the bound holds only for unclipped speeds
-            quant = sensor.quantize_speeds(speeds)
+            quant = sensor.quantize_speeds(speeds, PARAMS.omega_max)
             # thrust error bounded by the quantization sensitivity
             sens = np.sum(2 * PARAMS.thrust_coeff * speeds * (step / 2))
-            assert abs(collective_thrust(PARAMS, quant) - thrust) <= sens * 1.01
+            assert abs(rotor_wrench(PARAMS, quant)[..., 0] - thrust) <= sens * 1.01
+
+    def test_motor_limit_comes_from_vehicle_params(self):
+        params = dataclasses.replace(PARAMS, omega_max=1000.0)
+        speeds, saturated = mix_motor_speeds(params, 50.0, np.zeros(3))
+        assert saturated
+        np.testing.assert_allclose(speeds, 1000.0, rtol=1e-12)
 
     def test_saturation_flagged(self):
-        speeds, saturated = mix_motor_speeds(PARAMS, 50.0, np.zeros(3), omega_max=2550.0)
+        speeds, saturated = mix_motor_speeds(PARAMS, 50.0, np.zeros(3))
         assert saturated
-        assert np.all(speeds <= 2550.0)
+        assert np.all(speeds <= PARAMS.omega_max)
 
         # Any clipping is flagged, however small: 1e-6 N and 4e-6 N per motor past the limit.
-        full = collective_thrust(PARAMS, np.full(4, 2550.0))
+        full = rotor_wrench(PARAMS, np.full(4, PARAMS.omega_max))[..., 0]
         for excess in (4e-6, 4 * 4e-6):
-            speeds, saturated = mix_motor_speeds(PARAMS, full + excess, np.zeros(3), omega_max=2550.0)
+            speeds, saturated = mix_motor_speeds(PARAMS, full + excess, np.zeros(3))
             assert saturated
-            np.testing.assert_allclose(speeds, 2550.0, rtol=1e-12)
+            np.testing.assert_allclose(speeds, PARAMS.omega_max, rtol=1e-12)
 
 
 class TestScenarios:
@@ -276,6 +297,13 @@ class TestScenarios:
         traj = GridSurvey(x_range=(0.0, 2.0), y_range=(0.0, 2.0), spacing=0.5, dwell_s=5.0)
         assert len(traj.segments()) == 25
         assert len(traj.cells) == 25
+
+    @pytest.mark.parametrize("kwargs", [{"spacing": 0.0}, {"travel_speed": 0.0}, {"spacing": -0.5},
+                                        {"x_range": (2.5, 0.5)}, {"dwell_s": 0.0}])
+    def test_grid_survey_rejects_degenerate_layout(self, kwargs):
+        # these raised ZeroDivisionError or IndexError from the timeline build
+        with pytest.raises(ValueError):
+            GridSurvey(**kwargs)
 
     def test_duration_shorter_than_a_step_rejected(self):
         # a zero-step run would leave a log whose CSV has no rows to read back
