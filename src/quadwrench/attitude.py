@@ -50,6 +50,7 @@ __all__ = [
 # MRPs blow up as the error rotation approaches +-2*pi (dq0 -> -1); reject
 # conversions inside this guard band instead of returning huge values.
 _MRP_SINGULARITY_EPS = 1e-6
+_TINY_HALF_ANGLE = 1e-20
 
 
 def _product_map(columns: list[str]) -> np.ndarray:
@@ -154,8 +155,10 @@ def quat_from_rotvec(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     angle = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
     half = 0.5 * angle
-    # sin(x)/x via np.sinc avoids the 0/0 at zero rotation
-    vector = 0.5 * v * np.sinc(half / np.pi)
+    # sin(h)/h at h >= 1e-20: below that both round to h, so the ratio is
+    # its limit 1 and there is no 0/0 at zero rotation
+    h = np.maximum(half, _TINY_HALF_ANGLE)
+    vector = 0.5 * v * (np.sin(h) / h)
     scalar = np.cos(half)
     return quat_normalize(np.concatenate([scalar, vector], axis=-1))
 

@@ -8,6 +8,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,10 +51,14 @@ def admittance_command(tau_z: float, cfg: AdmittanceConfig) -> float:
     """Lateral velocity command: clamp(gain * deadbanded(tau_z), +-limit).
 
     Odd in ``tau_z`` and monotone non-decreasing; the deadband is subtractive
-    so the command is continuous.
+    so the command is continuous.  A non-finite ``tau_z`` raises ``ValueError``.
     """
+    tau_z = float(tau_z)
+    if not math.isfinite(tau_z):
+        raise ValueError(f"admittance needs a finite torque estimate, got {tau_z!r}")
     magnitude = max(abs(tau_z) - cfg.deadband, 0.0)
-    return float(np.clip(np.sign(tau_z) * cfg.gain * magnitude, -cfg.limit, cfg.limit))
+    sign = 1.0 if tau_z > 0.0 else -1.0 if tau_z < 0.0 else 0.0
+    return float(min(max(sign * cfg.gain * magnitude, -cfg.limit), cfg.limit))
 
 
 @dataclass

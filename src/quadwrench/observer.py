@@ -21,7 +21,6 @@ import numpy as np
 
 from .attitude import (
     cross3,
-    quat_canonical,
     quat_conjugate,
     quat_multiply,
     quat_to_rotvec,
@@ -32,6 +31,9 @@ from .logio import COV_FIELDS
 from .rigid_body import VehicleParams, rotor_wrench
 
 __all__ = ["lowpass_alpha", "ObserverGains", "MomentumObserver"]
+
+_ZERO_COV = np.zeros(len(COV_FIELDS))
+_ZERO_COV.flags.writeable = False
 
 
 def lowpass_alpha(cutoff_hz: float, dt: float) -> float:
@@ -84,6 +86,7 @@ class MomentumObserver:
         # fixed for the run; a cutoff above Nyquist raises here, not mid-run
         self._alpha_vel = lowpass_alpha(self.gains.pos_cutoff_hz, params.dt)
         self._alpha_rate = lowpass_alpha(self.gains.att_cutoff_hz, params.dt)
+        self._weight = params.mass * params.gravity
         self._prev_meas: PoseMeasurement | None = None
         # low-passed signals; they start from rest, so momenta are measured
         # from zero
@@ -101,7 +104,8 @@ class MomentumObserver:
             return self.state
 
         vel_raw = (measurement.pos - self._prev_meas.pos) / dt
-        dq = quat_canonical(quat_multiply(quat_conjugate(self._prev_meas.q), measurement.q))
+        # quat_to_rotvec takes the short arc of the relative rotation itself
+        dq = quat_multiply(quat_conjugate(self._prev_meas.q), measurement.q)
         rate_raw = quat_to_rotvec(dq) / dt
         self.velocity = self.velocity + self._alpha_vel * (vel_raw - self.velocity)
         self.body_rate = self.body_rate + self._alpha_rate * (rate_raw - self.body_rate)
@@ -112,14 +116,14 @@ class MomentumObserver:
         thrust_global = R_bg[:, 2] * rotor[0]
 
         st = self.state
-        st.force_integral = st.force_integral + dt * (thrust_global - p.mass * p.gravity + st.f_e)
+        st.force_integral = st.force_integral + dt * (thrust_global - self._weight + st.f_e)
         momentum = p.mass * self.velocity
         st.f_e = self.gains.force * (momentum - st.force_integral)
 
-        gyro = cross3(self.body_rate, p.inertia @ self.body_rate)
+        ang_momentum = p.inertia @ self.body_rate
+        gyro = cross3(self.body_rate, ang_momentum)
         tau_e_body = R_bg.T @ st.tau_e
         st.torque_integral = st.torque_integral + dt * (rotor[1:] - gyro + tau_e_body)
-        ang_momentum = p.inertia @ self.body_rate
         st.tau_e = R_bg @ (self.gains.torque * (ang_momentum - st.torque_integral))
         return st
 
@@ -138,4 +142,5 @@ class MomentumObserver:
         return np.concatenate([q, self.body_rate, pos, self.velocity, self.state.tau_e, self.state.f_e])
 
     def cov_diagonal(self) -> np.ndarray:
-        return np.zeros(len(COV_FIELDS))
+        """Read-only zeros: the observer carries no covariance."""
+        return _ZERO_COV

@@ -79,14 +79,16 @@ class VehicleParams:
         if self.drag_coeff.shape != (4,) or np.any(self.drag_coeff <= 0.0):
             raise ValueError("drag_coeff must be 4 positive values")
         object.__setattr__(self, "inertia_inv", np.linalg.inv(self.inertia))
-        # run constants of rotor_wrench, and the inverse of its map from
-        # per-motor thrust k_i * Omega_i^2 to [T, tau] for the motor mixer
+        # run constants of rotor_wrench, and of the motor mixer: the inverse of
+        # the map from per-motor thrust k_i * Omega_i^2 to [T, tau], and each
+        # motor's thrust at omega_max
         k, d = self.thrust_coeff, self.drag_coeff
         l = np.full(4, self.arm_length)
         constants = {
             "rotor_coeffs": _ROTOR_SIGNS * np.stack([k, k, k, d]),
             "rotor_scale": np.array([1.0, self.arm_length, self.arm_length, 1.0]),
             "mixer_inv": np.linalg.inv(_ROTOR_SIGNS * np.stack([np.ones(4), l, l, d / k])),
+            "motor_thrust_max": k * self.omega_max**2,
         }
         for name, value in constants.items():
             value.flags.writeable = False

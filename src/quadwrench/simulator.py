@@ -9,6 +9,7 @@ scenario seed (single numpy ``default_rng`` stream, fixed draw order).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -91,10 +92,9 @@ class FanModel:
         if d <= 0.0:
             return np.zeros(3), np.zeros(3)
         radial = rel - d * self.axis
-        r = float(np.linalg.norm(radial))
+        r = math.sqrt(radial @ radial)
         f_mag = self.axial_force * np.exp(-d / self.axial_decay) * np.exp(-0.5 * (r / self.radial_sigma) ** 2)
-        s = float(rel @ self._lateral_dir)
-        u = s / self.torque_peak_radius
+        u = float(rel @ self._lateral_dir) / self.torque_peak_radius
         tau_z = self.torque_peak * u * np.exp(0.5 * (1.0 - u * u))
         return f_mag * self.axis, np.array([0.0, 0.0, tau_z])
 
@@ -268,8 +268,10 @@ class SensorModel:
         return cls(pos_std=float(np.sqrt(pos_var)), att_std_mrp=float(np.sqrt(att_var)), **kwargs)
 
     def sample_pose(self, state: VehicleState, rng: np.random.Generator, t: float) -> PoseMeasurement:
-        pos = state.pos + self.pos_std * rng.standard_normal(3)
-        rho = self.att_std_mrp * rng.standard_normal(3)
+        # one draw of six is the stream of two draws of three
+        draw = rng.standard_normal(6)
+        pos = state.pos + self.pos_std * draw[:3]
+        rho = self.att_std_mrp * draw[3:]
         q = quat_multiply(mrp_to_error_quat(rho), state.q)
         return PoseMeasurement(pos=pos, q=q, t=t)
 
@@ -278,7 +280,9 @@ class SensorModel:
         if self.quant_bits <= 0:
             return np.asarray(speeds, dtype=float).copy()
         step = omega_max / (2**self.quant_bits - 1)
-        return np.clip(np.round(np.asarray(speeds) / step) * step, 0.0, omega_max)
+        # with the bound as first operand np.maximum matches np.clip bit for
+        # bit, the sign of a zero included
+        return np.minimum(np.maximum(0.0, np.rint(np.asarray(speeds) / step) * step), omega_max)
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +298,12 @@ class ControllerGains:
     max_vert_acc: float = 5.0   # m/s^2
 
 
+# flat indices of the entries (2, 1), (0, 2), (1, 0) of a 3x3 matrix, and of
+# their mirror images
+_VEE = np.array([7, 2, 3])
+_VEE_T = np.array([5, 6, 1])
+
+
 def mix_motor_speeds(params: VehicleParams, thrust: float, torque: np.ndarray) -> tuple[np.ndarray, bool]:
     """Invert thrust/torque maps to per-motor speeds; clamp to [0, params.omega_max].
 
@@ -306,11 +316,17 @@ def mix_motor_speeds(params: VehicleParams, thrust: float, torque: np.ndarray) -
 
     Returns the speeds and a flag set when clipping changed at least one
     motor's thrust demand; when it is clear, the speeds reproduce the
-    demanded thrust and torque exactly up to rounding.
+    demanded thrust and torque exactly up to rounding.  A non-finite demand
+    raises ``ValueError``.
     """
-    per_motor = params.mixer_inv @ np.array([thrust, *torque])
-    clipped = np.clip(per_motor, 0.0, params.thrust_coeff * params.omega_max**2)
-    saturated = bool(np.any(per_motor != clipped))
+    demand = np.concatenate(([thrust], torque))
+    per_motor = params.mixer_inv @ demand
+    clipped = np.minimum(np.maximum(0.0, per_motor), params.motor_thrust_max)
+    saturated = bool((per_motor != clipped).any())
+    # a non-finite demand makes a non-finite per-motor thrust, which never
+    # equals its clip, so only a saturated demand needs the check
+    if saturated and not np.isfinite(demand).all():
+        raise ValueError(f"mixer demand must be finite, got thrust {thrust!r}, torque {torque!r}")
     return np.sqrt(clipped / params.thrust_coeff), saturated
 
 
@@ -335,24 +351,26 @@ class FlightController:
 
         acc = g.pos_p * (np.asarray(ref_pos, dtype=float) - state.pos) + g.pos_d * (ref_vel - state.vel)
         acc_h = acc[:2]
-        h_norm = np.linalg.norm(acc_h)
+        h_norm = math.sqrt(acc_h @ acc_h)
         if h_norm > g.max_horiz_acc:
             acc[:2] = acc_h * (g.max_horiz_acc / h_norm)
-        acc[2] = np.clip(acc[2], -g.max_vert_acc, g.max_vert_acc)
+        acc[2] = min(max(acc[2], -g.max_vert_acc), g.max_vert_acc)
 
         f_des = p.mass * (acc + p.gravity)
-        thrust = float(np.linalg.norm(f_des))
+        thrust = math.sqrt(f_des @ f_des)
         z_des = f_des / thrust if thrust > 1e-9 else np.array([0.0, 0.0, 1.0])
 
         x_c = np.array([np.cos(yaw), np.sin(yaw), 0.0])
         y_des = cross3(z_des, x_c)
-        y_des /= np.linalg.norm(y_des)
+        y_des /= math.sqrt(y_des @ y_des)
         x_des = cross3(y_des, z_des)
-        R_des = np.column_stack([x_des, y_des, z_des])
+        R_des_t = np.array([x_des, y_des, z_des])  # R_des', rows the desired body axes
 
-        R = rotmat_body_to_global(state.q)
-        err = 0.5 * (R_des.T @ R - R.T @ R_des)
-        e_rot = np.array([err[2, 1], err[0, 2], err[1, 0]])  # body-frame attitude error
+        # body-frame attitude error, the vee of 0.5 (R_des' R - R' R_des); entry
+        # (i, j) of R' R_des sums the products of entry (j, i) of R_des' R in
+        # the same order, so one product gives both
+        m = R_des_t @ rotmat_body_to_global(state.q)
+        e_rot = 0.5 * (m.take(_VEE) - m.take(_VEE_T))
         torque = p.inertia @ (-g.att_p * e_rot - g.att_d * state.omega)
 
         speeds, saturated = mix_motor_speeds(p, thrust, torque)
@@ -414,8 +432,8 @@ def truth_step(state: VehicleState, rotor_speeds: np.ndarray,
                wrench: tuple[np.ndarray, np.ndarray], params: VehicleParams) -> VehicleState:
     """One ground-truth step: the deterministic process model with the
     scenario wrench injected in place of the random walk."""
-    seeded = replace(state, f_e=np.asarray(wrench[0], dtype=float),
-                     tau_e=np.asarray(wrench[1], dtype=float))
+    seeded = VehicleState(q=state.q, omega=state.omega, pos=state.pos, vel=state.vel,
+                          tau_e=np.asarray(wrench[1], dtype=float), f_e=np.asarray(wrench[0], dtype=float))
     return process_step(seeded, rotor_speeds, None, params)
 
 

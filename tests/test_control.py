@@ -153,3 +153,9 @@ class TestAdmittance:
         for tau in (0.05, 1.0, 1e6):
             assert admittance_command(tau, self.CFG) == 0.3
             assert admittance_command(-tau, self.CFG) == -0.3
+
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
+    def test_non_finite_torque_rejected(self, tau):
+        # a NaN command would steer the FanTrack reference, then the vehicle, to NaN
+        with pytest.raises(ValueError, match="finite"):
+            admittance_command(tau, self.CFG)

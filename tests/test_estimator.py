@@ -168,6 +168,21 @@ class TestPredict:
                 predict(belief, hover_speeds(), NoiseConfig.default(), PARAMS)
         assert not np.isfinite(exc.value.cov).all()
 
+    @pytest.mark.parametrize("rho_std", [0.1, 1.0, 10.0, 1e4])
+    def test_wide_attitude_covariance_predicts_and_corrects(self, rho_std):
+        # Sigma points far out in MRP space are rotations of up to +-2 pi, but
+        # both predict and correct take the short arc before error_quat_to_mrp,
+        # so the scalar part is >= 0 and NearSingularRotation cannot escape.
+        belief = default_belief(p_rho=rho_std**2)
+        noise = NoiseConfig.default()
+        predicted = predict(belief, hover_speeds(), noise, PARAMS)
+        assert np.isfinite(predicted.cov).all()
+        # short-arc MRPs have norm <= 1, so the recombined spread stays below 1
+        assert np.all(np.diag(predicted.cov)[:3] <= 1.0)
+        meas = PoseMeasurement(pos=np.array([0.0, 0.0, 1.0]), q=att.quat_from_rotvec(np.array([0.3, -0.2, 2.5])))
+        corrected, _ = correct(predicted, meas, noise)
+        assert np.isfinite(corrected.cov).all() and np.isfinite(corrected.mean.as_vector()).all()
+
     def test_zero_covariance_limit_matches_deterministic_step(self):
         eps = 1e-10
         belief = default_belief(*(eps,) * 6)

@@ -2,7 +2,11 @@
 
 import importlib
 import importlib.util
+import os
 import pkgutil
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,3 +48,23 @@ def test_every_module_exports_only_names_it_defines():
         assert hasattr(module, "__all__"), name
         for attr in module.__all__:
             assert hasattr(module, attr), (name, attr)
+
+
+def test_import_loads_no_undeclared_third_party_package():
+    # A fresh interpreter, so nothing pytest or other tests imported counts.
+    # Importing scipy.linalg alone would add about 0.3 s to every start-up.
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0) for dep in _pyproject()["project"]["dependencies"]}
+    script = (
+        "import importlib, pkgutil, sys\n"
+        "before = set(sys.modules)\n"
+        "import quadwrench\n"
+        "for info in pkgutil.iter_modules(quadwrench.__path__, 'quadwrench.'):\n"
+        "    importlib.import_module(info.name)\n"
+        "print(*sorted({name.partition('.')[0] for name in set(sys.modules) - before}))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    loaded = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                            check=True, timeout=120).stdout.split()
+    assert "quadwrench" in loaded
+    third_party = {name for name in loaded if name not in sys.stdlib_module_names} - {"quadwrench"}
+    assert third_party <= declared, third_party - declared

@@ -1,0 +1,354 @@
+"""The per-step functions against their plain numpy forms.
+
+The shipped controller, mixer, quantizer, pose sensor, fan field, admittance
+law and momentum observer avoid numpy's per-call wrappers (``np.clip``,
+``np.linalg.norm``, ``np.column_stack``, ``np.round``, ``np.any``, ...).  The
+forms below are the straightforward versions they replaced, kept as oracles:
+the arithmetic is unchanged, so each must agree bit for bit.  Only
+``quat_from_rotvec`` changed its arithmetic (``sin(h)/h`` in place of
+``np.sinc``) and is held to a stated ulp bound.
+"""
+
+import numpy as np
+import pytest
+
+from quadwrench import attitude, control, estimator, logio, observer, rigid_body, simulator
+from quadwrench.attitude import (
+    cross3,
+    mrp_to_error_quat,
+    quat_canonical,
+    quat_conjugate,
+    quat_multiply,
+    quat_normalize,
+    quat_to_rotvec,
+    rotmat_body_to_global,
+)
+from quadwrench.control import AdmittanceConfig, admittance_command
+from quadwrench.estimator import PoseMeasurement
+from quadwrench.observer import MomentumObserver
+from quadwrench.rigid_body import VehicleParams, VehicleState, rotor_wrench
+from quadwrench.simulator import (
+    FanDisturbance,
+    FanModel,
+    FanTrack,
+    FlightController,
+    RunSetup,
+    Scenario,
+    SensorModel,
+    mix_motor_speeds,
+    run_scenario,
+)
+
+PARAMS = VehicleParams()
+EPS = np.finfo(float).eps
+
+
+# ---------------------------------------------------------------------------
+# reference forms
+
+def ref_quat_from_rotvec(v):
+    v = np.asarray(v, dtype=float)
+    angle = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
+    half = 0.5 * angle
+    vector = 0.5 * v * np.sinc(half / np.pi)
+    scalar = np.cos(half)
+    return quat_normalize(np.concatenate([scalar, vector], axis=-1))
+
+
+def ref_admittance_command(tau_z, cfg):
+    magnitude = max(abs(tau_z) - cfg.deadband, 0.0)
+    return float(np.clip(np.sign(tau_z) * cfg.gain * magnitude, -cfg.limit, cfg.limit))
+
+
+def ref_mix_motor_speeds(params, thrust, torque):
+    per_motor = params.mixer_inv @ np.array([thrust, *torque])
+    clipped = np.clip(per_motor, 0.0, params.thrust_coeff * params.omega_max**2)
+    saturated = bool(np.any(per_motor != clipped))
+    return np.sqrt(clipped / params.thrust_coeff), saturated
+
+
+def ref_command(self, state, ref_pos, ref_vel=None, yaw=0.0):
+    g = self.gains
+    p = self.params
+    ref_vel = np.zeros(3) if ref_vel is None else np.asarray(ref_vel, dtype=float)
+
+    acc = g.pos_p * (np.asarray(ref_pos, dtype=float) - state.pos) + g.pos_d * (ref_vel - state.vel)
+    acc_h = acc[:2]
+    h_norm = np.linalg.norm(acc_h)
+    if h_norm > g.max_horiz_acc:
+        acc[:2] = acc_h * (g.max_horiz_acc / h_norm)
+    acc[2] = np.clip(acc[2], -g.max_vert_acc, g.max_vert_acc)
+
+    f_des = p.mass * (acc + p.gravity)
+    thrust = float(np.linalg.norm(f_des))
+    z_des = f_des / thrust if thrust > 1e-9 else np.array([0.0, 0.0, 1.0])
+
+    x_c = np.array([np.cos(yaw), np.sin(yaw), 0.0])
+    y_des = cross3(z_des, x_c)
+    y_des /= np.linalg.norm(y_des)
+    x_des = cross3(y_des, z_des)
+    R_des = np.column_stack([x_des, y_des, z_des])
+
+    R = rotmat_body_to_global(state.q)
+    err = 0.5 * (R_des.T @ R - R.T @ R_des)
+    e_rot = np.array([err[2, 1], err[0, 2], err[1, 0]])
+    torque = p.inertia @ (-g.att_p * e_rot - g.att_d * state.omega)
+
+    speeds, saturated = ref_mix_motor_speeds(p, thrust, torque)
+    if saturated:
+        self.saturation_count += 1
+    return speeds
+
+
+def ref_quantize_speeds(self, speeds, omega_max):
+    if self.quant_bits <= 0:
+        return np.asarray(speeds, dtype=float).copy()
+    step = omega_max / (2**self.quant_bits - 1)
+    return np.clip(np.round(np.asarray(speeds) / step) * step, 0.0, omega_max)
+
+
+def ref_sample_pose(self, state, rng, t):
+    pos = state.pos + self.pos_std * rng.standard_normal(3)
+    rho = self.att_std_mrp * rng.standard_normal(3)
+    q = quat_multiply(mrp_to_error_quat(rho), state.q)
+    return PoseMeasurement(pos=pos, q=q, t=t)
+
+
+def ref_wrench_at(self, point, position=None):
+    pos = self.position if position is None else np.asarray(position, dtype=float)
+    rel = np.asarray(point, dtype=float) - pos
+    d = float(rel @ self.axis)
+    if d <= 0.0:
+        return np.zeros(3), np.zeros(3)
+    radial = rel - d * self.axis
+    r = float(np.linalg.norm(radial))
+    f_mag = self.axial_force * np.exp(-d / self.axial_decay) * np.exp(-0.5 * (r / self.radial_sigma) ** 2)
+    s = float(rel @ self._lateral_dir)
+    u = s / self.torque_peak_radius
+    tau_z = self.torque_peak * u * np.exp(0.5 * (1.0 - u * u))
+    return f_mag * self.axis, np.array([0.0, 0.0, tau_z])
+
+
+def ref_observer_step(self, rotor_speeds, measurement):
+    if measurement is None:
+        return self.state
+    p = self.params
+    dt = p.dt
+
+    if self._prev_meas is None:
+        self._prev_meas = measurement
+        return self.state
+
+    vel_raw = (measurement.pos - self._prev_meas.pos) / dt
+    dq = quat_canonical(quat_multiply(quat_conjugate(self._prev_meas.q), measurement.q))
+    rate_raw = quat_to_rotvec(dq) / dt
+    self.velocity = self.velocity + self._alpha_vel * (vel_raw - self.velocity)
+    self.body_rate = self.body_rate + self._alpha_rate * (rate_raw - self.body_rate)
+    self._prev_meas = measurement
+
+    R_bg = rotmat_body_to_global(measurement.q)
+    rotor = rotor_wrench(p, rotor_speeds)
+    thrust_global = R_bg[:, 2] * rotor[0]
+
+    st = self.state
+    st.force_integral = st.force_integral + dt * (thrust_global - p.mass * p.gravity + st.f_e)
+    momentum = p.mass * self.velocity
+    st.f_e = self.gains.force * (momentum - st.force_integral)
+
+    gyro = cross3(self.body_rate, p.inertia @ self.body_rate)
+    tau_e_body = R_bg.T @ st.tau_e
+    st.torque_integral = st.torque_integral + dt * (rotor[1:] - gyro + tau_e_body)
+    ang_momentum = p.inertia @ self.body_rate
+    st.tau_e = R_bg @ (self.gains.torque * (ang_momentum - st.torque_integral))
+    return st
+
+
+def assert_bits_equal(actual, expected):
+    actual, expected = np.asarray(actual, dtype=float), np.asarray(expected, dtype=float)
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes(), (actual, expected)
+
+
+def random_state(rng, pos_spread=0.3, vel_spread=0.5):
+    return VehicleState(
+        q=attitude.quat_normalize(rng.standard_normal(4)),
+        omega=rng.standard_normal(3),
+        pos=rng.normal([0.0, 0.0, 1.0], pos_spread),
+        vel=rng.normal(0.0, vel_spread, size=3),
+        tau_e=np.zeros(3),
+        f_e=np.zeros(3),
+    )
+
+
+# ---------------------------------------------------------------------------
+# per-call agreement
+
+class TestControllerAndMixer:
+    def test_command_bit_identical(self):
+        rng = np.random.default_rng(11)
+        ctrl, oracle = FlightController(PARAMS), FlightController(PARAMS)
+        horizontal_clamped = vertical_clamped = saturated = 0
+        for k in range(600):
+            # wide position errors put the horizontal and vertical clamps on
+            # about half the draws; yaw covers the circle, with FanTrack's pi
+            state = random_state(rng, pos_spread=1.0 if k % 2 else 0.05)
+            ref_pos = np.array([0.0, 0.0, 1.0])
+            ref_vel = rng.normal(0.0, 0.2, size=3)
+            yaw = np.pi if k % 3 == 0 else rng.uniform(-np.pi, np.pi)
+            acc = ctrl.gains.pos_p * (ref_pos - state.pos) + ctrl.gains.pos_d * (ref_vel - state.vel)
+            horizontal_clamped += np.hypot(*acc[:2]) > ctrl.gains.max_horiz_acc
+            vertical_clamped += abs(acc[2]) > ctrl.gains.max_vert_acc
+            before = oracle.saturation_count
+            assert_bits_equal(ctrl.command(state, ref_pos, ref_vel, yaw=yaw),
+                              ref_command(oracle, state, ref_pos, ref_vel, yaw=yaw))
+            saturated += oracle.saturation_count - before
+        assert ctrl.saturation_count == oracle.saturation_count
+        assert horizontal_clamped > 100 and vertical_clamped > 100 and saturated > 10
+
+    def test_mixer_bit_identical(self):
+        rng = np.random.default_rng(12)
+        flags = []
+        for _ in range(500):
+            thrust = rng.uniform(-1.0, 12.0)
+            torque = rng.normal(0.0, [0.3, 0.3, 0.05])
+            speeds, saturated = mix_motor_speeds(PARAMS, thrust, torque)
+            ref_speeds, ref_saturated = ref_mix_motor_speeds(PARAMS, thrust, torque)
+            assert_bits_equal(speeds, ref_speeds)
+            assert saturated is ref_saturated
+            flags.append(saturated)
+        assert 0 < sum(flags) < len(flags)
+
+    def test_motor_thrust_limit_is_a_read_only_run_constant(self):
+        assert_bits_equal(PARAMS.motor_thrust_max, PARAMS.thrust_coeff * PARAMS.omega_max**2)
+        assert not PARAMS.motor_thrust_max.flags.writeable
+
+
+class TestSensorAndField:
+    @pytest.mark.parametrize("bits", [8, 4, 0])
+    def test_quantizer_bit_identical(self, bits):
+        rng = np.random.default_rng(13)
+        sensor = SensorModel(quant_bits=bits)
+        for _ in range(200):
+            speeds = rng.uniform(-100.0, PARAMS.omega_max + 100.0, size=4)
+            assert_bits_equal(sensor.quantize_speeds(speeds, PARAMS.omega_max),
+                              ref_quantize_speeds(sensor, speeds, PARAMS.omega_max))
+
+    def test_sample_pose_bit_identical_and_same_stream(self):
+        sensor = SensorModel(pos_std=0.01, att_std_mrp=0.02)
+        rng, ref_rng = np.random.default_rng(14), np.random.default_rng(14)
+        state_rng = np.random.default_rng(15)
+        for k in range(100):
+            state = random_state(state_rng)
+            got = sensor.sample_pose(state, rng, 0.005 * k)
+            want = ref_sample_pose(sensor, state, ref_rng, 0.005 * k)
+            assert_bits_equal(np.concatenate([got.pos, got.q]), np.concatenate([want.pos, want.q]))
+            assert got.t == want.t
+        assert rng.standard_normal() == ref_rng.standard_normal()
+
+    @pytest.mark.parametrize("axis", [[1.0, 0.0, 0.0], [0.6, -0.8, 0.3]])
+    def test_fan_wrench_bit_identical(self, axis):
+        fan = FanModel(position=[0.0, 0.0, 1.0], axis=axis)
+        rng = np.random.default_rng(16)
+        moved = np.array([0.1, -0.2, 0.0])
+        for point in rng.uniform([-0.5, -1.5, 0.5], [3.0, 1.5, 1.5], size=(200, 3)):
+            for position in (None, moved):
+                got = fan.wrench_at(point, position=position)
+                want = ref_wrench_at(fan, point, position=position)
+                assert_bits_equal(np.concatenate(got), np.concatenate(want))
+
+    def test_admittance_bit_identical(self):
+        cfg = AdmittanceConfig()
+        taus = np.concatenate([
+            np.random.default_rng(17).normal(0.0, 0.03, size=500),
+            [0.0, -0.0, cfg.deadband, -cfg.deadband, 1e6, -1e6, 5e-324],
+        ])
+        for tau in taus:
+            got = admittance_command(tau, cfg)
+            assert type(got) is float
+            assert_bits_equal(got, ref_admittance_command(tau, cfg))
+
+
+class TestObserver:
+    def test_step_bit_identical(self):
+        # a tumbling pose sequence: relative rotations of either sign of the
+        # scalar part, so the short-arc flip is exercised
+        rng = np.random.default_rng(18)
+        obs, oracle = MomentumObserver(PARAMS), MomentumObserver(PARAMS)
+        q = attitude.quat_identity()
+        for k in range(400):
+            q = attitude.quat_multiply(q, attitude.quat_from_rotvec(rng.normal(0.0, 0.05, size=3)))
+            sign = -1.0 if k % 5 == 0 else 1.0
+            meas = PoseMeasurement(pos=rng.normal(0.0, 0.01, size=3), q=sign * q, t=k * PARAMS.dt)
+            speeds = rng.uniform(800.0, 1500.0, size=4)
+            obs.step(speeds, meas if k % 7 else None)
+            ref_observer_step(oracle, speeds, meas if k % 7 else None)
+            assert_bits_equal(obs.mean_vector(), oracle.mean_vector())
+
+    def test_zero_covariance_is_read_only(self):
+        cov = MomentumObserver(PARAMS).cov_diagonal()
+        assert_bits_equal(cov, np.zeros(len(logio.COV_FIELDS)))
+        with pytest.raises(ValueError):
+            cov[0] = 1.0
+
+
+class TestQuatFromRotvec:
+    def test_within_stated_ulp_bound_of_sinc_form(self):
+        # Bound: |difference| <= eps * max(4, angle) per component.  The
+        # sinc form evaluates sin(pi * (h / pi)), whose argument is off from
+        # h by up to an ulp of h, so the bound grows with the angle.
+        rng = np.random.default_rng(19)
+        for scale in (1e-300, 1e-170, 1e-12, 1e-6, 1e-3, 0.1, 1.0, 3.0, 30.0):
+            v = rng.standard_normal((2000, 3)) * scale
+            angle = np.linalg.norm(v, axis=-1, keepdims=True)
+            diff = np.abs(attitude.quat_from_rotvec(v) - ref_quat_from_rotvec(v))
+            assert np.all(diff <= EPS * np.maximum(4.0, angle)), scale
+
+    def test_zero_and_single_row(self):
+        assert_bits_equal(attitude.quat_from_rotvec(np.zeros(3)), [1.0, 0.0, 0.0, 0.0])
+        assert_bits_equal(attitude.quat_from_rotvec(np.zeros((2, 3))), np.tile([1.0, 0.0, 0.0, 0.0], (2, 1)))
+        # squares that underflow give angle 0; the vector part stays v / 2
+        tiny = np.full(3, 1e-170)
+        assert_bits_equal(attitude.quat_from_rotvec(tiny), ref_quat_from_rotvec(tiny))
+
+
+# ---------------------------------------------------------------------------
+# closed loop with every reference form patched in
+
+REFERENCE_FORMS = {
+    "quat_from_rotvec": (attitude.quat_from_rotvec, ref_quat_from_rotvec),
+    "admittance_command": (control.admittance_command, ref_admittance_command),
+    "mix_motor_speeds": (simulator.mix_motor_speeds, ref_mix_motor_speeds),
+}
+REFERENCE_METHODS = [
+    (FlightController, "command", ref_command),
+    (SensorModel, "quantize_speeds", ref_quantize_speeds),
+    (SensorModel, "sample_pose", ref_sample_pose),
+    (FanModel, "wrench_at", ref_wrench_at),
+    (MomentumObserver, "step", ref_observer_step),
+]
+
+
+def fan_track_log():
+    scenario = Scenario(duration_s=2.0, seed=5, trajectory=FanTrack(),
+                        disturbance=FanDisturbance(FanModel()))
+    setup = RunSetup(estimators=("observer",), sensor=SensorModel(quant_bits=0))
+    return run_scenario(scenario, setup)
+
+
+def test_fan_track_closed_loop_matches_reference_forms(monkeypatch):
+    shipped = fan_track_log()
+    for module in (attitude, control, estimator, observer, rigid_body, simulator):
+        for name, (function, reference) in REFERENCE_FORMS.items():
+            if getattr(module, name, None) is function:
+                monkeypatch.setattr(module, name, reference)
+    for owner, name, reference in REFERENCE_METHODS:
+        monkeypatch.setattr(owner, name, reference)
+    oracle = fan_track_log()
+
+    # FanTrack steers on the observer's torque, so the vehicle really moves
+    assert np.ptp(oracle.truth[:, logio.STATE_FIELDS.index("pos_y")]) > 1e-3
+    np.testing.assert_allclose(shipped.truth, oracle.truth, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(shipped.meas, oracle.meas, rtol=0.0, atol=1e-12)
+    est, ref = shipped.estimates["observer"], oracle.estimates["observer"]
+    scale = np.abs(ref).max(axis=0)
+    assert np.all(np.abs(est - ref) <= 1e-11 * scale)

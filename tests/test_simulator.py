@@ -261,6 +261,17 @@ class TestFlightController:
         assert saturated
         np.testing.assert_allclose(speeds, 1000.0, rtol=1e-12)
 
+    @pytest.mark.parametrize("thrust, torque", [
+        (np.nan, np.zeros(3)),
+        (np.inf, np.zeros(3)),
+        (4.7, np.array([0.0, np.nan, 0.0])),
+        (4.7, np.array([0.0, 0.0, -np.inf])),
+    ])
+    def test_non_finite_demand_rejected(self, thrust, torque):
+        # NaN speeds would pass as a saturated command and be counted as one
+        with pytest.raises(ValueError, match="finite"):
+            mix_motor_speeds(PARAMS, thrust, torque)
+
     def test_saturation_flagged(self):
         speeds, saturated = mix_motor_speeds(PARAMS, 50.0, np.zeros(3))
         assert saturated
