@@ -123,7 +123,8 @@ def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Same operations in the same order as ``np.cross``, so the result is
     bit-identical, without its per-call dispatch and axis handling.
     """
-    return a[..., _NEXT] * b[..., _AFTER_NEXT] - a[..., _AFTER_NEXT] * b[..., _NEXT]
+    return (a.take(_NEXT, axis=-1) * b.take(_AFTER_NEXT, axis=-1)
+            - a.take(_AFTER_NEXT, axis=-1) * b.take(_NEXT, axis=-1))
 
 
 def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:

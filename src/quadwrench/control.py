@@ -152,10 +152,6 @@ def rise_time_10_90(time: np.ndarray, signal: np.ndarray, baseline_window_s: flo
     return float(time[i90] - time[i10])
 
 
-def _channel_names() -> list[str]:
-    return [f"tau_e_{a}" for a in "xyz"] + [f"f_e_{a}" for a in "xyz"]
-
-
 def log_metrics(
     log: TimeSeriesLog,
     estimator: str,
@@ -170,13 +166,12 @@ def log_metrics(
     est = log.estimates[estimator]
     truth = log.truth
     t = log.time
-    idx = {name: STATE_FIELDS.index(name) for name in _channel_names()}
 
     steady_mask = t >= t[-1] - steady_window_s
     rmse_mask = t >= (rmse_from_s if rmse_from_s is not None else t[0])
 
     out: dict = {"channels": {}}
-    for name, i in idx.items():
+    for i in np.r_[_TAU_SLICE, _F_SLICE]:
         err = est[:, i] - truth[:, i]
         channel = {
             "steady_mean": float(est[steady_mask, i].mean()),
@@ -188,12 +183,10 @@ def log_metrics(
             channel["rise_time_s"] = rise_time_10_90(t, est[:, i])
         except NoStepDetected:
             pass
-        out["channels"][name] = channel
+        out["channels"][STATE_FIELDS[i]] = channel
 
-    f_cols = [idx[f"f_e_{a}"] for a in "xyz"]
-    tau_cols = [idx[f"tau_e_{a}"] for a in "xyz"]
-    f_err = est[:, f_cols] - truth[:, f_cols]
-    tau_err = est[:, tau_cols] - truth[:, tau_cols]
+    f_err = est[:, _F_SLICE] - truth[:, _F_SLICE]
+    tau_err = est[:, _TAU_SLICE] - truth[:, _TAU_SLICE]
     out["force_rmse"] = float(np.sqrt(np.mean(np.sum(f_err[rmse_mask] ** 2, axis=1))))
     out["torque_rmse"] = float(np.sqrt(np.mean(np.sum(tau_err[rmse_mask] ** 2, axis=1))))
     return out

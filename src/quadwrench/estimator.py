@@ -224,10 +224,14 @@ def _states_from_points(points: np.ndarray, reference_q: np.ndarray) -> VehicleS
     )
 
 
+def _mrp_about(q: np.ndarray, reference_q: np.ndarray) -> np.ndarray:
+    """MRP of the left-relative rotation from ``reference_q`` to ``q``, short arc."""
+    return error_quat_to_mrp(quat_canonical(quat_multiply(q, quat_conjugate(reference_q))))
+
+
 def _minimal_from_states(states: VehicleState, reference_q: np.ndarray) -> np.ndarray:
-    d_q = quat_canonical(quat_multiply(states.q, quat_conjugate(reference_q)))
     return np.concatenate(
-        [error_quat_to_mrp(d_q), states.omega, states.pos, states.vel, states.tau_e, states.f_e],
+        [_mrp_about(states.q, reference_q), states.omega, states.pos, states.vel, states.tau_e, states.f_e],
         axis=-1,
     )
 
@@ -297,8 +301,7 @@ def correct(
             f"predicted measurement covariance condition number exceeds {_CONDITION_LIMIT:g}"
         )
 
-    d_q_meas = quat_canonical(quat_multiply(measurement.q, quat_conjugate(belief.mean.q)))
-    innovation = np.concatenate([measurement.pos - belief.mean.pos, error_quat_to_mrp(d_q_meas)])
+    innovation = np.concatenate([measurement.pos - belief.mean.pos, _mrp_about(measurement.q, belief.mean.q)])
 
     if gate_threshold is not None:
         m2 = float(innovation @ np.linalg.solve(innovation_cov, innovation))
@@ -328,11 +331,9 @@ class UsqueEstimator:
     Predictions whose covariance needed jitter to factor are counted in
     ``jitter_count``.
 
-    Record interface shared with the observer: ``step``, ``wrench``,
-    ``mean_vector()`` (19 logged entries), ``cov_diagonal()`` (18 variances).
+    Record interface shared with the observer: ``step``, ``mean_vector()``
+    (19 logged entries) and ``cov_diagonal()`` (18 variances).
     """
-
-    name = "usque"
 
     def __init__(
         self,
@@ -345,7 +346,6 @@ class UsqueEstimator:
         self.noise = noise
         self.belief = belief
         self.gate_threshold = gate_threshold
-        self.last_artifacts: CorrectionArtifacts | None = None
         self.rejected_count = 0
         self.jitter_count = 0
 
@@ -354,16 +354,10 @@ class UsqueEstimator:
         self.jitter_count += self.belief.jittered
         if measurement is not None:
             try:
-                self.belief, self.last_artifacts = correct(
-                    self.belief, measurement, self.noise, self.gate_threshold
-                )
+                self.belief, _ = correct(self.belief, measurement, self.noise, self.gate_threshold)
             except MeasurementRejected:
                 self.rejected_count += 1
         return self.belief
-
-    @property
-    def wrench(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.belief.mean.f_e.copy(), self.belief.mean.tau_e.copy()
 
     def mean_vector(self) -> np.ndarray:
         return self.belief.mean.as_vector()

@@ -74,10 +74,8 @@ class MomentumObserver:
     outputs.
 
     Record interface shared with the unscented estimator: ``step``,
-    ``wrench``, ``mean_vector()`` and ``cov_diagonal()`` (zeros: no covariance).
+    ``mean_vector()`` and ``cov_diagonal()`` (zeros: no covariance).
     """
-
-    name = "observer"
 
     def __init__(self, params: VehicleParams, gains: ObserverGains | None = None):
         self.params = params
@@ -126,10 +124,6 @@ class MomentumObserver:
         st.torque_integral = st.torque_integral + dt * (rotor[1:] - gyro + tau_e_body)
         st.tau_e = R_bg @ (self.gains.torque * (ang_momentum - st.torque_integral))
         return st
-
-    @property
-    def wrench(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.state.f_e.copy(), self.state.tau_e.copy()
 
     def mean_vector(self) -> np.ndarray:
         """Log record in the shared estimator schema (19 entries).

@@ -10,7 +10,7 @@ scenario seed (single numpy ``default_rng`` stream, fixed draw order).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -225,12 +225,15 @@ class FanTrack:
 
     def __post_init__(self):
         self.start_point = np.asarray(self.start_point, dtype=float)
-        self._ref = self.start_point.copy()
-        self._vel = np.zeros(3)
         # body +y mapped through the reference yaw
         self._lateral_dir = np.array([-np.sin(self.yaw), np.cos(self.yaw), 0.0])
+        self.start()
 
     def start(self) -> np.ndarray:
+        """Rewind the steered reference to ``start_point``, so every run
+        begins from the same state; returns the start point."""
+        self._ref = self.start_point.copy()
+        self._vel = np.zeros(3)
         return self.start_point.copy()
 
     def advance(self, tau_z_est: float, dt: float) -> None:
@@ -396,6 +399,8 @@ class Scenario:
     def __post_init__(self):
         if self.duration_s <= 0.0:
             raise ValueError("duration must be positive")
+        if not 0.0 < self.sensor_rate_hz < math.inf:
+            raise ValueError(f"sensor rate must be positive and finite, got {self.sensor_rate_hz!r}")
 
     def steps_per_measurement(self, dt: float) -> int:
         per = (1.0 / dt) / self.sensor_rate_hz
@@ -408,15 +413,16 @@ class Scenario:
 class RunSetup:
     """Everything a run needs besides the scenario itself.
 
-    The first of ``estimators`` steers a ``FanTrack`` reference with its
-    z-torque estimate; the chi-square gate, at ``DEFAULT_GATE_THRESHOLD``,
-    applies only while ``gate_enabled`` is set.
+    The sensor samples poses with the stds of ``noise`` and quantizes motor
+    speeds to ``quant_bits`` (0: exact).  The first of ``estimators`` steers a
+    ``FanTrack`` reference with its logged z-torque estimate; the chi-square
+    gate, at ``DEFAULT_GATE_THRESHOLD``, applies only while ``gate_enabled``
+    is set.
     """
 
     params: VehicleParams = field(default_factory=VehicleParams)
     noise: NoiseConfig = field(default_factory=NoiseConfig.default)
-    sensor: SensorModel | None = None
-    controller_gains: ControllerGains = field(default_factory=ControllerGains)
+    quant_bits: int = 8
     observer_gains: ObserverGains = field(default_factory=ObserverGains)
     estimators: tuple[str, ...] = ("usque",)
     gate_enabled: bool = False
@@ -424,8 +430,8 @@ class RunSetup:
         "rho": 0.005, "omega": 0.05, "pos": 0.005, "vel": 0.05, "tau_e": 0.01, "f_e": 0.05,
     })
 
-    def resolved_sensor(self) -> SensorModel:
-        return self.sensor if self.sensor is not None else SensorModel.from_noise(self.noise)
+
+_TAU_Z = STATE_FIELDS.index("tau_e_z")
 
 
 def truth_step(state: VehicleState, rotor_speeds: np.ndarray,
@@ -441,8 +447,7 @@ def _make_estimators(setup: RunSetup, initial: VehicleState):
     out = {}
     for name in setup.estimators:
         if name == "usque":
-            mean = replace(initial.copy(), f_e=np.zeros(3), tau_e=np.zeros(3))
-            belief = GaussianBelief.from_std(mean, setup.init_stds)
+            belief = GaussianBelief.from_std(initial.copy(), setup.init_stds)
             gate = DEFAULT_GATE_THRESHOLD if setup.gate_enabled else None
             out[name] = UsqueEstimator(setup.params, setup.noise, belief, gate_threshold=gate)
         elif name == "observer":
@@ -465,8 +470,8 @@ def run_scenario(scenario: Scenario, setup: RunSetup | None = None) -> TimeSerie
     if n < 1:
         raise ValueError(f"duration {scenario.duration_s:g} s rounds to zero {dt:g} s steps")
     rng = np.random.default_rng(scenario.seed)
-    sensor = setup.resolved_sensor()
-    controller = FlightController(params, setup.controller_gains)
+    sensor = SensorModel.from_noise(setup.noise, quant_bits=setup.quant_bits)
+    controller = FlightController(params)
     meas_every = scenario.steps_per_measurement(dt)
 
     traj = scenario.trajectory
@@ -475,13 +480,14 @@ def run_scenario(scenario: Scenario, setup: RunSetup | None = None) -> TimeSerie
     estimators = _make_estimators(setup, truth)
     if isinstance(traj, FanTrack) and not estimators:
         raise ValueError("a FanTrack reference is steered by an estimator; list one")
-    steering = next(iter(estimators.values())) if isinstance(traj, FanTrack) else None
 
     time = np.empty(n)
     truth_log = np.empty((n, len(STATE_FIELDS)))
     meas_log = np.full((n, len(MEAS_FIELDS)), np.nan)
     est_log = {name: np.empty((n, len(STATE_FIELDS))) for name in estimators}
     cov_log = {name: np.empty((n, len(COV_FIELDS))) for name in estimators}
+    # the first listed estimator's logged z-torque column steers a FanTrack
+    steering = next(iter(est_log.values()))[:, _TAU_Z] if isinstance(traj, FanTrack) else None
 
     for k in range(n):
         t = k * dt
@@ -506,20 +512,21 @@ def run_scenario(scenario: Scenario, setup: RunSetup | None = None) -> TimeSerie
             cov_log[name][k] = est.cov_diagonal()
 
         if steering is not None:
-            traj.advance(steering.wrench[1][2], dt)
+            traj.advance(steering[k], dt)
 
         time[k] = t_next
         truth_log[k] = truth.as_vector()
 
     segments = traj.segments() if isinstance(traj, GridSurvey) else []
+    usque = {name: est for name, est in estimators.items() if isinstance(est, UsqueEstimator)}
     meta = {
         "seed": scenario.seed,
         "dt_s": dt,
         "sensor_rate_hz": scenario.sensor_rate_hz,
         "saturation_steps": controller.saturation_count,
         "estimators": list(estimators.keys()),
-        "jitter_count": {name: est.jitter_count for name, est in estimators.items()
-                         if isinstance(est, UsqueEstimator)},
+        "jitter_count": {name: est.jitter_count for name, est in usque.items()},
+        "rejected_count": {name: est.rejected_count for name, est in usque.items()},
     }
     return TimeSeriesLog(
         time=time, truth=truth_log, meas=meas_log,

@@ -9,7 +9,7 @@ from scipy.spatial.transform import Rotation
 
 from quadwrench import attitude as att
 from quadwrench import estimator, observer, rigid_body, simulator
-from quadwrench.simulator import Hover, RunSetup, Scenario, SensorModel, SteppedMass, run_scenario
+from quadwrench.simulator import Hover, RunSetup, Scenario, SteppedMass, run_scenario
 
 
 def oracle_quat(axis, angle):
@@ -370,7 +370,7 @@ def test_stepped_mass_run_matches_formula_kernels(monkeypatch):
     def run():
         scenario = Scenario(duration_s=2.0, seed=5, trajectory=Hover(),
                             disturbance=SteppedMass(offset_body=[0.05, 0.0, 0.0], onset_s=1.0))
-        setup = RunSetup(estimators=("usque", "observer"), sensor=SensorModel(quant_bits=0))
+        setup = RunSetup(estimators=("usque", "observer"), quant_bits=0)
         return run_scenario(scenario, setup)
 
     got = run()

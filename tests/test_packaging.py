@@ -15,6 +15,7 @@ tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
+_REQUIREMENT_NAME = re.compile(r"[A-Za-z0-9_.-]+")
 
 
 def _pyproject():
@@ -37,6 +38,15 @@ def test_package_data_globs_match_files():
             assert any(SRC.joinpath(*package.split(".")).glob(pattern)), (package, pattern)
 
 
+def test_every_optional_dependency_is_imported():
+    # an extra that no module or test imports only lengthens the install
+    sources = "\n".join(path.read_text() for top in (SRC, ROOT / "tests") for path in top.rglob("*.py"))
+    for extra, deps in _pyproject()["project"].get("optional-dependencies", {}).items():
+        for dep in deps:
+            name = _REQUIREMENT_NAME.match(dep).group(0)
+            assert re.search(rf"^\s*(?:import|from)\s+{re.escape(name)}\b", sources, re.MULTILINE), (extra, dep)
+
+
 def test_every_module_exports_only_names_it_defines():
     # a module without __all__ would escape the check, so each must list one
     import quadwrench
@@ -53,7 +63,7 @@ def test_every_module_exports_only_names_it_defines():
 def test_import_loads_no_undeclared_third_party_package():
     # A fresh interpreter, so nothing pytest or other tests imported counts.
     # Importing scipy.linalg alone would add about 0.3 s to every start-up.
-    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0) for dep in _pyproject()["project"]["dependencies"]}
+    declared = {_REQUIREMENT_NAME.match(dep).group(0) for dep in _pyproject()["project"]["dependencies"]}
     script = (
         "import importlib, pkgutil, sys\n"
         "before = set(sys.modules)\n"

@@ -331,7 +331,7 @@ REFERENCE_METHODS = [
 def fan_track_log():
     scenario = Scenario(duration_s=2.0, seed=5, trajectory=FanTrack(),
                         disturbance=FanDisturbance(FanModel()))
-    setup = RunSetup(estimators=("observer",), sensor=SensorModel(quant_bits=0))
+    setup = RunSetup(estimators=("observer",), quant_bits=0)
     return run_scenario(scenario, setup)
 
 

@@ -322,6 +322,20 @@ class TestScenarios:
             run_scenario(Scenario(duration_s=0.001), RunSetup())
         assert len(run_scenario(Scenario(duration_s=0.004), RunSetup(estimators=()))) == 1
 
+    def test_same_fan_track_scenario_runs_twice_alike(self):
+        # FanTrack steers its reference as it flies; each run starts it over
+        scen = Scenario(duration_s=1.0, seed=2, trajectory=FanTrack(),
+                        disturbance=FanDisturbance(FanModel()))
+        first = run_scenario(scen, RunSetup(estimators=("observer",)))
+        second = run_scenario(scen, RunSetup(estimators=("observer",)))
+        np.testing.assert_array_equal(first.to_matrix(), second.to_matrix())
+
+    @pytest.mark.parametrize("rate", [0.0, -200.0, np.inf, np.nan])
+    def test_sensor_rate_must_be_positive_and_finite(self, rate):
+        # a zero rate used to construct and then divide by zero mid-run
+        with pytest.raises(ValueError, match="sensor rate"):
+            Scenario(duration_s=1.0, sensor_rate_hz=rate)
+
     def test_sensor_rate_must_divide(self):
         with pytest.raises(ValueError):
             Scenario(duration_s=1.0, sensor_rate_hz=130.0).steps_per_measurement(0.005)
@@ -340,7 +354,7 @@ class TestScenarios:
         onset = 1.0
         scen = Scenario(duration_s=2.0, seed=1, trajectory=Hover(),
                         disturbance=SteppedMass(offset_body=[0.05, 0.0, 0.0], onset_s=onset))
-        log = run_scenario(scen, RunSetup(estimators=(), sensor=SensorModel(quant_bits=quant_bits)))
+        log = run_scenario(scen, RunSetup(estimators=(), quant_bits=quant_bits))
         vertical = [STATE_FIELDS.index(f) for f in ("q0", "pos_z", "vel_z")]
         before = log.time <= onset  # row k is the state after the step from t = k dt
         assert np.all(np.delete(log.truth[before], vertical, axis=1) == 0.0)
@@ -400,6 +414,18 @@ class TestEstimatorRecord:
             log = run_scenario(scen, RunSetup(estimators=("usque", "observer"), init_stds=init_stds))
             assert log.meta["jitter_count"] == {"usque": count}
 
+    @pytest.mark.parametrize("gate_enabled", [True, False])
+    def test_rejected_count_in_meta(self, gate_enabled):
+        # the start cell's yaw torque is far outside the tau_e prior, so the
+        # gate turns poses away from the first corrections on
+        survey = GridSurvey(x_range=(0.5, 1.5), y_range=(-0.5, 0.5), spacing=0.5, dwell_s=3.0)
+        scen = Scenario(duration_s=1.0, seed=2, trajectory=survey, disturbance=FanDisturbance(FanModel()))
+        log = run_scenario(scen, RunSetup(estimators=("usque", "observer"), gate_enabled=gate_enabled))
+        rejected = log.meta["rejected_count"]
+        assert set(rejected) == {"usque"}
+        assert (rejected["usque"] > 0) == gate_enabled
+        assert rejected["usque"] <= 200  # one correction per 5 ms pose
+
     def test_observer_logs_zero_covariance(self):
         scen = Scenario(duration_s=0.5, seed=1, trajectory=Hover(),
                         disturbance=SteppedMass(onset_s=0.2))
@@ -407,3 +433,27 @@ class TestEstimatorRecord:
         assert log.cov_diags["observer"].shape == log.cov_diags["usque"].shape
         assert np.all(log.cov_diags["observer"] == 0.0)
         assert np.all(log.cov_diags["usque"] > 0.0)
+
+
+class TestMovingFan:
+    """The admittance experiment with the fan carried sideways: the vehicle
+    follows on its estimated torque, a lag behind."""
+
+    @staticmethod
+    def lag_m(speed):
+        # the fan holds still for 5 s while the vehicle centres, then moves along y
+        dist = FanDisturbance(FanModel(), velocity=[0.0, speed, 0.0], move_from_s=5.0)
+        scen = Scenario(duration_s=25.0, seed=1, trajectory=FanTrack(), disturbance=dist)
+        log = run_scenario(scen, RunSetup(estimators=("observer",)))
+        last = log.time >= log.time[-1] - 5.0
+        fan_y = np.array([dist.fan_position(t)[1] for t in log.time[last]])
+        # positive when the vehicle is behind the fan along its motion
+        return (fan_y - log.truth[last, STATE_FIELDS.index("pos_y")]) * np.sign(speed)
+
+    def test_vehicle_trails_the_moving_fan(self):
+        slow = {}
+        for speed in (0.05, -0.05):
+            lag = self.lag_m(speed)
+            assert np.all((lag > 0.0) & (lag < 0.1)), (speed, lag.min(), lag.max())
+            slow[speed] = lag.mean()
+        assert self.lag_m(0.1).mean() > max(slow.values())
