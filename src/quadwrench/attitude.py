@@ -33,7 +33,6 @@ import numpy as np
 
 __all__ = [
     "NearSingularRotation",
-    "quat_identity",
     "quat_normalize",
     "quat_canonical",
     "quat_multiply",
@@ -94,10 +93,6 @@ _AFTER_NEXT = _frozen(np.array([2, 0, 1]))
 
 class NearSingularRotation(ValueError):
     """Error-quaternion scalar part too close to -1 for an MRP conversion."""
-
-
-def quat_identity() -> np.ndarray:
-    return np.array([1.0, 0.0, 0.0, 0.0])
 
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:

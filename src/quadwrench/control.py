@@ -43,7 +43,7 @@ class AdmittanceConfig:
     deadband: float = 0.002  # N m, suppresses hover jitter
 
     def __post_init__(self):
-        if self.gain <= 0.0 or self.limit <= 0.0 or self.deadband < 0.0:
+        if not (self.gain > 0.0 and self.limit > 0.0 and self.deadband >= 0.0):
             raise ValueError("admittance gain/limit must be positive, deadband non-negative")
 
 
@@ -74,6 +74,7 @@ class WrenchMapCell:
 
 _TAU_SLICE = slice(STATE_FIELDS.index("tau_e_x"), STATE_FIELDS.index("tau_e_z") + 1)
 _F_SLICE = slice(STATE_FIELDS.index("f_e_x"), STATE_FIELDS.index("f_e_z") + 1)
+_BASELINE_WINDOW_S = 1.0  # s, the leading window rise_time_10_90 averages as baseline
 
 
 def build_wrench_map(
@@ -122,16 +123,16 @@ def wrench_map_to_csv(cells: list[WrenchMapCell], path) -> None:
     write_csv(path, header, rows)
 
 
-def rise_time_10_90(time: np.ndarray, signal: np.ndarray, baseline_window_s: float = 1.0) -> float:
+def rise_time_10_90(time: np.ndarray, signal: np.ndarray) -> float:
     """10-90% rise time of a step response.
 
-    The baseline is the mean over the leading window, the final value the
+    The baseline is the mean over the leading second, the final value the
     mean over the trailing 20% of samples.  Raises :class:`NoStepDetected`
     when the change is not distinguishable from baseline noise.
     """
     time = np.asarray(time, dtype=float)
     signal = np.asarray(signal, dtype=float)
-    base_mask = time <= time[0] + baseline_window_s
+    base_mask = time <= time[0] + _BASELINE_WINDOW_S
     baseline = signal[base_mask].mean()
     base_std = signal[base_mask].std()
     final = signal[int(0.8 * len(signal)):].mean()

@@ -52,8 +52,9 @@ __all__ = [
 
 # sigma-point spread of the USQUE construction (Crassidis & Markley 2003)
 KAPPA = 2.0
-# chi-square 95% quantile for a 6-dof residual; used by the optional gate
-DEFAULT_GATE_THRESHOLD = 9.49
+# gate on the pose innovation's Mahalanobis^2: the chi-square 0.95 quantile at
+# 6 dof, scipy.stats.chi2.ppf(0.95, 6) = 12.5916 (src/ imports no scipy)
+GATE_THRESHOLD = 12.59
 _CONDITION_LIMIT = 1e12
 
 STATE_DIM = 18
@@ -78,10 +79,8 @@ class InnovationCovarianceSingular(np.linalg.LinAlgError):
 class MeasurementRejected(RuntimeError):
     """Innovation failed the chi-square gate (only raised when gating is on)."""
 
-    def __init__(self, mahalanobis_sq, threshold):
-        super().__init__(
-            f"innovation Mahalanobis^2 {mahalanobis_sq:.3f} exceeds gate {threshold:.3f}"
-        )
+    def __init__(self, mahalanobis_sq):
+        super().__init__(f"innovation Mahalanobis^2 {mahalanobis_sq:.3f} exceeds gate {GATE_THRESHOLD:.3f}")
         self.mahalanobis_sq = mahalanobis_sq
 
 
@@ -271,7 +270,7 @@ def correct(
     belief: GaussianBelief,
     measurement: PoseMeasurement,
     noise: NoiseConfig,
-    gate_threshold: float | None = None,
+    gate_enabled: bool = False,
 ) -> tuple[GaussianBelief, CorrectionArtifacts]:
     """Linear Kalman update from a 6-DoF pose measurement.
 
@@ -284,9 +283,9 @@ def correct(
     The attitude residual is the MRP of the left-relative quaternion between
     the measured and predicted attitude (short-arc sign).  ``S`` with a
     non-finite entry or a 2-norm condition number above 1e12 raises
-    :class:`InnovationCovarianceSingular`.  With ``gate_threshold`` set, an
-    innovation whose Mahalanobis distance squared exceeds it raises
-    :class:`MeasurementRejected` instead of updating.
+    :class:`InnovationCovarianceSingular`.  With ``gate_enabled``, an
+    innovation whose Mahalanobis distance squared exceeds :data:`GATE_THRESHOLD`
+    raises :class:`MeasurementRejected` instead of updating.
     """
     meas_cov = noise.measurement_cov()
     cross_cov = belief.cov[:, _POSE_IDX]
@@ -303,10 +302,10 @@ def correct(
 
     innovation = np.concatenate([measurement.pos - belief.mean.pos, _mrp_about(measurement.q, belief.mean.q)])
 
-    if gate_threshold is not None:
+    if gate_enabled:
         m2 = float(innovation @ np.linalg.solve(innovation_cov, innovation))
-        if m2 > gate_threshold:
-            raise MeasurementRejected(m2, gate_threshold)
+        if m2 > GATE_THRESHOLD:
+            raise MeasurementRejected(m2)
 
     gain = np.linalg.solve(innovation_cov, cross_cov.T).T
     delta = gain @ innovation
@@ -326,7 +325,7 @@ class UsqueEstimator:
 
     One instance is a sequential state machine; run independent instances for
     concurrent scenarios.  A missing measurement performs prediction only,
-    supporting measurement dropout; with ``gate_threshold`` set, a pose failing
+    supporting measurement dropout; with ``gate_enabled``, a pose failing
     the chi-square gate is skipped and counted in ``rejected_count``.
     Predictions whose covariance needed jitter to factor are counted in
     ``jitter_count``.
@@ -340,12 +339,12 @@ class UsqueEstimator:
         params: VehicleParams,
         noise: NoiseConfig,
         belief: GaussianBelief,
-        gate_threshold: float | None = None,
+        gate_enabled: bool = False,
     ):
         self.params = params
         self.noise = noise
         self.belief = belief
-        self.gate_threshold = gate_threshold
+        self.gate_enabled = gate_enabled
         self.rejected_count = 0
         self.jitter_count = 0
 
@@ -354,7 +353,7 @@ class UsqueEstimator:
         self.jitter_count += self.belief.jittered
         if measurement is not None:
             try:
-                self.belief, _ = correct(self.belief, measurement, self.noise, self.gate_threshold)
+                self.belief, _ = correct(self.belief, measurement, self.noise, self.gate_enabled)
             except MeasurementRejected:
                 self.rejected_count += 1
         return self.belief

@@ -15,7 +15,7 @@ rise time of ``ln(9)/k`` seconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,16 +53,8 @@ class ObserverGains:
     att_cutoff_hz: float = 5.0  # body rates from attitude differencing
 
     def __post_init__(self):
-        if self.force <= 0.0 or self.torque <= 0.0:
+        if not (self.force > 0.0 and self.torque > 0.0):
             raise ValueError("observer gains must be positive")
-
-
-@dataclass
-class ObserverState:
-    f_e: np.ndarray = field(default_factory=lambda: np.zeros(3))      # N, global
-    tau_e: np.ndarray = field(default_factory=lambda: np.zeros(3))    # N m, global
-    force_integral: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    torque_integral: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
 
 class MomentumObserver:
@@ -80,7 +72,6 @@ class MomentumObserver:
     def __init__(self, params: VehicleParams, gains: ObserverGains | None = None):
         self.params = params
         self.gains = gains or ObserverGains()
-        self.state = ObserverState()
         # fixed for the run; a cutoff above Nyquist raises here, not mid-run
         self._alpha_vel = lowpass_alpha(self.gains.pos_cutoff_hz, params.dt)
         self._alpha_rate = lowpass_alpha(self.gains.att_cutoff_hz, params.dt)
@@ -90,16 +81,20 @@ class MomentumObserver:
         # from zero
         self.velocity = np.zeros(3)
         self.body_rate = np.zeros(3)
+        self.f_e = np.zeros(3)    # N, global
+        self.tau_e = np.zeros(3)  # N m, global
+        self.force_integral = np.zeros(3)
+        self.torque_integral = np.zeros(3)
 
-    def step(self, rotor_speeds: np.ndarray, measurement: PoseMeasurement | None):
+    def step(self, rotor_speeds: np.ndarray, measurement: PoseMeasurement | None) -> None:
         if measurement is None:
-            return self.state
+            return
         p = self.params
         dt = p.dt
 
         if self._prev_meas is None:
             self._prev_meas = measurement
-            return self.state
+            return
 
         vel_raw = (measurement.pos - self._prev_meas.pos) / dt
         # quat_to_rotvec takes the short arc of the relative rotation itself
@@ -113,17 +108,15 @@ class MomentumObserver:
         rotor = rotor_wrench(p, rotor_speeds)
         thrust_global = R_bg[:, 2] * rotor[0]
 
-        st = self.state
-        st.force_integral = st.force_integral + dt * (thrust_global - self._weight + st.f_e)
+        self.force_integral = self.force_integral + dt * (thrust_global - self._weight + self.f_e)
         momentum = p.mass * self.velocity
-        st.f_e = self.gains.force * (momentum - st.force_integral)
+        self.f_e = self.gains.force * (momentum - self.force_integral)
 
         ang_momentum = p.inertia @ self.body_rate
         gyro = cross3(self.body_rate, ang_momentum)
-        tau_e_body = R_bg.T @ st.tau_e
-        st.torque_integral = st.torque_integral + dt * (rotor[1:] - gyro + tau_e_body)
-        st.tau_e = R_bg @ (self.gains.torque * (ang_momentum - st.torque_integral))
-        return st
+        tau_e_body = R_bg.T @ self.tau_e
+        self.torque_integral = self.torque_integral + dt * (rotor[1:] - gyro + tau_e_body)
+        self.tau_e = R_bg @ (self.gains.torque * (ang_momentum - self.torque_integral))
 
     def mean_vector(self) -> np.ndarray:
         """Log record in the shared estimator schema (19 entries).
@@ -133,7 +126,7 @@ class MomentumObserver:
         """
         q = self._prev_meas.q if self._prev_meas is not None else np.array([1.0, 0, 0, 0])
         pos = self._prev_meas.pos if self._prev_meas is not None else np.zeros(3)
-        return np.concatenate([q, self.body_rate, pos, self.velocity, self.state.tau_e, self.state.f_e])
+        return np.concatenate([q, self.body_rate, pos, self.velocity, self.tau_e, self.f_e])
 
     def cov_diagonal(self) -> np.ndarray:
         """Read-only zeros: the observer carries no covariance."""

@@ -62,21 +62,17 @@ class VehicleParams:
     def __post_init__(self):
         for name in ("inertia", "thrust_coeff", "drag_coeff", "gravity"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if self.mass <= 0.0:
-            raise ValueError("mass must be positive")
-        if self.arm_length <= 0.0:
-            raise ValueError("arm_length must be positive")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if self.omega_max <= 0.0:
-            raise ValueError("omega_max must be positive")
+        # written as "not > 0" so that NaN fails too
+        for name in ("mass", "arm_length", "dt", "omega_max"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
         if self.inertia.shape != (3, 3) or not np.allclose(self.inertia, self.inertia.T, atol=1e-12):
             raise ValueError("inertia must be a symmetric 3x3 matrix")
-        if np.any(np.linalg.eigvalsh(self.inertia) <= 0.0):
+        if not np.all(np.linalg.eigvalsh(self.inertia) > 0.0):
             raise ValueError("inertia must be positive definite")
-        if self.thrust_coeff.shape != (4,) or np.any(self.thrust_coeff <= 0.0):
+        if self.thrust_coeff.shape != (4,) or not np.all(self.thrust_coeff > 0.0):
             raise ValueError("thrust_coeff must be 4 positive values")
-        if self.drag_coeff.shape != (4,) or np.any(self.drag_coeff <= 0.0):
+        if self.drag_coeff.shape != (4,) or not np.all(self.drag_coeff > 0.0):
             raise ValueError("drag_coeff must be 4 positive values")
         object.__setattr__(self, "inertia_inv", np.linalg.inv(self.inertia))
         # run constants of rotor_wrench, and of the motor mixer: the inverse of
@@ -159,7 +155,7 @@ class NoiseConfig:
                 mat = np.diag(mat)
             if mat.shape != (3, 3):
                 raise ValueError(f"{name} must be a 3x3 matrix or length-3 diagonal")
-            if np.any(np.diag(mat) <= 0.0):
+            if not np.all(np.diag(mat) > 0.0):
                 raise ValueError(f"{name} diagonal must be strictly positive")
             mat.flags.writeable = False
             object.__setattr__(self, name, mat)

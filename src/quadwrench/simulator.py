@@ -22,7 +22,7 @@ from .attitude import (
     rotmat_body_to_global,
 )
 from .control import AdmittanceConfig, admittance_command
-from .estimator import DEFAULT_GATE_THRESHOLD, GaussianBelief, PoseMeasurement, UsqueEstimator
+from .estimator import GaussianBelief, PoseMeasurement, UsqueEstimator
 from .logio import COV_FIELDS, MEAS_FIELDS, STATE_FIELDS, DwellSegment, TimeSeriesLog
 from .observer import MomentumObserver, ObserverGains
 from .rigid_body import NoiseConfig, VehicleParams, VehicleState, process_step
@@ -74,8 +74,9 @@ class FanModel:
         if not 0.0 < length < np.inf:
             raise ValueError("fan axis must have a finite, nonzero length")
         self.axis = self.axis / length
-        if self.torque_peak_radius <= 0.0:
-            raise ValueError("torque peak radius must be positive")
+        for name in ("axial_decay", "radial_sigma", "torque_peak_radius"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
         # the torque's sign follows the offset along global z x axis, which a
         # vertical axis leaves undefined
         lateral = cross3(np.array([0.0, 0.0, 1.0]), self.axis)
@@ -397,7 +398,7 @@ class Scenario:
     disturbance: SteppedMass | FanDisturbance | None = None
 
     def __post_init__(self):
-        if self.duration_s <= 0.0:
+        if not self.duration_s > 0.0:
             raise ValueError("duration must be positive")
         if not 0.0 < self.sensor_rate_hz < math.inf:
             raise ValueError(f"sensor rate must be positive and finite, got {self.sensor_rate_hz!r}")
@@ -416,8 +417,7 @@ class RunSetup:
     The sensor samples poses with the stds of ``noise`` and quantizes motor
     speeds to ``quant_bits`` (0: exact).  The first of ``estimators`` steers a
     ``FanTrack`` reference with its logged z-torque estimate; the chi-square
-    gate, at ``DEFAULT_GATE_THRESHOLD``, applies only while ``gate_enabled``
-    is set.
+    gate applies only while ``gate_enabled`` is set.
     """
 
     params: VehicleParams = field(default_factory=VehicleParams)
@@ -448,8 +448,7 @@ def _make_estimators(setup: RunSetup, initial: VehicleState):
     for name in setup.estimators:
         if name == "usque":
             belief = GaussianBelief.from_std(initial.copy(), setup.init_stds)
-            gate = DEFAULT_GATE_THRESHOLD if setup.gate_enabled else None
-            out[name] = UsqueEstimator(setup.params, setup.noise, belief, gate_threshold=gate)
+            out[name] = UsqueEstimator(setup.params, setup.noise, belief, gate_enabled=setup.gate_enabled)
         elif name == "observer":
             out[name] = MomentumObserver(setup.params, setup.observer_gains)
         else:

@@ -66,6 +66,7 @@ KERNEL_ATOL = 4 * np.finfo(float).eps
 # within ESTIMATE_RTOL of its largest magnitude.
 TRAJECTORY_ATOL = 1e-12
 ESTIMATE_RTOL = 1e-11
+IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
 
 def _skew(v):
@@ -183,13 +184,13 @@ class TestProductMapsMatchFormulas:
 class TestQuatMultiply:
     def test_identity(self):
         q = oracle_quat([0, 1, 0], 0.7)
-        np.testing.assert_allclose(att.quat_multiply(att.quat_identity(), q), q, atol=1e-12)
+        np.testing.assert_allclose(att.quat_multiply(IDENTITY, q), q, atol=1e-12)
 
     def test_inverse(self):
         rng = np.random.default_rng(1)
         for q in random_unit_quats(rng, 20):
             prod = att.quat_multiply(q, att.quat_conjugate(q))
-            np.testing.assert_allclose(att.quat_canonical(prod), att.quat_identity(), atol=1e-12)
+            np.testing.assert_allclose(att.quat_canonical(prod), IDENTITY, atol=1e-12)
 
     def test_compose_two_90deg_z(self):
         # axis-angle oracle: Rz(90) * Rz(90) = Rz(180) -> q = (0, 0, 0, 1)
@@ -215,7 +216,7 @@ class TestQuatMultiply:
 
 class TestQuatConjugate:
     def test_identity(self):
-        np.testing.assert_allclose(att.quat_conjugate(att.quat_identity()), att.quat_identity())
+        np.testing.assert_allclose(att.quat_conjugate(IDENTITY), IDENTITY)
 
     def test_z_rotation(self):
         c = np.cos(np.pi / 4)
@@ -225,7 +226,7 @@ class TestQuatConjugate:
 
 class TestRotationMatrix:
     def test_identity(self):
-        np.testing.assert_allclose(att.rotmat_body_to_global(att.quat_identity()), np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(att.rotmat_body_to_global(IDENTITY), np.eye(3), atol=1e-12)
 
     def test_90deg_z_maps_body_x_to_global_y(self):
         q = oracle_quat([0, 0, 1], np.pi / 2)
@@ -261,8 +262,8 @@ class TestRotationMatrix:
 
 class TestMrpConversions:
     def test_identity(self):
-        np.testing.assert_allclose(att.error_quat_to_mrp(att.quat_identity()), np.zeros(3))
-        np.testing.assert_allclose(att.mrp_to_error_quat(np.zeros(3)), att.quat_identity())
+        np.testing.assert_allclose(att.error_quat_to_mrp(IDENTITY), np.zeros(3))
+        np.testing.assert_allclose(att.mrp_to_error_quat(np.zeros(3)), IDENTITY)
 
     def test_180deg_about_x(self):
         # tan(pi/4) = 1, forced by the formula
@@ -362,8 +363,8 @@ class TestRotvec:
         np.testing.assert_allclose(att.quat_to_rotvec(att.quat_from_rotvec(v)), v, atol=1e-9)
 
     def test_zero(self):
-        np.testing.assert_allclose(att.quat_from_rotvec(np.zeros(3)), att.quat_identity())
-        np.testing.assert_allclose(att.quat_to_rotvec(att.quat_identity()), np.zeros(3))
+        np.testing.assert_allclose(att.quat_from_rotvec(np.zeros(3)), IDENTITY)
+        np.testing.assert_allclose(att.quat_to_rotvec(IDENTITY), np.zeros(3))
 
 
 def test_stepped_mass_run_matches_formula_kernels(monkeypatch):

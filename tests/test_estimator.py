@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from quadwrench import attitude as att
 from quadwrench import estimator
@@ -403,9 +404,21 @@ class TestCorrect:
         noise = NoiseConfig.default()
         meas = PoseMeasurement(pos=belief.mean.pos + [5.0, 0, 0], q=belief.mean.q.copy())
         with pytest.raises(MeasurementRejected):
-            correct(belief, meas, noise, gate_threshold=9.49)
+            correct(belief, meas, noise, gate_enabled=True)
         # same measurement passes with gating off
-        correct(belief, meas, noise, gate_threshold=None)
+        correct(belief, meas, noise)
+
+    def test_gate_threshold_is_the_six_dof_quantile(self):
+        # the pose innovation has 6 degrees of freedom
+        assert estimator.GATE_THRESHOLD == pytest.approx(chi2.ppf(0.95, 6), abs=0.005)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_gate_passes_a_consistent_hover(self, seed):
+        # hover is NIS-consistent, so about 5 % of the 1000 poses exceed the
+        # 95 % quantile; the 4-dof quantile turned away about 15 %
+        scen = Scenario(duration_s=5.0, seed=seed, trajectory=Hover())
+        log = run_scenario(scen, RunSetup(estimators=("usque",), gate_enabled=True))
+        assert log.meta["rejected_count"]["usque"] <= 80
 
     @pytest.mark.parametrize("pos, q", [
         ([0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0]),

@@ -69,8 +69,8 @@ class TestMomentumObserver:
             truth = process_step(truth, speeds, None, PARAMS)
             seq.append(truth.copy())
         obs = run_observer(seq, speeds)
-        np.testing.assert_allclose(obs.state.f_e, np.zeros(3), atol=1e-6)
-        np.testing.assert_allclose(obs.state.tau_e, np.zeros(3), atol=1e-8)
+        np.testing.assert_allclose(obs.f_e, np.zeros(3), atol=1e-6)
+        np.testing.assert_allclose(obs.tau_e, np.zeros(3), atol=1e-8)
 
     def test_constant_force_convergence_rate(self):
         # noise-free: first-order error dynamics, settled within 5 time
@@ -84,7 +84,7 @@ class TestMomentumObserver:
         for k in range(n):
             truth = process_step(truth, speeds, None, PARAMS)
             obs.step(speeds, PoseMeasurement(pos=truth.pos.copy(), q=truth.q.copy(), t=k * DT))
-        np.testing.assert_allclose(obs.state.f_e, [-0.52, 0.0, 0.0], atol=0.01)
+        np.testing.assert_allclose(obs.f_e, [-0.52, 0.0, 0.0], atol=0.01)
 
     def test_rise_time_matches_first_order_oracle(self):
         gains = ObserverGains(force=2.2, torque=2.2, pos_cutoff_hz=30.0, att_cutoff_hz=30.0)
@@ -96,7 +96,7 @@ class TestMomentumObserver:
         for k in range(int(4.0 / DT)):
             truth = process_step(truth, speeds, None, PARAMS)
             obs.step(speeds, PoseMeasurement(pos=truth.pos.copy(), q=truth.q.copy(), t=k * DT))
-            history.append(obs.state.f_e[2])
+            history.append(obs.f_e[2])
         history = np.asarray(history)
         t10 = DT * np.argmax(history <= 0.1 * -0.52)
         t90 = DT * np.argmax(history <= 0.9 * -0.52)
@@ -113,7 +113,7 @@ class TestMomentumObserver:
         for k in range(int(6.0 / DT)):
             truth = process_step(truth, speeds, None, PARAMS)
             obs.step(speeds, PoseMeasurement(pos=truth.pos.copy(), q=truth.q.copy(), t=k * DT))
-            errs.append(np.linalg.norm(obs.state.f_e - truth.f_e))
+            errs.append(np.linalg.norm(obs.f_e - truth.f_e))
         errs = np.asarray(errs)
         settled = errs[int(1.0 / DT):]
         assert np.all(np.diff(settled) <= 1e-9)
@@ -131,7 +131,7 @@ class TestMomentumObserver:
             obs = MomentumObserver(PARAMS)
             for m in poses:
                 obs.step(speeds, m)
-            outs.append(np.concatenate([obs.state.f_e, obs.state.tau_e]))
+            outs.append(np.concatenate([obs.f_e, obs.tau_e]))
         np.testing.assert_array_equal(outs[0], outs[1])
 
     @pytest.mark.parametrize("cutoffs", [{"pos_cutoff_hz": 500.0}, {"att_cutoff_hz": 100.0},
@@ -146,6 +146,6 @@ class TestMomentumObserver:
         obs = MomentumObserver(PARAMS)
         speeds = np.full(4, PARAMS.hover_speed())
         obs.step(speeds, PoseMeasurement(pos=[0, 0, 1], q=[1, 0, 0, 0]))
-        before = obs.state.f_e.copy()
+        before = obs.f_e.copy()
         obs.step(speeds, None)
-        np.testing.assert_array_equal(obs.state.f_e, before)
+        np.testing.assert_array_equal(obs.f_e, before)

@@ -8,6 +8,7 @@ import pytest
 from quadwrench import attitude as att
 from quadwrench.control import AdmittanceConfig
 from quadwrench.logio import STATE_FIELDS, TimeSeriesLog
+from quadwrench.observer import ObserverGains
 from quadwrench.rigid_body import NoiseConfig, VehicleParams, VehicleState, process_step, rotor_wrench
 from quadwrench.simulator import (
     ControllerGains,
@@ -77,6 +78,31 @@ class TestTruthStep:
         f_ref, tau_ref = fan.wrench_at(state.pos)
         np.testing.assert_array_equal(f, f_ref)
         np.testing.assert_array_equal(tau, tau_ref)
+
+
+def _noise(**diagonals):
+    return dataclasses.replace(NoiseConfig.default(), **{k: np.full(3, v) for k, v in diagonals.items()})
+
+
+# every setting of a run's configuration that must be strictly positive
+POSITIVE_SETTINGS = [
+    *((VehicleParams, name) for name in ("mass", "dt", "arm_length", "omega_max")),
+    *((_noise, name) for name in ("q_ct", "q_tau_m", "q_f_e", "q_tau_e", "g_x", "g_rho")),
+    (ObserverGains, "force"), (ObserverGains, "torque"),
+    (AdmittanceConfig, "gain"), (AdmittanceConfig, "limit"),
+    *((FanModel, name) for name in ("axial_decay", "radial_sigma", "torque_peak_radius")),
+    (Scenario, "duration_s"),
+]
+
+
+@pytest.mark.parametrize("value", [np.nan, 0.0, -1.0])
+@pytest.mark.parametrize("build, name", POSITIVE_SETTINGS,
+                         ids=[f"{build.__name__.strip('_')}.{name}" for build, name in POSITIVE_SETTINGS])
+def test_positive_setting_rejects_nan_zero_and_negative(build, name, value):
+    # a check written "x <= 0" passes NaN, which then spreads through every
+    # estimate of the run without an error
+    with pytest.raises(ValueError):
+        build(**{name: value})
 
 
 class TestFanModel:
@@ -308,6 +334,21 @@ class TestScenarios:
         traj = GridSurvey(x_range=(0.0, 2.0), y_range=(0.0, 2.0), spacing=0.5, dwell_s=5.0)
         assert len(traj.segments()) == 25
         assert len(traj.cells) == 25
+
+    def test_grid_survey_reference(self):
+        # the benchmark's survey: serpentine over y at x = 0.5, 1.0, 1.5,
+        # 1 s legs between neighbouring cells at 0.5 m/s, 3 s dwells
+        traj = GridSurvey(x_range=(0.5, 1.5), y_range=(-0.5, 0.5), spacing=0.5, dwell_s=3.0)
+        pos, vel = traj.reference(1.0)  # dwelling on the first cell
+        np.testing.assert_array_equal(pos, [0.5, -0.5, 1.0])
+        np.testing.assert_array_equal(vel, np.zeros(3))
+        pos, vel = traj.reference(3.5)  # half way along the first leg
+        np.testing.assert_allclose(pos, [0.5, -0.25, 1.0], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(vel, [0.0, 0.5, 0.0], rtol=0, atol=1e-15)
+        for t in (traj.duration(), traj.duration() + 10.0):  # past the end: hold the last cell
+            pos, vel = traj.reference(t)
+            np.testing.assert_array_equal(pos, [1.5, 0.5, 1.0])
+            np.testing.assert_array_equal(vel, np.zeros(3))
 
     @pytest.mark.parametrize("kwargs", [{"spacing": 0.0}, {"travel_speed": 0.0}, {"spacing": -0.5},
                                         {"x_range": (2.5, 0.5)}, {"dwell_s": 0.0}])
