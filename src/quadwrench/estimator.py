@@ -42,7 +42,6 @@ __all__ = [
     "MeasurementRejected",
     "PoseMeasurement",
     "GaussianBelief",
-    "CorrectionArtifacts",
     "SigmaPointSet",
     "generate_sigma_points",
     "predict",
@@ -86,12 +85,11 @@ class MeasurementRejected(RuntimeError):
 
 @dataclass
 class PoseMeasurement:
-    """6-DoF pose sample: global position, attitude quaternion (normalized
-    here; a non-finite or zero-norm input raises ``ValueError``), timestamp."""
+    """6-DoF pose sample: global position and attitude quaternion (normalized
+    here; a non-finite or zero-norm input raises ``ValueError``)."""
 
     pos: np.ndarray
     q: np.ndarray
-    t: float = 0.0
 
     def __post_init__(self):
         self.pos = np.asarray(self.pos, dtype=float)
@@ -137,16 +135,6 @@ class GaussianBelief:
 
     def cov_diagonal(self) -> np.ndarray:
         return np.diag(self.cov).copy()
-
-
-@dataclass
-class CorrectionArtifacts:
-    """Intermediate quantities of one Kalman update, kept for diagnostics."""
-
-    gain: np.ndarray            # 18x6
-    cross_cov: np.ndarray       # 18x6
-    innovation_cov: np.ndarray  # 6x6
-    innovation: np.ndarray      # 6, [position residual, MRP attitude residual]
 
 
 @dataclass
@@ -271,8 +259,8 @@ def correct(
     measurement: PoseMeasurement,
     noise: NoiseConfig,
     gate_enabled: bool = False,
-) -> tuple[GaussianBelief, CorrectionArtifacts]:
-    """Linear Kalman update from a 6-DoF pose measurement.
+) -> GaussianBelief:
+    """Posterior of a linear Kalman update from a 6-DoF pose measurement.
 
     The measurement is ``H x + v`` with H selecting ``[pos, d_rho]`` and
     ``v ~ N(0, R)``, so the cross covariance is ``P H'``, the innovation
@@ -314,14 +302,12 @@ def correct(
     cov = _symmetrize(i_kh @ belief.cov @ i_kh.T + gain @ meas_cov @ gain.T)
 
     mean = _states_from_points(belief.minimal_mean() + delta, belief.mean.q)
-    artifacts = CorrectionArtifacts(
-        gain=gain, cross_cov=cross_cov, innovation_cov=innovation_cov, innovation=innovation
-    )
-    return GaussianBelief(mean=mean, cov=cov), artifacts
+    return GaussianBelief(mean=mean, cov=cov)
 
 
 class UsqueEstimator:
-    """Stateful wrapper running predict/correct in timestamp order.
+    """Stateful wrapper running one predict, then a correct when a pose
+    arrives, per simulation step.
 
     One instance is a sequential state machine; run independent instances for
     concurrent scenarios.  A missing measurement performs prediction only,
@@ -348,15 +334,14 @@ class UsqueEstimator:
         self.rejected_count = 0
         self.jitter_count = 0
 
-    def step(self, rotor_speeds: np.ndarray, measurement: PoseMeasurement | None = None) -> GaussianBelief:
+    def step(self, rotor_speeds: np.ndarray, measurement: PoseMeasurement | None = None) -> None:
         self.belief = predict(self.belief, rotor_speeds, self.noise, self.params)
         self.jitter_count += self.belief.jittered
         if measurement is not None:
             try:
-                self.belief, _ = correct(self.belief, measurement, self.noise, self.gate_enabled)
+                self.belief = correct(self.belief, measurement, self.noise, self.gate_enabled)
             except MeasurementRejected:
                 self.rejected_count += 1
-        return self.belief
 
     def mean_vector(self) -> np.ndarray:
         return self.belief.mean.as_vector()

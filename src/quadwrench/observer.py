@@ -60,10 +60,11 @@ class ObserverGains:
 class MomentumObserver:
     """Sequential per-measurement wrench observer.
 
-    ``step`` must be called once per sampling period with the motor speeds
-    and the pose measurement for that period; estimates hold when a
-    measurement drops out.  Deterministic: identical inputs give identical
-    outputs.
+    ``step`` must be called once per sampling period ``params.dt`` with the
+    motor speeds and the pose measurement for that period, or ``None``;
+    estimates hold while no pose arrives, and the next pose differences and
+    integrates over the n periods since the last one, at that step's motor
+    speeds.  Deterministic: identical inputs give identical outputs.
 
     Record interface shared with the unscented estimator: ``step``,
     ``mean_vector()`` and ``cov_diagonal()`` (zeros: no covariance).
@@ -77,6 +78,7 @@ class MomentumObserver:
         self._alpha_rate = lowpass_alpha(self.gains.att_cutoff_hz, params.dt)
         self._weight = params.mass * params.gravity
         self._prev_meas: PoseMeasurement | None = None
+        self._periods = 0  # sampling periods since the last pose
         # low-passed signals; they start from rest, so momenta are measured
         # from zero
         self.velocity = np.zeros(3)
@@ -87,35 +89,43 @@ class MomentumObserver:
         self.torque_integral = np.zeros(3)
 
     def step(self, rotor_speeds: np.ndarray, measurement: PoseMeasurement | None) -> None:
+        self._periods += 1
         if measurement is None:
             return
         p = self.params
-        dt = p.dt
+        n, self._periods = self._periods, 0
 
         if self._prev_meas is None:
             self._prev_meas = measurement
             return
 
-        vel_raw = (measurement.pos - self._prev_meas.pos) / dt
+        if n == 1:
+            h, alpha_vel, alpha_rate = p.dt, self._alpha_vel, self._alpha_rate
+        else:
+            # the Nyquist check holds for dt; a longer gap must not raise
+            h = n * p.dt
+            alpha_vel, alpha_rate = (h / (h + 1.0 / (2.0 * np.pi * fc))
+                                     for fc in (self.gains.pos_cutoff_hz, self.gains.att_cutoff_hz))
+        vel_raw = (measurement.pos - self._prev_meas.pos) / h
         # quat_to_rotvec takes the short arc of the relative rotation itself
         dq = quat_multiply(quat_conjugate(self._prev_meas.q), measurement.q)
-        rate_raw = quat_to_rotvec(dq) / dt
-        self.velocity = self.velocity + self._alpha_vel * (vel_raw - self.velocity)
-        self.body_rate = self.body_rate + self._alpha_rate * (rate_raw - self.body_rate)
+        rate_raw = quat_to_rotvec(dq) / h
+        self.velocity = self.velocity + alpha_vel * (vel_raw - self.velocity)
+        self.body_rate = self.body_rate + alpha_rate * (rate_raw - self.body_rate)
         self._prev_meas = measurement
 
         R_bg = rotmat_body_to_global(measurement.q)
         rotor = rotor_wrench(p, rotor_speeds)
         thrust_global = R_bg[:, 2] * rotor[0]
 
-        self.force_integral = self.force_integral + dt * (thrust_global - self._weight + self.f_e)
+        self.force_integral = self.force_integral + h * (thrust_global - self._weight + self.f_e)
         momentum = p.mass * self.velocity
         self.f_e = self.gains.force * (momentum - self.force_integral)
 
         ang_momentum = p.inertia @ self.body_rate
         gyro = cross3(self.body_rate, ang_momentum)
         tau_e_body = R_bg.T @ self.tau_e
-        self.torque_integral = self.torque_integral + dt * (rotor[1:] - gyro + tau_e_body)
+        self.torque_integral = self.torque_integral + h * (rotor[1:] - gyro + tau_e_body)
         self.tau_e = R_bg @ (self.gains.torque * (ang_momentum - self.torque_integral))
 
     def mean_vector(self) -> np.ndarray:

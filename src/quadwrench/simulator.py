@@ -35,7 +35,6 @@ __all__ = [
     "GridSurvey",
     "FanTrack",
     "SensorModel",
-    "ControllerGains",
     "FlightController",
     "mix_motor_speeds",
     "Scenario",
@@ -43,6 +42,14 @@ __all__ = [
     "truth_step",
     "run_scenario",
 ]
+
+
+def _check_finite(obj, *names):
+    """Raise ``ValueError`` unless each named setting of ``obj`` is finite."""
+    for name in names:
+        value = getattr(obj, name)
+        if not np.isfinite(value).all():
+            raise ValueError(f"{type(obj).__name__}.{name} must be finite, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +76,7 @@ class FanModel:
 
     def __post_init__(self):
         self.position = np.asarray(self.position, dtype=float)
+        _check_finite(self, "position", "axial_force", "torque_peak")
         self.axis = np.asarray(self.axis, dtype=float)
         length = np.linalg.norm(self.axis)
         if not 0.0 < length < np.inf:
@@ -110,6 +118,7 @@ class SteppedMass:
 
     def __post_init__(self):
         self.offset_body = np.asarray(self.offset_body, dtype=float)
+        _check_finite(self, "mass", "offset_body", "onset_s")
 
     def wrench(self, t: float, state: VehicleState) -> tuple[np.ndarray, np.ndarray]:
         if t < self.onset_s:
@@ -128,6 +137,7 @@ class FanDisturbance:
 
     def __post_init__(self):
         self.velocity = np.asarray(self.velocity, dtype=float)
+        _check_finite(self, "velocity", "move_from_s")
 
     def fan_position(self, t: float) -> np.ndarray:
         dt_moving = max(t - self.move_from_s, 0.0)
@@ -146,6 +156,7 @@ class Hover:
 
     def __post_init__(self):
         self.point = np.asarray(self.point, dtype=float)
+        _check_finite(self, "point")
 
     def start(self) -> np.ndarray:
         return self.point.copy()
@@ -226,6 +237,7 @@ class FanTrack:
 
     def __post_init__(self):
         self.start_point = np.asarray(self.start_point, dtype=float)
+        _check_finite(self, "start_point")
         # body +y mapped through the reference yaw
         self._lateral_dir = np.array([-np.sin(self.yaw), np.cos(self.yaw), 0.0])
         self.start()
@@ -251,33 +263,34 @@ class FanTrack:
 
 @dataclass
 class SensorModel:
-    """Pose noise plus 8-bit motor-speed telemetry quantization.
+    """Pose noise plus motor-speed telemetry quantization to ``quant_bits``.
 
     ``pos_std`` in metres, ``att_std_mrp`` in MRP units (a small rotation by
     angle a has |rho| ~ a/4).  Zero stds give exact measurements; bits=0
     disables quantization, whose full scale is the vehicle's ``omega_max``.
     """
 
-    pos_std: float = 0.001
-    att_std_mrp: float = 0.0005
-    quant_bits: int = 8
+    pos_std: float
+    att_std_mrp: float
+    quant_bits: int
 
     @classmethod
-    def from_noise(cls, noise: NoiseConfig, **kwargs) -> "SensorModel":
+    def from_noise(cls, noise: NoiseConfig, quant_bits: int) -> "SensorModel":
         """The sensor ``noise`` describes; one std per block samples only an
         isotropic diagonal ``g_x``/``g_rho``, so any other raises ``ValueError``."""
         if not all(np.array_equal(m, m[0, 0] * np.eye(3)) for m in (noise.g_x, noise.g_rho)):
             raise ValueError("g_x and g_rho must be isotropic diagonals to build a SensorModel")
         pos_var, att_var = noise.g_x[0, 0], noise.g_rho[0, 0]
-        return cls(pos_std=float(np.sqrt(pos_var)), att_std_mrp=float(np.sqrt(att_var)), **kwargs)
+        return cls(pos_std=float(np.sqrt(pos_var)), att_std_mrp=float(np.sqrt(att_var)),
+                   quant_bits=quant_bits)
 
-    def sample_pose(self, state: VehicleState, rng: np.random.Generator, t: float) -> PoseMeasurement:
+    def sample_pose(self, state: VehicleState, rng: np.random.Generator) -> PoseMeasurement:
         # one draw of six is the stream of two draws of three
         draw = rng.standard_normal(6)
         pos = state.pos + self.pos_std * draw[:3]
         rho = self.att_std_mrp * draw[3:]
         q = quat_multiply(mrp_to_error_quat(rho), state.q)
-        return PoseMeasurement(pos=pos, q=q, t=t)
+        return PoseMeasurement(pos=pos, q=q)
 
     def quantize_speeds(self, speeds: np.ndarray, omega_max: float) -> np.ndarray:
         """Speeds on the telemetry grid whose full scale is ``omega_max``."""
@@ -292,15 +305,13 @@ class SensorModel:
 # ---------------------------------------------------------------------------
 # inner-loop flight controller
 
-@dataclass
-class ControllerGains:
-    pos_p: float = 9.0       # 1/s^2
-    pos_d: float = 5.4       # 1/s
-    att_p: float = 225.0     # 1/s^2
-    att_d: float = 27.0      # 1/s
-    max_horiz_acc: float = 4.0  # m/s^2, caps commanded tilt
-    max_vert_acc: float = 5.0   # m/s^2
-
+# gains of FlightController
+POS_P = 9.0           # 1/s^2
+POS_D = 5.4           # 1/s
+ATT_P = 225.0         # 1/s^2
+ATT_D = 27.0          # 1/s
+MAX_HORIZ_ACC = 4.0   # m/s^2, caps commanded tilt
+MAX_VERT_ACC = 5.0    # m/s^2
 
 # flat indices of the entries (2, 1), (0, 2), (1, 0) of a 3x3 matrix, and of
 # their mirror images
@@ -342,23 +353,21 @@ class FlightController:
     inner loop.
     """
 
-    def __init__(self, params: VehicleParams, gains: ControllerGains | None = None):
+    def __init__(self, params: VehicleParams):
         self.params = params
-        self.gains = gains or ControllerGains()
         self.saturation_count = 0
 
     def command(self, state: VehicleState, ref_pos: np.ndarray,
                 ref_vel: np.ndarray | None = None, yaw: float = 0.0) -> np.ndarray:
-        g = self.gains
         p = self.params
         ref_vel = np.zeros(3) if ref_vel is None else np.asarray(ref_vel, dtype=float)
 
-        acc = g.pos_p * (np.asarray(ref_pos, dtype=float) - state.pos) + g.pos_d * (ref_vel - state.vel)
+        acc = POS_P * (np.asarray(ref_pos, dtype=float) - state.pos) + POS_D * (ref_vel - state.vel)
         acc_h = acc[:2]
         h_norm = math.sqrt(acc_h @ acc_h)
-        if h_norm > g.max_horiz_acc:
-            acc[:2] = acc_h * (g.max_horiz_acc / h_norm)
-        acc[2] = min(max(acc[2], -g.max_vert_acc), g.max_vert_acc)
+        if h_norm > MAX_HORIZ_ACC:
+            acc[:2] = acc_h * (MAX_HORIZ_ACC / h_norm)
+        acc[2] = min(max(acc[2], -MAX_VERT_ACC), MAX_VERT_ACC)
 
         f_des = p.mass * (acc + p.gravity)
         thrust = math.sqrt(f_des @ f_des)
@@ -375,7 +384,7 @@ class FlightController:
         # the same order, so one product gives both
         m = R_des_t @ rotmat_body_to_global(state.q)
         e_rot = 0.5 * (m.take(_VEE) - m.take(_VEE_T))
-        torque = p.inertia @ (-g.att_p * e_rot - g.att_d * state.omega)
+        torque = p.inertia @ (-ATT_P * e_rot - ATT_D * state.omega)
 
         speeds, saturated = mix_motor_speeds(p, thrust, torque)
         if saturated:
@@ -498,11 +507,10 @@ def run_scenario(scenario: Scenario, setup: RunSetup | None = None) -> TimeSerie
 
         wrench = scenario.disturbance.wrench(t, truth) if scenario.disturbance else (np.zeros(3), np.zeros(3))
         truth = truth_step(truth, speeds, wrench, params)
-        t_next = (k + 1) * dt
 
         measurement = None
         if (k + 1) % meas_every == 0:
-            measurement = sensor.sample_pose(truth, rng, t_next)
+            measurement = sensor.sample_pose(truth, rng)
             meas_log[k] = np.concatenate([measurement.pos, measurement.q])
 
         for name, est in estimators.items():
@@ -513,7 +521,7 @@ def run_scenario(scenario: Scenario, setup: RunSetup | None = None) -> TimeSerie
         if steering is not None:
             traj.advance(steering[k], dt)
 
-        time[k] = t_next
+        time[k] = (k + 1) * dt
         truth_log[k] = truth.as_vector()
 
     segments = traj.segments() if isinstance(traj, GridSurvey) else []

@@ -13,7 +13,7 @@ from scipy.stats import chi2
 from quadwrench import attitude as att
 from quadwrench.estimator import GaussianBelief, PoseMeasurement, UsqueEstimator
 from quadwrench.rigid_body import NoiseConfig, VehicleParams, VehicleState, process_step
-from quadwrench.simulator import ControllerGains, FlightController
+from quadwrench.simulator import FlightController
 
 PARAMS = VehicleParams()
 NOISE = NoiseConfig.default()
@@ -67,7 +67,7 @@ def test_nees_within_chi_square_envelope():
         rng = np.random.default_rng(9_000 + run)
         truth = VehicleState.at_rest(pos=ref)
         est = UsqueEstimator(PARAMS, NOISE, _perturbed_belief(truth, rng))
-        controller = FlightController(PARAMS, ControllerGains())
+        controller = FlightController(PARAMS)
         for k in range(n_steps):
             speeds = controller.command(truth, ref)
             eta = q_chol @ rng.standard_normal(12)
@@ -77,9 +77,9 @@ def test_nees_within_chi_square_envelope():
                 q=att.quat_multiply(
                     att.mrp_to_error_quat(rho_std * rng.standard_normal(3)), truth.q
                 ),
-                t=(k + 1) * PARAMS.dt,
             )
-            belief = est.step(speeds, meas)
+            est.step(speeds, meas)
+            belief = est.belief
             e = _minimal_error(truth, belief)
             nees_sum[k] += float(e @ np.linalg.solve(belief.cov, e))
 

@@ -15,7 +15,6 @@ from scipy.stats import chi2
 from quadwrench import attitude as att
 from quadwrench import estimator
 from quadwrench.estimator import (
-    CorrectionArtifacts,
     CovarianceNotPD,
     GaussianBelief,
     InnovationCovarianceSingular,
@@ -50,8 +49,8 @@ def sigma_point_correct(belief, measurement, noise):
 
     The state is augmented with the 6-dim measurement noise (extended
     dimension 24); the predicted measurement of each point is its position
-    and MRP plus its noise.  Returns what the filter's ``correct`` returns,
-    without the gate.
+    and MRP plus its noise.  Returns the posterior, as the filter's
+    ``correct`` does, without the gate.
     """
     ext_mean = np.concatenate([belief.minimal_mean(), np.zeros(6)])
     ext_cov = np.zeros((24, 24))
@@ -79,10 +78,7 @@ def sigma_point_correct(belief, measurement, noise):
         tau_e=belief.mean.tau_e + delta[12:15],
         f_e=belief.mean.f_e + delta[15:18],
     )
-    artifacts = CorrectionArtifacts(
-        gain=gain, cross_cov=cross_cov, innovation_cov=innovation_cov, innovation=innovation
-    )
-    return GaussianBelief(mean=mean, cov=0.5 * (cov + cov.T)), artifacts
+    return GaussianBelief(mean=mean, cov=0.5 * (cov + cov.T))
 
 
 def default_belief(p_rho=1e-4, p_omega=1e-4, p_pos=1e-4, p_vel=1e-4, p_tau=1e-4, p_f=1e-4):
@@ -181,7 +177,7 @@ class TestPredict:
         # short-arc MRPs have norm <= 1, so the recombined spread stays below 1
         assert np.all(np.diag(predicted.cov)[:3] <= 1.0)
         meas = PoseMeasurement(pos=np.array([0.0, 0.0, 1.0]), q=att.quat_from_rotvec(np.array([0.3, -0.2, 2.5])))
-        corrected, _ = correct(predicted, meas, noise)
+        corrected = correct(predicted, meas, noise)
         assert np.isfinite(corrected.cov).all() and np.isfinite(corrected.mean.as_vector()).all()
 
     def test_zero_covariance_limit_matches_deterministic_step(self):
@@ -287,8 +283,12 @@ class TestCorrect:
         belief = default_belief()
         noise = NoiseConfig.default()
         meas = PoseMeasurement(pos=belief.mean.pos.copy(), q=belief.mean.q.copy())
-        out, artifacts = correct(belief, meas, noise)
-        np.testing.assert_allclose(artifacts.innovation, np.zeros(6), atol=1e-12)
+        innovation = np.concatenate([
+            meas.pos - belief.mean.pos,
+            att.error_quat_to_mrp(att.quat_multiply(meas.q, att.quat_conjugate(belief.mean.q))),
+        ])
+        np.testing.assert_allclose(innovation, np.zeros(6), atol=1e-12)
+        out = correct(belief, meas, noise)
         np.testing.assert_allclose(out.mean.as_vector(), belief.mean.as_vector(), atol=1e-12)
         # covariance never grows on an update
         eigs = np.linalg.eigvalsh(belief.cov - out.cov)
@@ -302,7 +302,7 @@ class TestCorrect:
             g_x=noise.g_x * 1e12, g_rho=noise.g_rho * 1e12,
         )
         meas = PoseMeasurement(pos=belief.mean.pos + [0.5, -0.2, 0.1], q=att.quat_from_axis_angle([0, 0, 1], 0.3))
-        out, artifacts = correct(belief, meas, noise)
+        out = correct(belief, meas, noise)
         np.testing.assert_allclose(out.mean.as_vector(), belief.mean.as_vector(), atol=1e-6)
         np.testing.assert_allclose(out.cov, belief.cov, atol=1e-8)
 
@@ -320,7 +320,7 @@ class TestCorrect:
 
         offset = np.array([0.02, -0.01, 0.03])
         meas = PoseMeasurement(pos=belief.mean.pos + offset, q=belief.mean.q.copy())
-        out, artifacts = correct(belief, meas, noise)
+        out = correct(belief, meas, noise)
 
         H = np.zeros((3, 9))
         H[:, 0:3] = np.eye(3)
@@ -346,8 +346,14 @@ class TestCorrect:
             pos=belief.mean.pos + rng.standard_normal(3) * 0.01,
             q=att.quat_multiply(att.quat_from_rotvec(rng.standard_normal(3) * 0.01), belief.mean.q),
         )
-        out, artifacts = correct(belief, meas, noise)
-        alt = belief.cov - artifacts.gain @ artifacts.innovation_cov @ artifacts.gain.T
+        out = correct(belief, meas, noise)
+        # K = P H' inv(S), S = H P H' + R, with H selecting [pos, d_rho]
+        H = np.zeros((6, 18))
+        H[0:3, 6:9] = np.eye(3)
+        H[3:6, 0:3] = np.eye(3)
+        S = H @ belief.cov @ H.T + noise.measurement_cov()
+        K = belief.cov @ H.T @ np.linalg.inv(S)
+        alt = belief.cov - K @ S @ K.T
         np.testing.assert_allclose(out.cov, 0.5 * (alt + alt.T), atol=1e-9)
 
     def test_singular_innovation_detected(self):
@@ -382,8 +388,8 @@ class TestCorrect:
                 q=att.quat_multiply(att.quat_from_rotvec(rng.standard_normal(3) * 0.01), mean.q),
             )
 
-            got, got_art = correct(belief, meas, noise)
-            want, want_art = sigma_point_correct(belief, meas, noise)
+            got = correct(belief, meas, noise)
+            want = sigma_point_correct(belief, meas, noise)
 
             def close(x, y):
                 scale = max(np.linalg.norm(y), np.finfo(float).tiny)
@@ -394,10 +400,6 @@ class TestCorrect:
             assert np.linalg.norm(att.error_quat_to_mrp(d_q)) <= CLOSED_FORM_RTOL
             close(got.mean.as_vector()[4:], want.mean.as_vector()[4:])
             close(got.cov, want.cov)
-            close(got_art.gain, want_art.gain)
-            close(got_art.cross_cov, want_art.cross_cov)
-            close(got_art.innovation_cov, want_art.innovation_cov)
-            close(got_art.innovation, want_art.innovation)
 
     def test_gate_rejects_outlier(self):
         belief = default_belief()
@@ -449,9 +451,9 @@ class TestStepAndEquivariance:
         )
         w = hover_speeds()
         norms = []
-        for k in range(1000):
+        for _ in range(1000):
             truth = process_step(truth, w, None, PARAMS)
-            est.step(w, PoseMeasurement(pos=truth.pos.copy(), q=truth.q.copy(), t=k * PARAMS.dt))
+            est.step(w, PoseMeasurement(pos=truth.pos.copy(), q=truth.q.copy()))
             norms.append(np.linalg.norm(est.belief.mean.f_e))
         bound = 3.0 * np.sqrt(np.sum(est.belief.cov_diagonal()[15:18]))
         assert np.mean(norms) < bound
@@ -460,7 +462,8 @@ class TestStepAndEquivariance:
         belief = default_belief()
         noise = NoiseConfig.default()
         est = UsqueEstimator(PARAMS, noise, belief)
-        out = est.step(hover_speeds(), measurement=None)
+        est.step(hover_speeds(), measurement=None)
+        out = est.belief
         direct = predict(default_belief(), hover_speeds(), noise, PARAMS)
         np.testing.assert_allclose(out.mean.as_vector(), direct.mean.as_vector(), atol=1e-12)
         np.testing.assert_allclose(out.cov, direct.cov, atol=1e-12)
@@ -505,12 +508,12 @@ class TestStepAndEquivariance:
         meas_rot = PoseMeasurement(pos=Rz @ meas.pos, q=att.quat_multiply(yaw, meas.q))
 
         stepped = predict(belief, w, noise, PARAMS)
-        stepped, _ = correct(stepped, meas, noise)
+        stepped = correct(stepped, meas, noise)
         stepped_then_rotated = rotate_belief(stepped)
 
         rotated_first = rotate_belief(belief)
         rotated_then_stepped = predict(rotated_first, w, noise, PARAMS)
-        rotated_then_stepped, _ = correct(rotated_then_stepped, meas_rot, noise)
+        rotated_then_stepped = correct(rotated_then_stepped, meas_rot, noise)
 
         # the Cholesky square root is basis-dependent, so the two paths use
         # different (moment-equivalent) point sets and agree only to the
@@ -581,6 +584,7 @@ class TestStepAndEquivariance:
                 pos=truth.pos + rng.standard_normal(3) * 0.001,
                 q=att.quat_multiply(att.quat_from_rotvec(rng.standard_normal(3) * 0.002), truth.q),
             )
-            b = est.step(w, meas)
+            est.step(w, meas)
+            b = est.belief
             np.testing.assert_allclose(b.cov, b.cov.T, atol=1e-10)
             assert np.linalg.eigvalsh(b.cov).min() > -1e-10

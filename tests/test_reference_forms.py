@@ -9,6 +9,8 @@ the arithmetic is unchanged, so each must agree bit for bit.  Only
 ``np.sinc``) and is held to a stated ulp bound.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -67,8 +69,12 @@ def ref_mix_motor_speeds(params, thrust, torque):
     return np.sqrt(clipped / params.thrust_coeff), saturated
 
 
+# the controller's gains written out again, so the oracle also pins them
+REF_GAINS = SimpleNamespace(pos_p=9.0, pos_d=5.4, att_p=225.0, att_d=27.0, max_horiz_acc=4.0, max_vert_acc=5.0)
+
+
 def ref_command(self, state, ref_pos, ref_vel=None, yaw=0.0):
-    g = self.gains
+    g = REF_GAINS
     p = self.params
     ref_vel = np.zeros(3) if ref_vel is None else np.asarray(ref_vel, dtype=float)
 
@@ -107,11 +113,11 @@ def ref_quantize_speeds(self, speeds, omega_max):
     return np.clip(np.round(np.asarray(speeds) / step) * step, 0.0, omega_max)
 
 
-def ref_sample_pose(self, state, rng, t):
+def ref_sample_pose(self, state, rng):
     pos = state.pos + self.pos_std * rng.standard_normal(3)
     rho = self.att_std_mrp * rng.standard_normal(3)
     q = quat_multiply(mrp_to_error_quat(rho), state.q)
-    return PoseMeasurement(pos=pos, q=q, t=t)
+    return PoseMeasurement(pos=pos, q=q)
 
 
 def ref_wrench_at(self, point, position=None):
@@ -130,20 +136,25 @@ def ref_wrench_at(self, point, position=None):
 
 
 def ref_observer_step(self, rotor_speeds, measurement):
+    self._periods += 1
     if measurement is None:
         return
     p = self.params
-    dt = p.dt
+    # a pose n sampling periods after the last one spans dt = n * params.dt
+    dt = self._periods * p.dt
+    self._periods = 0
 
     if self._prev_meas is None:
         self._prev_meas = measurement
         return
 
+    alpha_vel = dt / (dt + 1.0 / (2.0 * np.pi * self.gains.pos_cutoff_hz))
+    alpha_rate = dt / (dt + 1.0 / (2.0 * np.pi * self.gains.att_cutoff_hz))
     vel_raw = (measurement.pos - self._prev_meas.pos) / dt
     dq = quat_canonical(quat_multiply(quat_conjugate(self._prev_meas.q), measurement.q))
     rate_raw = quat_to_rotvec(dq) / dt
-    self.velocity = self.velocity + self._alpha_vel * (vel_raw - self.velocity)
-    self.body_rate = self.body_rate + self._alpha_rate * (rate_raw - self.body_rate)
+    self.velocity = self.velocity + alpha_vel * (vel_raw - self.velocity)
+    self.body_rate = self.body_rate + alpha_rate * (rate_raw - self.body_rate)
     self._prev_meas = measurement
 
     R_bg = rotmat_body_to_global(measurement.q)
@@ -193,9 +204,9 @@ class TestControllerAndMixer:
             ref_pos = np.array([0.0, 0.0, 1.0])
             ref_vel = rng.normal(0.0, 0.2, size=3)
             yaw = np.pi if k % 3 == 0 else rng.uniform(-np.pi, np.pi)
-            acc = ctrl.gains.pos_p * (ref_pos - state.pos) + ctrl.gains.pos_d * (ref_vel - state.vel)
-            horizontal_clamped += np.hypot(*acc[:2]) > ctrl.gains.max_horiz_acc
-            vertical_clamped += abs(acc[2]) > ctrl.gains.max_vert_acc
+            acc = REF_GAINS.pos_p * (ref_pos - state.pos) + REF_GAINS.pos_d * (ref_vel - state.vel)
+            horizontal_clamped += np.hypot(*acc[:2]) > REF_GAINS.max_horiz_acc
+            vertical_clamped += abs(acc[2]) > REF_GAINS.max_vert_acc
             before = oracle.saturation_count
             assert_bits_equal(ctrl.command(state, ref_pos, ref_vel, yaw=yaw),
                               ref_command(oracle, state, ref_pos, ref_vel, yaw=yaw))
@@ -225,22 +236,21 @@ class TestSensorAndField:
     @pytest.mark.parametrize("bits", [8, 4, 0])
     def test_quantizer_bit_identical(self, bits):
         rng = np.random.default_rng(13)
-        sensor = SensorModel(quant_bits=bits)
+        sensor = SensorModel(pos_std=0.001, att_std_mrp=0.0005, quant_bits=bits)
         for _ in range(200):
             speeds = rng.uniform(-100.0, PARAMS.omega_max + 100.0, size=4)
             assert_bits_equal(sensor.quantize_speeds(speeds, PARAMS.omega_max),
                               ref_quantize_speeds(sensor, speeds, PARAMS.omega_max))
 
     def test_sample_pose_bit_identical_and_same_stream(self):
-        sensor = SensorModel(pos_std=0.01, att_std_mrp=0.02)
+        sensor = SensorModel(pos_std=0.01, att_std_mrp=0.02, quant_bits=8)
         rng, ref_rng = np.random.default_rng(14), np.random.default_rng(14)
         state_rng = np.random.default_rng(15)
-        for k in range(100):
+        for _ in range(100):
             state = random_state(state_rng)
-            got = sensor.sample_pose(state, rng, 0.005 * k)
-            want = ref_sample_pose(sensor, state, ref_rng, 0.005 * k)
+            got = sensor.sample_pose(state, rng)
+            want = ref_sample_pose(sensor, state, ref_rng)
             assert_bits_equal(np.concatenate([got.pos, got.q]), np.concatenate([want.pos, want.q]))
-            assert got.t == want.t
         assert rng.standard_normal() == ref_rng.standard_normal()
 
     @pytest.mark.parametrize("axis", [[1.0, 0.0, 0.0], [0.6, -0.8, 0.3]])
@@ -276,7 +286,7 @@ class TestObserver:
         for k in range(400):
             q = attitude.quat_multiply(q, attitude.quat_from_rotvec(rng.normal(0.0, 0.05, size=3)))
             sign = -1.0 if k % 5 == 0 else 1.0
-            meas = PoseMeasurement(pos=rng.normal(0.0, 0.01, size=3), q=sign * q, t=k * PARAMS.dt)
+            meas = PoseMeasurement(pos=rng.normal(0.0, 0.01, size=3), q=sign * q)
             speeds = rng.uniform(800.0, 1500.0, size=4)
             obs.step(speeds, meas if k % 7 else None)
             ref_observer_step(oracle, speeds, meas if k % 7 else None)

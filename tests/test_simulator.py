@@ -11,7 +11,6 @@ from quadwrench.logio import STATE_FIELDS, TimeSeriesLog
 from quadwrench.observer import ObserverGains
 from quadwrench.rigid_body import NoiseConfig, VehicleParams, VehicleState, process_step, rotor_wrench
 from quadwrench.simulator import (
-    ControllerGains,
     FanDisturbance,
     FanModel,
     FanTrack,
@@ -105,6 +104,31 @@ def test_positive_setting_rejects_nan_zero_and_negative(build, name, value):
         build(**{name: value})
 
 
+def _fan_disturbance(**settings):
+    return FanDisturbance(FanModel(), **settings)
+
+
+# every disturbance and reference setting that must be finite, with a vector
+# setting given one non-finite entry
+FINITE_SETTINGS = [
+    (FanModel, "axial_force", False), (FanModel, "torque_peak", False), (FanModel, "position", True),
+    (SteppedMass, "mass", False), (SteppedMass, "offset_body", True), (SteppedMass, "onset_s", False),
+    (_fan_disturbance, "velocity", True), (_fan_disturbance, "move_from_s", False),
+    (Hover, "point", True), (FanTrack, "start_point", True),
+]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("build, name, vector", FINITE_SETTINGS,
+                         ids=[f"{build.__name__.strip('_')}.{name}" for build, name, _ in FINITE_SETTINGS])
+def test_disturbance_and_reference_settings_reject_non_finite(build, name, vector, value):
+    # SteppedMass(onset_s=nan) would apply the mass from t = 0 without an
+    # error (t < nan is false); the others fail steps later, in the sensor or
+    # the mixer, under a message that names neither setting
+    with pytest.raises(ValueError, match=name):
+        build(**{name: np.array([0.0, value, 1.0]) if vector else value})
+
+
 class TestFanModel:
     def test_torque_antisymmetric(self):
         fan = FanModel(position=[0, 0, 1])
@@ -170,7 +194,7 @@ class TestSensorModel:
     def test_noiseless_equals_truth(self):
         sensor = SensorModel(pos_std=0.0, att_std_mrp=0.0, quant_bits=0)
         state = VehicleState.at_rest(pos=(1, 2, 3), q=att.quat_from_axis_angle([0, 0, 1], 0.4))
-        m = sensor.sample_pose(state, np.random.default_rng(0), 0.0)
+        m = sensor.sample_pose(state, np.random.default_rng(0))
         np.testing.assert_array_equal(m.pos, state.pos)
         np.testing.assert_allclose(m.q, state.q, atol=1e-15)
         speeds = np.array([1003.0, 7.0, 0.0, 2549.0])
@@ -178,7 +202,7 @@ class TestSensorModel:
 
     def test_from_noise_samples_the_filter_covariance(self):
         noise = NoiseConfig.default()
-        sensor = SensorModel.from_noise(noise)
+        sensor = SensorModel.from_noise(noise, quant_bits=8)
         assert sensor.pos_std ** 2 == pytest.approx(noise.g_x[0, 0], rel=1e-12)
         assert sensor.att_std_mrp ** 2 == pytest.approx(noise.g_rho[0, 0], rel=1e-12)
 
@@ -188,17 +212,17 @@ class TestSensorModel:
         # filter's R says otherwise
         noise = dataclasses.replace(NoiseConfig.default(), **{name: [1e-6, 1e-6, 9e-6]})
         with pytest.raises(ValueError, match=name):
-            SensorModel.from_noise(noise)
+            SensorModel.from_noise(noise, quant_bits=8)
 
     def test_position_noise_statistics(self):
-        sensor = SensorModel(pos_std=0.01, att_std_mrp=0.0)
+        sensor = SensorModel(pos_std=0.01, att_std_mrp=0.0, quant_bits=8)
         rng = np.random.default_rng(2)
         state = VehicleState.at_rest(pos=(0, 0, 1))
-        draws = np.array([sensor.sample_pose(state, rng, 0.0).pos for _ in range(10_000)])
+        draws = np.array([sensor.sample_pose(state, rng).pos for _ in range(10_000)])
         np.testing.assert_allclose(draws.std(axis=0), 0.01, rtol=0.05)
 
     def test_eight_bit_quantization(self):
-        sensor = SensorModel(quant_bits=8)
+        sensor = SensorModel(pos_std=0.0, att_std_mrp=0.0, quant_bits=8)
         np.testing.assert_array_equal(
             sensor.quantize_speeds(np.array([1003.0, 1006.0, 0.0, 3000.0]), PARAMS.omega_max),
             [1000.0, 1010.0, 0.0, PARAMS.omega_max],
@@ -268,7 +292,7 @@ class TestFlightController:
         assert np.all((speeds >= 0.0) & (speeds <= PARAMS.omega_max))
 
     def test_mixing_round_trip_within_one_quantization_step(self):
-        sensor = SensorModel()
+        sensor = SensorModel(pos_std=0.0, att_std_mrp=0.0, quant_bits=8)
         rng = np.random.default_rng(4)
         step = PARAMS.omega_max / 255
         for _ in range(50):
