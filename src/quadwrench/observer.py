@@ -36,13 +36,18 @@ _ZERO_COV = np.zeros(len(COV_FIELDS))
 _ZERO_COV.flags.writeable = False
 
 
+def _time_constant(cutoff_hz: float) -> float:
+    """Time constant ``1/(2 pi fc)`` of a first-order low-pass."""
+    return 1.0 / (2.0 * np.pi * cutoff_hz)
+
+
 def lowpass_alpha(cutoff_hz: float, dt: float) -> float:
     """Coefficient ``a`` of the first-order low-pass ``y += a (u - y)``,
     ``a = dt/(dt + 1/(2 pi fc))`` at sampling period ``dt``; raises
     ``ValueError`` unless the cutoff lies in (0, Nyquist)."""
     if not 0.0 < cutoff_hz < 0.5 / dt:
         raise ValueError("cutoff must lie in (0, Nyquist)")
-    return dt / (dt + 1.0 / (2.0 * np.pi * cutoff_hz))
+    return dt / (dt + _time_constant(cutoff_hz))
 
 
 @dataclass
@@ -73,9 +78,13 @@ class MomentumObserver:
     def __init__(self, params: VehicleParams, gains: ObserverGains | None = None):
         self.params = params
         self.gains = gains or ObserverGains()
-        # fixed for the run; a cutoff above Nyquist raises here, not mid-run
-        self._alpha_vel = lowpass_alpha(self.gains.pos_cutoff_hz, params.dt)
-        self._alpha_rate = lowpass_alpha(self.gains.att_cutoff_hz, params.dt)
+        # a cutoff above Nyquist at dt raises here; a longer gap between
+        # poses must not raise mid-run, so step takes the coefficient
+        # h/(h + tau) at the gap h from these time constants
+        lowpass_alpha(self.gains.pos_cutoff_hz, params.dt)
+        lowpass_alpha(self.gains.att_cutoff_hz, params.dt)
+        self._tau_vel = _time_constant(self.gains.pos_cutoff_hz)
+        self._tau_rate = _time_constant(self.gains.att_cutoff_hz)
         self._weight = params.mass * params.gravity
         self._prev_meas: PoseMeasurement | None = None
         self._periods = 0  # sampling periods since the last pose
@@ -99,13 +108,9 @@ class MomentumObserver:
             self._prev_meas = measurement
             return
 
-        if n == 1:
-            h, alpha_vel, alpha_rate = p.dt, self._alpha_vel, self._alpha_rate
-        else:
-            # the Nyquist check holds for dt; a longer gap must not raise
-            h = n * p.dt
-            alpha_vel, alpha_rate = (h / (h + 1.0 / (2.0 * np.pi * fc))
-                                     for fc in (self.gains.pos_cutoff_hz, self.gains.att_cutoff_hz))
+        h = n * p.dt
+        alpha_vel = h / (h + self._tau_vel)
+        alpha_rate = h / (h + self._tau_rate)
         vel_raw = (measurement.pos - self._prev_meas.pos) / h
         # quat_to_rotvec takes the short arc of the relative rotation itself
         dq = quat_multiply(quat_conjugate(self._prev_meas.q), measurement.q)

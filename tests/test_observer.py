@@ -86,9 +86,9 @@ class TestMomentumObserver:
             obs.step(speeds, PoseMeasurement(pos=truth.pos.copy(), q=truth.q.copy()))
         np.testing.assert_allclose(obs.f_e, [-0.52, 0.0, 0.0], atol=0.01)
 
-    @pytest.mark.parametrize("gap", [1, 2, 4, 20])
+    @pytest.mark.parametrize("gap", [2, 4, 20])
     def test_constant_force_converges_at_any_pose_rate(self, gap):
-        # noise-free poses every ``gap`` steps (200 Hz down to 10 Hz) with the
+        # noise-free poses every ``gap`` steps (100 Hz down to 10 Hz) with the
         # observer stepped every step: the pose difference and the modelled
         # force integral both span gap * dt, so the estimate still settles on
         # the true force
