@@ -78,9 +78,7 @@ class MomentumObserver:
     def __init__(self, params: VehicleParams, gains: ObserverGains | None = None):
         self.params = params
         self.gains = gains or ObserverGains()
-        # a cutoff above Nyquist at dt raises here; a longer gap between
-        # poses must not raise mid-run, so step takes the coefficient
-        # h/(h + tau) at the gap h from these time constants
+        # a cutoff above Nyquist at dt raises here, never at a longer gap mid-run
         lowpass_alpha(self.gains.pos_cutoff_hz, params.dt)
         lowpass_alpha(self.gains.att_cutoff_hz, params.dt)
         self._tau_vel = _time_constant(self.gains.pos_cutoff_hz)
