@@ -13,7 +13,7 @@ Conventions used throughout the package:
   are parametrized for filtering as MRPs, ``rho = dq_v / (1 + dq_0)``, which
   are singular only for rotations of +-2*pi.
 
-All functions broadcast over leading axes: quaternions are ``(..., 4)``
+The array functions broadcast over leading axes: quaternions are ``(..., 4)``
 arrays, vectors ``(..., 3)``.  Every public operation returns its quaternion
 at unit norm to machine precision: re-normalized, or, for
 ``mrp_to_error_quat``, unit by construction.
@@ -25,9 +25,19 @@ times a constant signed map, (16, 4) for the product and (16, 9) for the
 matrix, so a whole sigma-point set costs the same few numpy calls as one
 quaternion.  The maps sum their terms in another order than the written-out
 component formulas, so results agree with those to a few ulp, not bitwise.
+
+The ``*_floats`` functions are the written-out formulas on one quaternion or
+vector held as Python floats, for the single-vehicle layers (controller, pose
+sensor, disturbances, momentum observer), where one numpy call costs more
+than the whole formula in floats.  They take any sequence of floats and
+return tuples, and agree with the array kernels to a few ulp.  The array
+kernels serve the sigma-point sets and the truth step; the two share no code,
+because each form is the slow one for the other's callers.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -44,6 +54,11 @@ __all__ = [
     "error_quat_to_mrp",
     "mrp_to_error_quat",
     "quat_apply_body_rates",
+    "cross3_floats",
+    "quat_multiply_floats",
+    "rotmat_body_to_global_floats",
+    "mrp_to_error_quat_floats",
+    "quat_to_rotvec_floats",
 ]
 
 # MRPs blow up as the error rotation approaches +-2*pi (dq0 -> -1); reject
@@ -208,3 +223,56 @@ def quat_apply_body_rates(q: np.ndarray, omega: np.ndarray, dt: float) -> np.nda
     """Rotate ``q`` in its body frame by the angle ``|omega| * dt`` about
     ``omega``: ``q (x) quat_from_rotvec(omega * dt)``."""
     return quat_multiply(q, quat_from_rotvec(np.asarray(omega, dtype=float) * dt))
+
+
+# ---------------------------------------------------------------------------
+# float forms: one quaternion or vector as Python floats
+
+def cross3_floats(a, b) -> tuple[float, float, float]:
+    """Cross product ``a x b`` of two 3-sequences, with ``cross3``'s operations."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
+def quat_multiply_floats(a, b) -> tuple[float, float, float, float]:
+    """Hamilton product a (x) b, renormalized, like :func:`quat_multiply`."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    w = a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
+    x = a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2
+    y = a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1
+    z = a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
+    norm = math.sqrt(w * w + x * x + y * y + z * z)
+    return (w / norm, x / norm, y / norm, z / norm)
+
+
+def rotmat_body_to_global_floats(q) -> tuple[tuple[float, float, float], ...]:
+    """Rows of :func:`rotmat_body_to_global` for one quaternion."""
+    w, x, y, z = q
+    return (
+        (2.0 * (w * w + x * x) - 1.0, 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)),
+        (2.0 * (x * y + w * z), 2.0 * (w * w + y * y) - 1.0, 2.0 * (y * z - w * x)),
+        (2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 2.0 * (w * w + z * z) - 1.0),
+    )
+
+
+def mrp_to_error_quat_floats(rho) -> tuple[float, float, float, float]:
+    """:func:`mrp_to_error_quat` of one MRP, with the same operations."""
+    r0, r1, r2 = rho
+    s = r0 * r0 + r1 * r1 + r2 * r2
+    d = 1.0 + s
+    return ((1.0 - s) / d, 2.0 * r0 / d, 2.0 * r1 / d, 2.0 * r2 / d)
+
+
+def quat_to_rotvec_floats(q) -> tuple[float, float, float]:
+    """:func:`quat_to_rotvec` of one unit quaternion, short arc, angle in [0, pi].
+
+    Not renormalized: the axis and ``atan2`` angle do not depend on the norm.
+    """
+    w, x, y, z = q
+    if w < 0.0:
+        w, x, y, z = -w, -x, -y, -z
+    sin_half = math.sqrt(x * x + y * y + z * z)
+    scale = 2.0 * math.atan2(sin_half, w) / sin_half if sin_half > 1e-12 else 2.0
+    return (x * scale, y * scale, z * scale)

@@ -11,6 +11,11 @@ on noisy measurements at all.
 With noise-free signals and a constant true wrench the estimation error obeys
 first-order dynamics at the configured gain, so a gain ``k`` gives a 10-90%
 rise time of ``ln(9)/k`` seconds.
+
+The observer serves one vehicle, so its step computes on Python floats with
+``attitude``'s ``*_floats`` forms; only the rotor map is ``rotor_wrench``, the
+array form the process model also uses.  The signals and estimates read back
+as arrays.
 """
 
 from __future__ import annotations
@@ -20,11 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attitude import (
-    cross3,
-    quat_conjugate,
-    quat_multiply,
-    quat_to_rotvec,
-    rotmat_body_to_global,
+    cross3_floats,
+    quat_multiply_floats,
+    quat_to_rotvec_floats,
+    rotmat_body_to_global_floats,
 )
 from .estimator import PoseMeasurement
 from .logio import COV_FIELDS
@@ -34,6 +38,7 @@ __all__ = ["lowpass_alpha", "ObserverGains", "MomentumObserver"]
 
 _ZERO_COV = np.zeros(len(COV_FIELDS))
 _ZERO_COV.flags.writeable = False
+_ZERO3 = (0.0, 0.0, 0.0)
 
 
 def _time_constant(cutoff_hz: float) -> float:
@@ -83,17 +88,21 @@ class MomentumObserver:
         lowpass_alpha(self.gains.att_cutoff_hz, params.dt)
         self._tau_vel = _time_constant(self.gains.pos_cutoff_hz)
         self._tau_rate = _time_constant(self.gains.att_cutoff_hz)
-        self._weight = params.mass * params.gravity
-        self._prev_meas: PoseMeasurement | None = None
+        # the run constants as Python floats
+        self._weight = (params.mass * params.gravity).tolist()
+        self._inertia = params.inertia.tolist()
+        self._prev_pose: tuple[list, list] | None = None  # (pos, q) of the last pose
         self._periods = 0  # sampling periods since the last pose
         # low-passed signals; they start from rest, so momenta are measured
         # from zero
-        self.velocity = np.zeros(3)
-        self.body_rate = np.zeros(3)
-        self.f_e = np.zeros(3)    # N, global
-        self.tau_e = np.zeros(3)  # N m, global
-        self.force_integral = np.zeros(3)
-        self.torque_integral = np.zeros(3)
+        self._velocity = self._body_rate = _ZERO3
+        self._f_e = self._tau_e = _ZERO3  # N and N m, global
+        self._force_integral = self._torque_integral = _ZERO3
+
+    velocity = property(lambda self: np.array(self._velocity), doc="Low-passed velocity (m/s, global).")
+    body_rate = property(lambda self: np.array(self._body_rate), doc="Low-passed body rate (rad/s).")
+    f_e = property(lambda self: np.array(self._f_e), doc="External force estimate (N, global).")
+    tau_e = property(lambda self: np.array(self._tau_e), doc="External torque estimate (N m, global).")
 
     def step(self, rotor_speeds: np.ndarray, measurement: PoseMeasurement | None) -> None:
         self._periods += 1
@@ -101,35 +110,55 @@ class MomentumObserver:
             return
         p = self.params
         n, self._periods = self._periods, 0
-
-        if self._prev_meas is None:
-            self._prev_meas = measurement
+        pos, q = measurement.pos.tolist(), measurement.q.tolist()
+        previous, self._prev_pose = self._prev_pose, (pos, q)
+        if previous is None:
             return
+        (px, py, pz), (w, x, y, z) = previous
 
         h = n * p.dt
         alpha_vel = h / (h + self._tau_vel)
         alpha_rate = h / (h + self._tau_rate)
-        vel_raw = (measurement.pos - self._prev_meas.pos) / h
-        # quat_to_rotvec takes the short arc of the relative rotation itself
-        dq = quat_multiply(quat_conjugate(self._prev_meas.q), measurement.q)
-        rate_raw = quat_to_rotvec(dq) / h
-        self.velocity = self.velocity + alpha_vel * (vel_raw - self.velocity)
-        self.body_rate = self.body_rate + alpha_rate * (rate_raw - self.body_rate)
-        self._prev_meas = measurement
+        # low-passed first differences of the pose; quat_to_rotvec_floats
+        # takes the short arc of the relative rotation
+        rx, ry, rz = quat_to_rotvec_floats(quat_multiply_floats((w, -x, -y, -z), q))
+        vx, vy, vz = self._velocity
+        vx += alpha_vel * ((pos[0] - px) / h - vx)
+        vy += alpha_vel * ((pos[1] - py) / h - vy)
+        vz += alpha_vel * ((pos[2] - pz) / h - vz)
+        self._velocity = (vx, vy, vz)
+        bx, by, bz = self._body_rate
+        bx += alpha_rate * (rx / h - bx)
+        by += alpha_rate * (ry / h - by)
+        bz += alpha_rate * (rz / h - bz)
+        self._body_rate = (bx, by, bz)
 
-        R_bg = rotmat_body_to_global(measurement.q)
-        rotor = rotor_wrench(p, rotor_speeds)
-        thrust_global = R_bg[:, 2] * rotor[0]
+        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rotmat_body_to_global_floats(q)
+        thrust, tx, ty, tz = rotor_wrench(p, rotor_speeds).tolist()
 
-        self.force_integral = self.force_integral + h * (thrust_global - self._weight + self.f_e)
-        momentum = p.mass * self.velocity
-        self.f_e = self.gains.force * (momentum - self.force_integral)
+        # force: the momentum minus the integral of thrust, weight and estimate
+        (gx, gy, gz), (fx, fy, fz), (ix, iy, iz) = self._weight, self._f_e, self._force_integral
+        ix += h * (r02 * thrust - gx + fx)
+        iy += h * (r12 * thrust - gy + fy)
+        iz += h * (r22 * thrust - gz + fz)
+        self._force_integral = (ix, iy, iz)
+        k, m = self.gains.force, p.mass
+        self._f_e = (k * (m * vx - ix), k * (m * vy - iy), k * (m * vz - iz))
 
-        ang_momentum = p.inertia @ self.body_rate
-        gyro = cross3(self.body_rate, ang_momentum)
-        tau_e_body = R_bg.T @ self.tau_e
-        self.torque_integral = self.torque_integral + h * (rotor[1:] - gyro + tau_e_body)
-        self.tau_e = R_bg @ (self.gains.torque * (ang_momentum - self.torque_integral))
+        # torque, in the body frame: the angular momentum minus the integral
+        # of rotor torque, gyroscopic torque and the estimate R' tau_e
+        (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = self._inertia
+        lx, ly, lz = j00 * bx + j01 * by + j02 * bz, j10 * bx + j11 * by + j12 * bz, j20 * bx + j21 * by + j22 * bz
+        cx, cy, cz = cross3_floats((bx, by, bz), (lx, ly, lz))
+        (ex, ey, ez), (ix, iy, iz) = self._tau_e, self._torque_integral
+        ix += h * (tx - cx + (r00 * ex + r10 * ey + r20 * ez))
+        iy += h * (ty - cy + (r01 * ex + r11 * ey + r21 * ez))
+        iz += h * (tz - cz + (r02 * ex + r12 * ey + r22 * ez))
+        self._torque_integral = (ix, iy, iz)
+        k = self.gains.torque
+        ux, uy, uz = k * (lx - ix), k * (ly - iy), k * (lz - iz)
+        self._tau_e = (r00 * ux + r01 * uy + r02 * uz, r10 * ux + r11 * uy + r12 * uz,
+                       r20 * ux + r21 * uy + r22 * uz)
 
     def mean_vector(self) -> np.ndarray:
         """Log record in the shared estimator schema (19 entries).
@@ -137,9 +166,8 @@ class MomentumObserver:
         Attitude and pose slots carry the observer's filtered signals so both
         estimators share one log layout.
         """
-        q = self._prev_meas.q if self._prev_meas is not None else np.array([1.0, 0, 0, 0])
-        pos = self._prev_meas.pos if self._prev_meas is not None else np.zeros(3)
-        return np.concatenate([q, self.body_rate, pos, self.velocity, self.tau_e, self.f_e])
+        pos, q = self._prev_pose if self._prev_pose is not None else (_ZERO3, (1.0, 0.0, 0.0, 0.0))
+        return np.array([*q, *self._body_rate, *pos, *self._velocity, *self._tau_e, *self._f_e])
 
     def cov_diagonal(self) -> np.ndarray:
         """Read-only zeros: the observer carries no covariance."""

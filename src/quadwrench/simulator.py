@@ -5,6 +5,15 @@ The truth model is the same ``process_step`` the filter predicts with; the
 only differences are the scenario-injected wrench (replacing the random walk)
 and the measurement/quantization noise.  Runs are deterministic given the
 scenario seed (single numpy ``default_rng`` stream, fixed draw order).
+
+The truth step runs ``process_step``'s array kernels, so it stays the filter's
+model bit for bit.  The controller, mixer, pose sensor, disturbances and
+references serve one vehicle per call and compute on Python floats with
+``attitude``'s ``*_floats`` forms: each reads its array inputs once with
+``.tolist()`` and builds an array only where its caller needs one (the motor
+speeds, the ``(force, torque)`` pair, the pose).  References are tuples of
+three floats.  The speed quantizer stays on numpy; a float form of it measured
+no faster.
 """
 
 from __future__ import annotations
@@ -16,10 +25,11 @@ import numpy as np
 
 from .attitude import (
     cross3,
-    mrp_to_error_quat,
+    cross3_floats,
+    mrp_to_error_quat_floats,
     quat_from_axis_angle,
-    quat_multiply,
-    rotmat_body_to_global,
+    quat_multiply_floats,
+    rotmat_body_to_global_floats,
 )
 from .control import AdmittanceConfig, admittance_command
 from .estimator import GaussianBelief, PoseMeasurement, UsqueEstimator
@@ -50,6 +60,9 @@ def _check_finite(obj, *names):
         value = getattr(obj, name)
         if not np.isfinite(value).all():
             raise ValueError(f"{type(obj).__name__}.{name} must be finite, got {value!r}")
+
+
+_ZERO3 = (0.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -91,21 +104,25 @@ class FanModel:
         lateral_norm = np.linalg.norm(lateral)
         if not lateral_norm > 0.0:
             raise ValueError("fan axis must have a horizontal component")
-        self._lateral_dir = lateral / lateral_norm
+        self._lateral_dir = tuple((lateral / lateral_norm).tolist())
 
-    def wrench_at(self, point: np.ndarray, position=None) -> tuple[np.ndarray, np.ndarray]:
-        """(force, torque) on a vehicle hovering at ``point``."""
-        pos = self.position if position is None else np.asarray(position, dtype=float)
-        rel = np.asarray(point, dtype=float) - pos
-        d = float(rel @ self.axis)
+    def wrench_at(self, point, position=None) -> tuple[np.ndarray, np.ndarray]:
+        """(force, torque) on a vehicle hovering at ``point``, with the fan at
+        ``position`` (default ``self.position``); both are 3-sequences."""
+        px, py, pz = point
+        ox, oy, oz = self.position.tolist() if position is None else position
+        rx, ry, rz = px - ox, py - oy, pz - oz
+        ax, ay, az = self.axis.tolist()
+        d = rx * ax + ry * ay + rz * az
         if d <= 0.0:
             return np.zeros(3), np.zeros(3)
-        radial = rel - d * self.axis
-        r = math.sqrt(radial @ radial)
-        f_mag = self.axial_force * np.exp(-d / self.axial_decay) * np.exp(-0.5 * (r / self.radial_sigma) ** 2)
-        u = float(rel @ self._lateral_dir) / self.torque_peak_radius
-        tau_z = self.torque_peak * u * np.exp(0.5 * (1.0 - u * u))
-        return f_mag * self.axis, np.array([0.0, 0.0, tau_z])
+        nx, ny, nz = rx - d * ax, ry - d * ay, rz - d * az  # radial offset
+        r = math.sqrt(nx * nx + ny * ny + nz * nz)
+        f_mag = self.axial_force * math.exp(-d / self.axial_decay) * math.exp(-0.5 * (r / self.radial_sigma) ** 2)
+        lx, ly, lz = self._lateral_dir
+        u = (rx * lx + ry * ly + rz * lz) / self.torque_peak_radius
+        tau_z = self.torque_peak * u * math.exp(0.5 * (1.0 - u * u))
+        return np.array([f_mag * ax, f_mag * ay, f_mag * az]), np.array([0.0, 0.0, tau_z])
 
 
 @dataclass
@@ -123,10 +140,11 @@ class SteppedMass:
     def wrench(self, t: float, state: VehicleState) -> tuple[np.ndarray, np.ndarray]:
         if t < self.onset_s:
             return np.zeros(3), np.zeros(3)
-        force = np.array([0.0, 0.0, -self.mass * 9.81])
-        R_bg = rotmat_body_to_global(state.q)
-        tau_body = cross3(self.offset_body, R_bg.T @ force)
-        return force, R_bg @ tau_body
+        f_z = -self.mass * 9.81
+        rows = rotmat_body_to_global_floats(state.q.tolist())
+        # R' f for the vertical force f is f_z times R's last row
+        tx, ty, tz = cross3_floats(self.offset_body.tolist(), [f_z * r for r in rows[2]])
+        return np.array([0.0, 0.0, f_z]), np.array([a * tx + b * ty + c * tz for a, b, c in rows])
 
 
 @dataclass
@@ -139,12 +157,13 @@ class FanDisturbance:
         self.velocity = np.asarray(self.velocity, dtype=float)
         _check_finite(self, "velocity", "move_from_s")
 
-    def fan_position(self, t: float) -> np.ndarray:
+    def fan_position(self, t: float) -> tuple[float, float, float]:
         dt_moving = max(t - self.move_from_s, 0.0)
-        return self.fan.position + self.velocity * dt_moving
+        (px, py, pz), (vx, vy, vz) = self.fan.position.tolist(), self.velocity.tolist()
+        return (px + vx * dt_moving, py + vy * dt_moving, pz + vz * dt_moving)
 
     def wrench(self, t: float, state: VehicleState) -> tuple[np.ndarray, np.ndarray]:
-        return self.fan.wrench_at(state.pos, position=self.fan_position(t))
+        return self.fan.wrench_at(state.pos.tolist(), position=self.fan_position(t))
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +181,7 @@ class Hover:
         return self.point.copy()
 
     def reference(self, t: float):
-        return self.point.copy(), np.zeros(3)
+        return tuple(self.point.tolist()), _ZERO3
 
 
 @dataclass
@@ -177,6 +196,7 @@ class GridSurvey:
     travel_speed: float = 0.5  # m/s between cells
 
     def __post_init__(self):
+        _check_finite(self, "height")
         if not (self.spacing > 0.0 and self.dwell_s > 0.0 and self.travel_speed > 0.0
                 and self.x_range[0] <= self.x_range[1] and self.y_range[0] <= self.y_range[1]):
             raise ValueError("grid spacing, dwell and travel speed must be positive and ranges ordered")
@@ -187,16 +207,18 @@ class GridSurvey:
             row = ys if i % 2 == 0 else ys[::-1]
             cells += [(x, y) for y in row]
         self.cells = cells
-        # piecewise timeline: linear travel leg, then dwell, per cell
+        # piecewise timeline: linear travel leg, then dwell, per cell; the
+        # leg ends are tuples of floats
         self.legs = []
         t = 0.0
         prev = np.array([*cells[0], self.height])
         for (x, y) in cells:
             target = np.array([x, y, self.height])
             travel = float(np.linalg.norm(target - prev)) / self.travel_speed
-            self.legs.append((t, t + travel, prev.copy(), target.copy()))
+            a, b = tuple(prev.tolist()), tuple(target.tolist())
+            self.legs.append((t, t + travel, a, b))
             t += travel
-            self.legs.append((t, t + self.dwell_s, target.copy(), target.copy()))
+            self.legs.append((t, t + self.dwell_s, b, b))
             t += self.dwell_s
             prev = target
         self.total_time = t
@@ -219,11 +241,11 @@ class GridSurvey:
             for (t0, t1, a, b) in self.legs:
                 if t < t1:
                     if t1 - t0 < 1e-12:
-                        return b.copy(), np.zeros(3)
+                        return b, _ZERO3
                     frac = (t - t0) / (t1 - t0)
-                    vel = (b - a) / (t1 - t0)
-                    return a + frac * (b - a), vel
-        return self.legs[-1][3].copy(), np.zeros(3)  # past the end: hold
+                    return (tuple(ai + frac * (bi - ai) for ai, bi in zip(a, b)),
+                            tuple((bi - ai) / (t1 - t0) for ai, bi in zip(a, b)))
+        return self.legs[-1][3], _ZERO3  # past the end: hold
 
 
 @dataclass
@@ -237,25 +259,25 @@ class FanTrack:
 
     def __post_init__(self):
         self.start_point = np.asarray(self.start_point, dtype=float)
-        _check_finite(self, "start_point")
+        _check_finite(self, "start_point", "yaw")
         # body +y mapped through the reference yaw
-        self._lateral_dir = np.array([-np.sin(self.yaw), np.cos(self.yaw), 0.0])
+        self._lateral_dir = (-math.sin(self.yaw), math.cos(self.yaw), 0.0)
         self.start()
 
     def start(self) -> np.ndarray:
         """Rewind the steered reference to ``start_point``, so every run
         begins from the same state; returns the start point."""
-        self._ref = self.start_point.copy()
-        self._vel = np.zeros(3)
+        self._ref = tuple(self.start_point.tolist())
+        self._vel = _ZERO3
         return self.start_point.copy()
 
     def advance(self, tau_z_est: float, dt: float) -> None:
         cmd = admittance_command(tau_z_est, self.admittance)
-        self._vel = cmd * self._lateral_dir
-        self._ref = self._ref + self._vel * dt
+        self._vel = tuple(cmd * c for c in self._lateral_dir)
+        self._ref = tuple(r + v * dt for r, v in zip(self._ref, self._vel))
 
     def reference(self, t: float):
-        return self._ref.copy(), self._vel.copy()
+        return self._ref, self._vel
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +308,11 @@ class SensorModel:
 
     def sample_pose(self, state: VehicleState, rng: np.random.Generator) -> PoseMeasurement:
         # one draw of six is the stream of two draws of three
-        draw = rng.standard_normal(6)
-        pos = state.pos + self.pos_std * draw[:3]
-        rho = self.att_std_mrp * draw[3:]
-        q = quat_multiply(mrp_to_error_quat(rho), state.q)
-        return PoseMeasurement(pos=pos, q=q)
+        draw = rng.standard_normal(6).tolist()
+        pos = [p + self.pos_std * d for p, d in zip(state.pos.tolist(), draw[:3])]
+        rho = [self.att_std_mrp * d for d in draw[3:]]
+        q = quat_multiply_floats(mrp_to_error_quat_floats(rho), state.q.tolist())
+        return PoseMeasurement(pos=np.array(pos), q=np.array(q))
 
     def quantize_speeds(self, speeds: np.ndarray, omega_max: float) -> np.ndarray:
         """Speeds on the telemetry grid whose full scale is ``omega_max``."""
@@ -313,10 +335,33 @@ ATT_D = 27.0          # 1/s
 MAX_HORIZ_ACC = 4.0   # m/s^2, caps commanded tilt
 MAX_VERT_ACC = 5.0    # m/s^2
 
-# flat indices of the entries (2, 1), (0, 2), (1, 0) of a 3x3 matrix, and of
-# their mirror images
-_VEE = np.array([7, 2, 3])
-_VEE_T = np.array([5, 6, 1])
+
+def _dot3(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _mixer_constants(params: VehicleParams) -> tuple[list, list, list]:
+    """The run constants of the mixer as Python floats: the rows of
+    ``mixer_inv``, each motor's thrust limit and its thrust coefficient."""
+    return params.mixer_inv.tolist(), params.motor_thrust_max.tolist(), params.thrust_coeff.tolist()
+
+
+def _mix(constants, thrust: float, torque) -> tuple[list[float], bool]:
+    """:func:`mix_motor_speeds` on floats, from :func:`_mixer_constants`."""
+    mixer_rows, thrust_max, thrust_coeff = constants
+    t, tx, ty, tz = demand = (thrust, *torque)
+    speeds = []
+    saturated = False
+    for (a, b, c, d), limit, k in zip(mixer_rows, thrust_max, thrust_coeff):
+        per_motor = a * t + b * tx + c * ty + d * tz
+        clipped = min(max(0.0, per_motor), limit)
+        saturated |= per_motor != clipped
+        speeds.append(math.sqrt(clipped / k))
+    # a non-finite demand makes a non-finite per-motor thrust, which never
+    # equals its clip, so only a saturated demand needs the check
+    if saturated and not all(map(math.isfinite, demand)):
+        raise ValueError(f"mixer demand must be finite, got thrust {thrust!r}, torque {torque!r}")
+    return speeds, saturated
 
 
 def mix_motor_speeds(params: VehicleParams, thrust: float, torque: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -334,15 +379,9 @@ def mix_motor_speeds(params: VehicleParams, thrust: float, torque: np.ndarray) -
     demanded thrust and torque exactly up to rounding.  A non-finite demand
     raises ``ValueError``.
     """
-    demand = np.concatenate(([thrust], torque))
-    per_motor = params.mixer_inv @ demand
-    clipped = np.minimum(np.maximum(0.0, per_motor), params.motor_thrust_max)
-    saturated = bool((per_motor != clipped).any())
-    # a non-finite demand makes a non-finite per-motor thrust, which never
-    # equals its clip, so only a saturated demand needs the check
-    if saturated and not np.isfinite(demand).all():
-        raise ValueError(f"mixer demand must be finite, got thrust {thrust!r}, torque {torque!r}")
-    return np.sqrt(clipped / params.thrust_coeff), saturated
+    speeds, saturated = _mix(_mixer_constants(params), float(thrust),
+                             np.asarray(torque, dtype=float).tolist())
+    return np.array(speeds), saturated
 
 
 class FlightController:
@@ -356,40 +395,51 @@ class FlightController:
     def __init__(self, params: VehicleParams):
         self.params = params
         self.saturation_count = 0
+        # the run constants as Python floats
+        self._gravity = params.gravity.tolist()
+        self._inertia = params.inertia.tolist()
+        self._mixer = _mixer_constants(params)
 
-    def command(self, state: VehicleState, ref_pos: np.ndarray,
-                ref_vel: np.ndarray | None = None, yaw: float = 0.0) -> np.ndarray:
-        p = self.params
-        ref_vel = np.zeros(3) if ref_vel is None else np.asarray(ref_vel, dtype=float)
+    def command(self, state: VehicleState, ref_pos, ref_vel=None, yaw: float = 0.0) -> np.ndarray:
+        """Motor speeds steering ``state`` towards the reference; ``ref_pos``
+        and ``ref_vel`` (default zero) are 3-sequences."""
+        (px, py, pz), (vx, vy, vz) = state.pos.tolist(), state.vel.tolist()
+        rx, ry, rz = ref_pos
+        wx, wy, wz = _ZERO3 if ref_vel is None else ref_vel
 
-        acc = POS_P * (np.asarray(ref_pos, dtype=float) - state.pos) + POS_D * (ref_vel - state.vel)
-        acc_h = acc[:2]
-        h_norm = math.sqrt(acc_h @ acc_h)
+        ax = POS_P * (rx - px) + POS_D * (wx - vx)
+        ay = POS_P * (ry - py) + POS_D * (wy - vy)
+        az = POS_P * (rz - pz) + POS_D * (wz - vz)
+        h_norm = math.sqrt(ax * ax + ay * ay)
         if h_norm > MAX_HORIZ_ACC:
-            acc[:2] = acc_h * (MAX_HORIZ_ACC / h_norm)
-        acc[2] = min(max(acc[2], -MAX_VERT_ACC), MAX_VERT_ACC)
+            ax, ay = ax * (MAX_HORIZ_ACC / h_norm), ay * (MAX_HORIZ_ACC / h_norm)
+        az = min(max(az, -MAX_VERT_ACC), MAX_VERT_ACC)
 
-        f_des = p.mass * (acc + p.gravity)
-        thrust = math.sqrt(f_des @ f_des)
-        z_des = f_des / thrust if thrust > 1e-9 else np.array([0.0, 0.0, 1.0])
+        mass = self.params.mass
+        gx, gy, gz = self._gravity
+        fx, fy, fz = mass * (ax + gx), mass * (ay + gy), mass * (az + gz)
+        thrust = math.sqrt(fx * fx + fy * fy + fz * fz)
+        z_des = (fx / thrust, fy / thrust, fz / thrust) if thrust > 1e-9 else (0.0, 0.0, 1.0)
 
-        x_c = np.array([np.cos(yaw), np.sin(yaw), 0.0])
-        y_des = cross3(z_des, x_c)
-        y_des /= math.sqrt(y_des @ y_des)
-        x_des = cross3(y_des, z_des)
-        R_des_t = np.array([x_des, y_des, z_des])  # R_des', rows the desired body axes
+        # rows of R_des', the desired body axes
+        yx, yy, yz = cross3_floats(z_des, (math.cos(yaw), math.sin(yaw), 0.0))
+        y_norm = math.sqrt(yx * yx + yy * yy + yz * yz)
+        y_des = (yx / y_norm, yy / y_norm, yz / y_norm)
+        x_des = cross3_floats(y_des, z_des)
 
-        # body-frame attitude error, the vee of 0.5 (R_des' R - R' R_des); entry
-        # (i, j) of R' R_des sums the products of entry (j, i) of R_des' R in
-        # the same order, so one product gives both
-        m = R_des_t @ rotmat_body_to_global(state.q)
-        e_rot = 0.5 * (m.take(_VEE) - m.take(_VEE_T))
-        torque = p.inertia @ (-ATT_P * e_rot - ATT_D * state.omega)
+        # body-frame attitude error, the vee of 0.5 (R_des' R - R' R_des), whose
+        # entry (i, j) is desired axis i . R column j minus axis j . column i
+        c0, c1, c2 = zip(*rotmat_body_to_global_floats(state.q.tolist()))
+        e_rot = (0.5 * (_dot3(z_des, c1) - _dot3(y_des, c2)),
+                 0.5 * (_dot3(x_des, c2) - _dot3(z_des, c0)),
+                 0.5 * (_dot3(y_des, c0) - _dot3(x_des, c1)))
+        ang_acc = [-ATT_P * e - ATT_D * w for e, w in zip(e_rot, state.omega.tolist())]
+        torque = [_dot3(row, ang_acc) for row in self._inertia]
 
-        speeds, saturated = mix_motor_speeds(p, thrust, torque)
+        speeds, saturated = _mix(self._mixer, thrust, torque)
         if saturated:
             self.saturation_count += 1
-        return speeds
+        return np.array(speeds)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.spatial.transform import Rotation
@@ -179,6 +179,61 @@ class TestProductMapsMatchFormulas:
         want = oracle_mrp_to_error_quat(rho)
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0, atol=KERNEL_ATOL)
+
+
+def _within_unit_ball(rho):
+    return rho / max(1.0, float(np.linalg.norm(rho)))
+
+
+class TestFloatFormsMatchKernels:
+    """The float forms on one quaternion or vector against the array kernels.
+
+    Forms that repeat the kernel's operations (cross product, MRP to
+    quaternion) are bit-identical; the others sum in another order and agree
+    within KERNEL_ATOL on unit inputs, of the angle's scale for the rotation
+    vector.
+    """
+
+    @given(hnp.arrays(np.float64, (2, 3), elements=st.floats(-1.0, 1.0)))
+    def test_cross3(self, pair):
+        a, b = pair
+        assert att.cross3_floats(a.tolist(), b.tolist()) == tuple(att.cross3(a, b).tolist())
+
+    # negative scalar parts: the product of two and of one
+    @example(np.array([[-0.5, 0.5, 0.5, 0.5], [-0.6, 0.0, 0.8, 0.0]]))
+    @example(np.array([[-0.5, 0.5, 0.5, 0.5], [0.6, 0.0, 0.8, 0.0]]))
+    @given(unit_quats((2, 4)))
+    def test_quat_multiply(self, pair):
+        a, b = pair
+        got = att.quat_multiply_floats(a.tolist(), b.tolist())
+        np.testing.assert_allclose(got, att.quat_multiply(a, b), rtol=0, atol=KERNEL_ATOL)
+
+    @example(np.array([-0.5, 0.5, -0.5, 0.5]))
+    @given(unit_quats((4,)))
+    def test_rotmat_body_to_global(self, q):
+        got = att.rotmat_body_to_global_floats(q.tolist())
+        np.testing.assert_allclose(got, att.rotmat_body_to_global(q), rtol=0, atol=KERNEL_ATOL)
+
+    # the short-arc MRPs, |rho| <= 1
+    @example(np.zeros(3))
+    @example(np.array([0.0, -1.0, 0.0]))
+    @given(hnp.arrays(np.float64, (3,), elements=st.floats(-1.0, 1.0)).map(_within_unit_ball))
+    def test_mrp_to_error_quat(self, rho):
+        assert att.mrp_to_error_quat_floats(rho.tolist()) == tuple(att.mrp_to_error_quat(rho).tolist())
+
+    # the zero rotation of either sign, a negative scalar part (the short-arc
+    # flip) and a half turn
+    @example(IDENTITY)
+    @example(-IDENTITY)
+    @example(np.array([-0.6, 0.0, 0.8, 0.0]))
+    @example(np.array([0.0, 0.6, 0.0, 0.8]))
+    @given(unit_quats((4,)))
+    def test_quat_to_rotvec(self, q):
+        # entries reach pi, and the kernel renormalizes first: the bound is
+        # KERNEL_ATOL of the angle's scale
+        want = att.quat_to_rotvec(q)
+        got = att.quat_to_rotvec_floats(q.tolist())
+        np.testing.assert_allclose(got, want, rtol=0, atol=KERNEL_ATOL * max(1.0, np.linalg.norm(want)))
 
 
 class TestQuatMultiply:
