@@ -148,7 +148,9 @@ class MomentumObserver:
         # torque, in the body frame: the angular momentum minus the integral
         # of rotor torque, gyroscopic torque and the estimate R' tau_e
         (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = self._inertia
-        lx, ly, lz = j00 * bx + j01 * by + j02 * bz, j10 * bx + j11 * by + j12 * bz, j20 * bx + j21 * by + j22 * bz
+        lx = j00 * bx + j01 * by + j02 * bz  # angular momentum I w
+        ly = j10 * bx + j11 * by + j12 * bz
+        lz = j20 * bx + j21 * by + j22 * bz
         cx, cy, cz = cross3_floats((bx, by, bz), (lx, ly, lz))
         (ex, ey, ez), (ix, iy, iz) = self._tau_e, self._torque_integral
         ix += h * (tx - cx + (r00 * ex + r10 * ey + r20 * ez))
