@@ -27,12 +27,13 @@ quaternion.  The maps sum their terms in another order than the written-out
 component formulas, so results agree with those to a few ulp, not bitwise.
 
 The ``*_floats`` functions are the written-out formulas on one quaternion or
-vector held as Python floats, for the single-vehicle layers (controller, pose
-sensor, disturbances, momentum observer), where one numpy call costs more
-than the whole formula in floats.  They take any sequence of floats and
-return tuples, and agree with the array kernels to a few ulp.  The array
-kernels serve the sigma-point sets and the truth step; the two share no code,
-because each form is the slow one for the other's callers.
+vector held as Python floats, for the single-vehicle layers (truth step,
+controller, pose sensor, disturbances, momentum observer), where one numpy
+call costs more than the whole formula in floats.  They take any sequence of
+floats and return tuples, and agree with the array kernels to a few ulp.  The
+array kernels serve the sigma-point sets of ``process_step`` and the filter;
+the two share no code, because each form is the slow one for the other's
+callers.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ __all__ = [
     "quat_multiply_floats",
     "rotmat_body_to_global_floats",
     "mrp_to_error_quat_floats",
+    "quat_from_rotvec_floats",
     "quat_to_rotvec_floats",
 ]
 
@@ -263,6 +265,17 @@ def mrp_to_error_quat_floats(rho) -> tuple[float, float, float, float]:
     s = r0 * r0 + r1 * r1 + r2 * r2
     d = 1.0 + s
     return ((1.0 - s) / d, 2.0 * r0 / d, 2.0 * r1 / d, 2.0 * r2 / d)
+
+
+def quat_from_rotvec_floats(v) -> tuple[float, float, float, float]:
+    """:func:`quat_from_rotvec` of one rotation vector, with the same operations."""
+    x, y, z = v
+    half = 0.5 * math.sqrt(x * x + y * y + z * z)
+    h = max(half, _TINY_HALF_ANGLE)
+    ratio = math.sin(h) / h
+    w, x, y, z = math.cos(half), 0.5 * x * ratio, 0.5 * y * ratio, 0.5 * z * ratio
+    norm = math.sqrt(w * w + x * x + y * y + z * z)
+    return (w / norm, x / norm, y / norm, z / norm)
 
 
 def quat_to_rotvec_floats(q) -> tuple[float, float, float]:

@@ -13,9 +13,9 @@ first-order dynamics at the configured gain, so a gain ``k`` gives a 10-90%
 rise time of ``ln(9)/k`` seconds.
 
 The observer serves one vehicle, so its step computes on Python floats with
-``attitude``'s ``*_floats`` forms; only the rotor map is ``rotor_wrench``, the
-array form the process model also uses.  The signals and estimates read back
-as arrays.
+``attitude``'s ``*_floats`` forms and ``rotor_wrench_floats``, the rotor map
+the truth step also uses, bit-identical to the process model's
+``rotor_wrench``.  The signals and estimates read back as arrays.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .attitude import (
 )
 from .estimator import PoseMeasurement
 from .logio import COV_FIELDS
-from .rigid_body import VehicleParams, rotor_wrench
+from .rigid_body import VehicleParams, rotor_wrench_floats
 
 __all__ = ["lowpass_alpha", "ObserverGains", "MomentumObserver"]
 
@@ -90,7 +90,6 @@ class MomentumObserver:
         self._tau_rate = _time_constant(self.gains.att_cutoff_hz)
         # the run constants as Python floats
         self._weight = (params.mass * params.gravity).tolist()
-        self._inertia = params.inertia.tolist()
         self._prev_pose: tuple[list, list] | None = None  # (pos, q) of the last pose
         self._periods = 0  # sampling periods since the last pose
         # low-passed signals; they start from rest, so momenta are measured
@@ -134,7 +133,7 @@ class MomentumObserver:
         self._body_rate = (bx, by, bz)
 
         (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rotmat_body_to_global_floats(q)
-        thrust, tx, ty, tz = rotor_wrench(p, rotor_speeds).tolist()
+        thrust, tx, ty, tz = rotor_wrench_floats(p, rotor_speeds.tolist())
 
         # force: the momentum minus the integral of thrust, weight and estimate
         (gx, gy, gz), (fx, fy, fz), (ix, iy, iz) = self._weight, self._f_e, self._force_integral
@@ -147,7 +146,7 @@ class MomentumObserver:
 
         # torque, in the body frame: the angular momentum minus the integral
         # of rotor torque, gyroscopic torque and the estimate R' tau_e
-        (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = self._inertia
+        (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = p.floats.inertia
         lx = j00 * bx + j01 * by + j02 * bz  # angular momentum I w
         ly = j10 * bx + j11 * by + j12 * bz
         lz = j20 * bx + j21 * by + j22 * bz

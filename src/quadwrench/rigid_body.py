@@ -14,12 +14,17 @@ the state at k-1 to the state at k:
 
 All operations broadcast over leading axes so a whole sigma-point set (or a
 Monte-Carlo batch) propagates in one call; the zero-noise map is exactly the
-deterministic motion model used for filter prediction.
+deterministic motion model used for filter prediction.  ``process_step`` is the
+one array form of the model: it serves the sigma-point sets and any batch of
+vehicles, and is the oracle of the simulator's truth step, which writes the
+same map out on one vehicle in Python floats from
+:attr:`VehicleParams.floats` and :func:`rotor_wrench_floats`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,9 +32,11 @@ from .attitude import cross3, quat_apply_body_rates, rotmat_body_to_global
 
 __all__ = [
     "VehicleParams",
+    "VehicleFloats",
     "VehicleState",
     "NoiseConfig",
     "rotor_wrench",
+    "rotor_wrench_floats",
     "process_step",
 ]
 
@@ -44,6 +51,27 @@ _ROTOR_SIGNS = np.array([
     [-1.0, 1.0, 1.0, -1.0],
     [1.0, -1.0, 1.0, -1.0],
 ])
+
+
+def _check_finite(obj, *names):
+    """Raise ``ValueError`` unless each named setting of ``obj`` is finite."""
+    for name in names:
+        value = getattr(obj, name)
+        if not np.isfinite(value).all():
+            raise ValueError(f"{type(obj).__name__}.{name} must be finite, got {value!r}")
+
+
+class VehicleFloats(NamedTuple):
+    """The run constants of one :class:`VehicleParams` as Python floats, for
+    the forms that serve one vehicle per call; matrices are tuples of rows."""
+
+    mass: float
+    dt: float
+    gravity: tuple
+    inertia: tuple
+    inertia_inv: tuple
+    rotor_coeffs: tuple
+    rotor_scale: tuple
 
 
 @dataclass(frozen=True)
@@ -62,6 +90,10 @@ class VehicleParams:
     def __post_init__(self):
         for name in ("inertia", "thrust_coeff", "drag_coeff", "gravity"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        # an infinite setting passes every check below and turns into a NaN
+        # mid-run, through an inf * 0 that raises no warning on floats
+        _check_finite(self, "mass", "inertia", "arm_length", "thrust_coeff", "drag_coeff", "gravity",
+                      "dt", "omega_max")
         # written as "not > 0" so that NaN fails too
         for name in ("mass", "arm_length", "dt", "omega_max"):
             if not getattr(self, name) > 0.0:
@@ -89,6 +121,14 @@ class VehicleParams:
         for name, value in constants.items():
             value.flags.writeable = False
             object.__setattr__(self, name, value)
+
+        def rows(a):
+            return tuple(map(tuple, a.tolist()))
+
+        object.__setattr__(self, "floats", VehicleFloats(
+            mass=float(self.mass), dt=float(self.dt), gravity=tuple(self.gravity.tolist()),
+            inertia=rows(self.inertia), inertia_inv=rows(self.inertia_inv),
+            rotor_coeffs=rows(self.rotor_coeffs), rotor_scale=tuple(self.rotor_scale.tolist())))
 
     def hover_speed(self) -> float:
         """Per-motor turn rate (rad/s) balancing gravity with equal motors."""
@@ -155,10 +195,11 @@ class NoiseConfig:
                 mat = np.diag(mat)
             if mat.shape != (3, 3):
                 raise ValueError(f"{name} must be a 3x3 matrix or length-3 diagonal")
-            if not np.all(np.diag(mat) > 0.0):
-                raise ValueError(f"{name} diagonal must be strictly positive")
             mat.flags.writeable = False
             object.__setattr__(self, name, mat)
+            _check_finite(self, name)
+            if not np.all(np.diag(mat) > 0.0):
+                raise ValueError(f"{name} diagonal must be strictly positive")
         process = np.zeros((12, 12))
         for i, mat in enumerate((self.q_tau_m, self.q_tau_e, self.q_ct, self.q_f_e)):
             process[3 * i:3 * i + 3, 3 * i:3 * i + 3] = mat
@@ -207,6 +248,22 @@ def rotor_wrench(params: VehicleParams, rotor_speeds: np.ndarray) -> np.ndarray:
     w = np.asarray(rotor_speeds, dtype=float)[..., None, :]
     t = params.rotor_coeffs * w * w
     return params.rotor_scale * (t[..., 0] + t[..., 1] + t[..., 2] + t[..., 3])
+
+
+def rotor_wrench_floats(params: VehicleParams, rotor_speeds) -> tuple[float, float, float, float]:
+    """:func:`rotor_wrench` of one vehicle's four speeds as Python floats.
+
+    Each entry is ``(c_i * w_i) * w_i`` summed over the motors left to right,
+    then scaled, the operations of :func:`rotor_wrench` in its order, so the
+    result is bit-identical.
+    """
+    w0, w1, w2, w3 = rotor_speeds
+    (c0, c1, c2, c3), (d0, d1, d2, d3), (e0, e1, e2, e3), (f0, f1, f2, f3) = params.floats.rotor_coeffs
+    s0, s1, s2, s3 = params.floats.rotor_scale
+    return (s0 * (c0 * w0 * w0 + c1 * w1 * w1 + c2 * w2 * w2 + c3 * w3 * w3),
+            s1 * (d0 * w0 * w0 + d1 * w1 * w1 + d2 * w2 * w2 + d3 * w3 * w3),
+            s2 * (e0 * w0 * w0 + e1 * w1 * w1 + e2 * w2 * w2 + e3 * w3 * w3),
+            s3 * (f0 * w0 * w0 + f1 * w1 * w1 + f2 * w2 * w2 + f3 * w3 * w3))
 
 
 def process_step(

@@ -1,19 +1,21 @@
 """Ground-truth world: vehicle propagation, disturbances, inner-loop control,
 and sensor models feeding the estimators.
 
-The truth model is the same ``process_step`` the filter predicts with; the
-only differences are the scenario-injected wrench (replacing the random walk)
-and the measurement/quantization noise.  Runs are deterministic given the
-scenario seed (single numpy ``default_rng`` stream, fixed draw order).
+The truth model is the motion model the filter predicts with,
+``process_step``; the only differences are the scenario-injected wrench
+(replacing the random walk) and the measurement/quantization noise.  Runs are
+deterministic given the scenario seed (single numpy ``default_rng`` stream,
+fixed draw order).
 
-The truth step runs ``process_step``'s array kernels, so it stays the filter's
-model bit for bit.  The controller, mixer, pose sensor, disturbances and
-references serve one vehicle per call and compute on Python floats with
-``attitude``'s ``*_floats`` forms: each reads its array inputs once with
-``.tolist()`` and builds an array only where its caller needs one (the motor
-speeds, the ``(force, torque)`` pair, the pose).  References are tuples of
-three floats.  The speed quantizer stays on numpy; a float form of it measured
-no faster.
+The truth step, controller, mixer, pose sensor, disturbances and references
+serve one vehicle per call and compute on Python floats with ``attitude``'s
+``*_floats`` forms, ``rotor_wrench_floats`` and ``VehicleParams.floats``: each
+reads its array inputs once with ``.tolist()`` and builds an array only where
+its caller needs one (the motor speeds, the truth state, the ``(force,
+torque)`` pair, the pose).  References are tuples of three floats.  The truth
+step is ``process_step`` written out on one vehicle and agrees with it to a
+few ulp; its rotor map and carried wrench are bit-identical.  The speed
+quantizer stays on numpy; a float form of it measured no faster.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .attitude import (
     cross3_floats,
     mrp_to_error_quat_floats,
     quat_from_axis_angle,
+    quat_from_rotvec_floats,
     quat_multiply_floats,
     rotmat_body_to_global_floats,
 )
@@ -35,7 +38,7 @@ from .control import AdmittanceConfig, admittance_command
 from .estimator import GaussianBelief, PoseMeasurement, UsqueEstimator
 from .logio import COV_FIELDS, MEAS_FIELDS, STATE_FIELDS, DwellSegment, TimeSeriesLog
 from .observer import MomentumObserver, ObserverGains
-from .rigid_body import NoiseConfig, VehicleParams, VehicleState, process_step
+from .rigid_body import NoiseConfig, VehicleParams, VehicleState, _check_finite, rotor_wrench_floats
 
 __all__ = [
     "FanModel",
@@ -52,14 +55,6 @@ __all__ = [
     "truth_step",
     "run_scenario",
 ]
-
-
-def _check_finite(obj, *names):
-    """Raise ``ValueError`` unless each named setting of ``obj`` is finite."""
-    for name in names:
-        value = getattr(obj, name)
-        if not np.isfinite(value).all():
-            raise ValueError(f"{type(obj).__name__}.{name} must be finite, got {value!r}")
 
 
 _ZERO3 = (0.0, 0.0, 0.0)
@@ -283,18 +278,30 @@ class FanTrack:
 # ---------------------------------------------------------------------------
 # sensors
 
+MAX_QUANT_BITS = 52  # the float64 significand
+
+
 @dataclass
 class SensorModel:
     """Pose noise plus motor-speed telemetry quantization to ``quant_bits``.
 
     ``pos_std`` in metres, ``att_std_mrp`` in MRP units (a small rotation by
-    angle a has |rho| ~ a/4).  Zero stds give exact measurements; bits=0
-    disables quantization, whose full scale is the vehicle's ``omega_max``.
+    angle a has |rho| ~ a/4).  Zero stds give exact measurements.
+    ``quant_bits`` is an integer from 0 to ``MAX_QUANT_BITS``; 0 disables
+    quantization, whose full scale is the vehicle's ``omega_max``.
     """
 
     pos_std: float
     att_std_mrp: float
     quant_bits: int
+
+    def __post_init__(self):
+        # past 52 bits the grid step falls below the float spacing of speeds
+        # near omega_max; a fraction or a negative count makes no grid, and
+        # from 1024 bits 2**bits - 1 overflows a float
+        bits = self.quant_bits
+        if isinstance(bits, bool) or not isinstance(bits, int) or not 0 <= bits <= MAX_QUANT_BITS:
+            raise ValueError(f"quant_bits must be an integer from 0 to {MAX_QUANT_BITS}, got {bits!r}")
 
     @classmethod
     def from_noise(cls, noise: NoiseConfig, quant_bits: int) -> "SensorModel":
@@ -316,7 +323,7 @@ class SensorModel:
 
     def quantize_speeds(self, speeds: np.ndarray, omega_max: float) -> np.ndarray:
         """Speeds on the telemetry grid whose full scale is ``omega_max``."""
-        if self.quant_bits <= 0:
+        if self.quant_bits == 0:
             return np.asarray(speeds, dtype=float).copy()
         step = omega_max / (2**self.quant_bits - 1)
         # with the bound as first operand np.maximum matches np.clip bit for
@@ -395,9 +402,6 @@ class FlightController:
     def __init__(self, params: VehicleParams):
         self.params = params
         self.saturation_count = 0
-        # the run constants as Python floats
-        self._gravity = params.gravity.tolist()
-        self._inertia = params.inertia.tolist()
         self._mixer = _mixer_constants(params)
 
     def command(self, state: VehicleState, ref_pos, ref_vel=None, yaw: float = 0.0) -> np.ndarray:
@@ -415,8 +419,8 @@ class FlightController:
             ax, ay = ax * (MAX_HORIZ_ACC / h_norm), ay * (MAX_HORIZ_ACC / h_norm)
         az = min(max(az, -MAX_VERT_ACC), MAX_VERT_ACC)
 
-        mass = self.params.mass
-        gx, gy, gz = self._gravity
+        mass, inertia = self.params.floats.mass, self.params.floats.inertia
+        gx, gy, gz = self.params.floats.gravity
         fx, fy, fz = mass * (ax + gx), mass * (ay + gy), mass * (az + gz)
         thrust = math.sqrt(fx * fx + fy * fy + fz * fz)
         z_des = (fx / thrust, fy / thrust, fz / thrust) if thrust > 1e-9 else (0.0, 0.0, 1.0)
@@ -434,7 +438,7 @@ class FlightController:
                  0.5 * (_dot3(x_des, c2) - _dot3(z_des, c0)),
                  0.5 * (_dot3(y_des, c0) - _dot3(x_des, c1)))
         ang_acc = [-ATT_P * e - ATT_D * w for e, w in zip(e_rot, state.omega.tolist())]
-        torque = [_dot3(row, ang_acc) for row in self._inertia]
+        torque = [_dot3(row, ang_acc) for row in inertia]
 
         speeds, saturated = _mix(self._mixer, thrust, torque)
         if saturated:
@@ -496,10 +500,46 @@ _TAU_Z = STATE_FIELDS.index("tau_e_z")
 def truth_step(state: VehicleState, rotor_speeds: np.ndarray,
                wrench: tuple[np.ndarray, np.ndarray], params: VehicleParams) -> VehicleState:
     """One ground-truth step: the deterministic process model with the
-    scenario wrench injected in place of the random walk."""
-    seeded = VehicleState(q=state.q, omega=state.omega, pos=state.pos, vel=state.vel,
-                          tau_e=np.asarray(wrench[1], dtype=float), f_e=np.asarray(wrench[0], dtype=float))
-    return process_step(seeded, rotor_speeds, None, params)
+    scenario wrench ``(force, torque)`` injected in place of the random walk.
+
+    ``process_step``'s map written out on one vehicle in Python floats.  The
+    rotor map and the carried wrench are bit-identical to it; the rotation,
+    the quaternion product and the matrix-vector sums round apart from its
+    kernels, to a few ulp.
+    """
+    constants = params.floats
+    mass, dt, inertia, inertia_inv = constants.mass, constants.dt, constants.inertia, constants.inertia_inv
+    gx, gy, gz = constants.gravity
+    force, torque = wrench[0].tolist(), wrench[1].tolist()
+    thrust, mx, my, mz = rotor_wrench_floats(params, rotor_speeds.tolist())
+    q = state.q.tolist()
+    (wx, wy, wz), (px, py, pz), (vx, vy, vz) = state.omega.tolist(), state.pos.tolist(), state.vel.tolist()
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rotmat_body_to_global_floats(q)
+
+    # translation under the thrust along body z, gravity and the force
+    fx, fy, fz = force
+    ax = r02 * thrust / mass - gx + fx / mass
+    ay = r12 * thrust / mass - gy + fy / mass
+    az = r22 * thrust / mass - gz + fz / mass
+    half_dt2 = 0.5 * dt * dt
+    pos = [px + dt * vx + half_dt2 * ax, py + dt * vy + half_dt2 * ay, pz + dt * vz + half_dt2 * az]
+    vel = [vx + dt * ax, vy + dt * ay, vz + dt * az]
+
+    # rotation: the body rates turn q; the body-axis torques R' tau_e, rotor
+    # torque and the gyroscopic term turn the rates
+    q_next = quat_multiply_floats(q, quat_from_rotvec_floats((wx * dt, wy * dt, wz * dt)))
+    ex, ey, ez = torque
+    lx, ly, lz = (a * wx + b * wy + c * wz for a, b, c in inertia)
+    cx, cy, cz = cross3_floats((wx, wy, wz), (lx, ly, lz))
+    sx = r00 * ex + r10 * ey + r20 * ez + mx - cx
+    sy = r01 * ex + r11 * ey + r21 * ez + my - cy
+    sz = r02 * ex + r12 * ey + r22 * ez + mz - cz
+    omega = [w + dt * (a * sx + b * sy + c * sz) for w, (a, b, c) in zip((wx, wy, wz), inertia_inv)]
+
+    # the wrench carries over with process_step's zero noise added, which
+    # turns a -0.0 into 0.0
+    return VehicleState(q=np.array(q_next), omega=np.array(omega), pos=np.array(pos), vel=np.array(vel),
+                        tau_e=np.array([e + 0.0 for e in torque]), f_e=np.array([f + 0.0 for f in force]))
 
 
 def _make_estimators(setup: RunSetup, initial: VehicleState):

@@ -189,9 +189,9 @@ class TestFloatFormsMatchKernels:
     """The float forms on one quaternion or vector against the array kernels.
 
     Forms that repeat the kernel's operations (cross product, MRP to
-    quaternion) are bit-identical; the others sum in another order and agree
-    within KERNEL_ATOL on unit inputs, of the angle's scale for the rotation
-    vector.
+    quaternion, the rotor map of ``rigid_body``) are bit-identical; the others
+    sum in another order, or take ``math``'s sine and cosine, and agree within
+    KERNEL_ATOL on unit inputs, of the angle's scale for the rotation vector.
     """
 
     @given(hnp.arrays(np.float64, (2, 3), elements=st.floats(-1.0, 1.0)))
@@ -234,6 +234,30 @@ class TestFloatFormsMatchKernels:
         want = att.quat_to_rotvec(q)
         got = att.quat_to_rotvec_floats(q.tolist())
         np.testing.assert_allclose(got, want, rtol=0, atol=KERNEL_ATOL * max(1.0, np.linalg.norm(want)))
+
+    # the zero rotation (the half-angle guard), squares that underflow to a
+    # zero angle, and a half turn
+    @example(np.zeros(3))
+    @example(np.full(3, 1e-170))
+    @example(np.array([0.0, 0.0, np.pi]))
+    @given(hnp.arrays(np.float64, (3,), elements=st.floats(-4.0, 4.0)))
+    def test_quat_from_rotvec(self, v):
+        # the same operations; only the sine and cosine may round apart
+        got = att.quat_from_rotvec_floats(v.tolist())
+        np.testing.assert_allclose(got, att.quat_from_rotvec(v), rtol=0, atol=KERNEL_ATOL)
+
+    # a vehicle whose motors all differ, so a motor or output taken out of
+    # order shows; stopped motors and the limit
+    ROTOR_PARAMS = rigid_body.VehicleParams(thrust_coeff=[3.3e-7, 3.5e-7, 3.6e-7, 3.8e-7],
+                                            drag_coeff=[5.4e-9, 5.6e-9, 5.7e-9, 5.9e-9])
+
+    @example(np.zeros(4))
+    @example(np.full(4, 2550.0))
+    @given(hnp.arrays(np.float64, (4,), elements=st.floats(0.0, 2550.0)))
+    def test_rotor_wrench(self, speeds):
+        for params in (rigid_body.VehicleParams(), self.ROTOR_PARAMS):
+            got = np.array(rigid_body.rotor_wrench_floats(params, speeds.tolist()))
+            assert got.tobytes() == rigid_body.rotor_wrench(params, speeds).tobytes()
 
 
 class TestQuatMultiply:

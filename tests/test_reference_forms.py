@@ -1,11 +1,11 @@
 """The per-step functions against their plain numpy forms.
 
 The forms below are the straightforward numpy versions of the shipped
-controller, mixer, quantizer, pose sensor, fan field, admittance law and
-momentum observer, kept as oracles.  The shipped single-vehicle layers compute
-on Python floats, so their sums run in another order than numpy's matrix
-products and ``math.exp`` rounds apart from ``np.exp``; each is held to a
-tolerance fixed from the dtype:
+controller, mixer, quantizer, pose sensor, fan field, admittance law, truth
+step and momentum observer, kept as oracles.  The shipped single-vehicle
+layers compute on Python floats, so their sums run in another order than
+numpy's matrix products and ``math.exp`` rounds apart from ``np.exp``; each
+is held to a tolerance fixed from the dtype:
 
 * motor speeds within ``SPEED_ATOL`` (1e-9 rad/s, 4e-13 of ``omega_max`` and
   far below the 8-bit quantizer's 10 rad/s step), saturation flags equal;
@@ -15,6 +15,10 @@ tolerance fixed from the dtype:
   its dot products sum terms of that size, with cancellation near the axis;
 * the observer's estimates within ``ESTIMATE_RTOL`` of each logged column's
   largest magnitude.
+
+The truth step's oracle is ``process_step`` on the seeded state; the two are
+held to each other per call in ``tests/test_simulator.py`` and over a closed
+loop here.
 
 ``quat_from_rotvec`` (``sin(h)/h`` in place of ``np.sinc``) is held to a
 stated ulp bound.
@@ -69,6 +73,12 @@ def ref_quat_from_rotvec(v):
     vector = 0.5 * v * np.sinc(half / np.pi)
     scalar = np.cos(half)
     return quat_normalize(np.concatenate([scalar, vector], axis=-1))
+
+
+def ref_truth_step(state, rotor_speeds, wrench, params):
+    seeded = VehicleState(q=state.q, omega=state.omega, pos=state.pos, vel=state.vel,
+                          tau_e=np.asarray(wrench[1], dtype=float), f_e=np.asarray(wrench[0], dtype=float))
+    return rigid_body.process_step(seeded, rotor_speeds, None, params)
 
 
 def ref_admittance_command(tau_z, cfg):
@@ -377,6 +387,7 @@ REFERENCE_FORMS = {
     "quat_from_rotvec": (attitude.quat_from_rotvec, ref_quat_from_rotvec),
     "admittance_command": (control.admittance_command, ref_admittance_command),
     "mix_motor_speeds": (simulator.mix_motor_speeds, ref_mix_motor_speeds),
+    "truth_step": (simulator.truth_step, ref_truth_step),
 }
 REFERENCE_METHODS = [
     (FlightController, "command", ref_command),

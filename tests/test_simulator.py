@@ -4,6 +4,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from quadwrench import attitude as att
 from quadwrench.control import AdmittanceConfig
@@ -28,10 +31,39 @@ from quadwrench.simulator import (
 
 PARAMS = VehicleParams()
 EPS = np.finfo(float).eps
+# the float truth step against process_step: per entry of the state record,
+# TRUTH_RTOL of max(1, |entry|).  The two sum the rotation matrix, the
+# quaternion product and the matrix-vector products in different orders, each
+# a few ulp of its unit-scale factors.
+TRUTH_RTOL = 4 * EPS
+
+
+def _vector(low, high, size=3):
+    return hnp.arrays(np.float64, size, elements=st.floats(low, high))
+
+
+def _unit(q):
+    # draws too short to normalize accurately become a fixed unit quaternion
+    norm = np.linalg.norm(q)
+    return q / norm if norm >= 0.1 else np.full(4, 0.5)
 
 
 class TestTruthStep:
-    def test_identical_map_to_process_step(self):
+    @staticmethod
+    def assert_matches_process_step(state, speeds, wrench, params=PARAMS):
+        seeded = VehicleState(q=state.q, omega=state.omega, pos=state.pos, vel=state.vel,
+                              tau_e=wrench[1], f_e=wrench[0])
+        got = truth_step(state, speeds, wrench, params).as_vector()
+        want = process_step(seeded, speeds, None, params).as_vector()
+        assert np.all(np.abs(got - want) <= TRUTH_RTOL * np.maximum(1.0, np.abs(want))), got - want
+        # the carried wrench bit for bit, a -0.0 component included
+        wrench_slots = slice(STATE_FIELDS.index("tau_e_x"), None)
+        assert got[wrench_slots].tobytes() == want[wrench_slots].tobytes()
+
+    @pytest.mark.parametrize("inertia", [PARAMS.inertia, [[3.4e-3, 1e-4, -2e-4], [1e-4, 3.5e-3, 5e-5],
+                                                          [-2e-4, 5e-5, 4.7e-3]]], ids=["diagonal", "full"])
+    def test_same_map_as_process_step(self, inertia):
+        params = VehicleParams(inertia=inertia)
         rng = np.random.default_rng(0)
         for _ in range(20):
             state = VehicleState(
@@ -44,12 +76,20 @@ class TestTruthStep:
             )
             wrench = (rng.standard_normal(3), rng.standard_normal(3) * 0.1)
             speeds = rng.uniform(500, 2000, size=4)
-            seeded = state.copy()
-            seeded.f_e, seeded.tau_e = np.array(wrench[0]), np.array(wrench[1])
-            np.testing.assert_array_equal(
-                truth_step(state, speeds, wrench, PARAMS).as_vector(),
-                process_step(seeded, speeds, None, PARAMS).as_vector(),
-            )
+            self.assert_matches_process_step(state, speeds, wrench, params)
+
+    # zero body rate (the half-angle guard), a negative quaternion scalar
+    # part, -0.0 wrench components, motors stopped and at the limit
+    @example(q=np.array([1.0, 0.0, 0.0, 0.0]), omega=np.zeros(3), pos=np.zeros(3), vel=np.zeros(3),
+             force=np.array([-0.0, 0.0, -0.0]), torque=np.array([0.0, -0.0, -0.0]), speeds=np.zeros(4))
+    @example(q=np.array([-0.6, 0.0, 0.8, 0.0]), omega=np.array([50.0, -50.0, 50.0]), pos=np.zeros(3),
+             vel=np.zeros(3), force=np.zeros(3), torque=np.zeros(3), speeds=np.full(4, PARAMS.omega_max))
+    @given(q=hnp.arrays(np.float64, 4, elements=st.floats(-1.0, 1.0)).map(_unit), omega=_vector(-50.0, 50.0),
+           pos=_vector(-10.0, 10.0), vel=_vector(-5.0, 5.0), force=_vector(-2.0, 2.0),
+           torque=_vector(-0.2, 0.2), speeds=_vector(0.0, PARAMS.omega_max, size=4))
+    def test_matches_process_step_over_the_flight_envelope(self, q, omega, pos, vel, force, torque, speeds):
+        state = VehicleState(q=q, omega=omega, pos=pos, vel=vel, tau_e=np.zeros(3), f_e=np.zeros(3))
+        self.assert_matches_process_step(state, speeds, (force, torque))
 
     def test_centered_mass_target_wrench(self):
         dist = SteppedMass(mass=0.053, offset_body=[0, 0, 0], onset_s=7.0)
@@ -82,6 +122,10 @@ class TestTruthStep:
 
 def _noise(**diagonals):
     return dataclasses.replace(NoiseConfig.default(), **{k: np.full(3, v) for k, v in diagonals.items()})
+
+
+def _noise_matrices(**matrices):
+    return dataclasses.replace(NoiseConfig.default(), **matrices)
 
 
 # every setting of a run's configuration that must be strictly positive
@@ -129,6 +173,29 @@ def test_disturbance_and_reference_settings_reject_non_finite(build, name, vecto
     # the mixer, under a message that names neither setting
     with pytest.raises(ValueError, match=name):
         build(**{name: np.array([0.0, value, 1.0]) if vector else value})
+
+
+# every vehicle and noise setting that must be finite: an infinite one passed
+# construction and failed mid-run, on a mixer error, a numpy warning or an
+# untyped LinAlgError, or, in the float truth step, as a NaN with no warning
+NAN_OFF_DIAGONAL = np.array([[1e-6, np.nan, 0.0], [np.nan, 1e-6, 0.0], [0.0, 0.0, 1e-6]])
+VEHICLE_FINITE_SETTINGS = [
+    *(pytest.param(VehicleParams, name, np.inf, id=name) for name in ("mass", "arm_length", "dt", "omega_max")),
+    pytest.param(VehicleParams, "inertia", np.diag([3.4e-3, np.inf, 4.7e-3]), id="inertia"),
+    pytest.param(VehicleParams, "thrust_coeff", [3.5e-7, np.inf, 3.5e-7, 3.5e-7], id="thrust_coeff"),
+    pytest.param(VehicleParams, "drag_coeff", [5.6e-9, 5.6e-9, np.inf, 5.6e-9], id="drag_coeff"),
+    pytest.param(VehicleParams, "gravity", [0.0, 0.0, np.inf], id="gravity-inf"),
+    pytest.param(VehicleParams, "gravity", [np.nan, 0.0, 9.81], id="gravity-nan"),
+    *(pytest.param(_noise, name, np.inf, id=name)
+      for name in ("q_ct", "q_tau_m", "q_f_e", "q_tau_e", "g_x", "g_rho")),
+    pytest.param(_noise_matrices, "g_x", NAN_OFF_DIAGONAL, id="g_x-off-diagonal-nan"),
+]
+
+
+@pytest.mark.parametrize("build, name, value", VEHICLE_FINITE_SETTINGS)
+def test_vehicle_and_noise_settings_reject_non_finite(build, name, value):
+    with pytest.raises(ValueError, match=rf"\.{name} must be finite"):
+        build(**{name: value})
 
 
 class TestFanModel:
@@ -195,6 +262,22 @@ class TestFanModel:
 
 
 class TestSensorModel:
+    # a negative count turned quantization off, a fraction made an off-grid
+    # quantizer (top level 2549.73, not omega_max), True quantized to
+    # {0, omega_max} and 2000 bits overflowed at the first step
+    @pytest.mark.parametrize("bits", [-1, 8.5, True, 53, 2000, "8", None, np.int64(8)])
+    def test_quant_bits_must_be_an_integer_from_0_to_52(self, bits):
+        with pytest.raises(ValueError, match="quant_bits"):
+            SensorModel(pos_std=0.0, att_std_mrp=0.0, quant_bits=bits)
+
+    @pytest.mark.parametrize("bits", [1, 8, 52])
+    def test_quant_bits_in_range_quantize(self, bits):
+        sensor = SensorModel(pos_std=0.0, att_std_mrp=0.0, quant_bits=bits)
+        low, mid, high = sensor.quantize_speeds(np.array([0.0, 1000.0, 3000.0]), PARAMS.omega_max)
+        step = PARAMS.omega_max / (2**bits - 1)
+        assert low == 0.0 and high == PARAMS.omega_max
+        assert abs(mid - 1000.0) <= 0.5 * step * (1.0 + 1e-9)
+
     def test_noiseless_equals_truth(self):
         sensor = SensorModel(pos_std=0.0, att_std_mrp=0.0, quant_bits=0)
         state = VehicleState.at_rest(pos=(1, 2, 3), q=att.quat_from_axis_angle([0, 0, 1], 0.4))
