@@ -50,7 +50,6 @@ __all__ = [
     "quat_conjugate",
     "quat_from_axis_angle",
     "quat_from_rotvec",
-    "quat_to_rotvec",
     "rotmat_body_to_global",
     "error_quat_to_mrp",
     "mrp_to_error_quat",
@@ -176,16 +175,6 @@ def quat_from_rotvec(v: np.ndarray) -> np.ndarray:
     return quat_normalize(np.concatenate([scalar, vector], axis=-1))
 
 
-def quat_to_rotvec(q: np.ndarray) -> np.ndarray:
-    """Rotation vector (axis * angle) of a unit quaternion, angle in [0, pi]."""
-    q = quat_canonical(quat_normalize(q))
-    qv = q[..., 1:]
-    sin_half = np.sqrt(np.add.reduce(qv * qv, axis=-1, keepdims=True))
-    angle = 2.0 * np.arctan2(sin_half, q[..., :1])
-    scale = np.where(sin_half > 1e-12, angle / np.where(sin_half > 1e-12, sin_half, 1.0), 2.0)
-    return qv * scale
-
-
 def rotmat_body_to_global(q: np.ndarray) -> np.ndarray:
     """Active rotation matrix of ``q``: maps body-frame vectors to global."""
     q = np.asarray(q, dtype=float)
@@ -279,7 +268,7 @@ def quat_from_rotvec_floats(v) -> tuple[float, float, float, float]:
 
 
 def quat_to_rotvec_floats(q) -> tuple[float, float, float]:
-    """:func:`quat_to_rotvec` of one unit quaternion, short arc, angle in [0, pi].
+    """Rotation vector (axis * angle) of one unit quaternion, short arc, angle in [0, pi].
 
     Not renormalized: the axis and ``atan2`` angle do not depend on the norm.
     """

@@ -120,7 +120,7 @@ def wrench_map_to_csv(cells: list[WrenchMapCell], path) -> None:
     rows = np.array([
         [c.x, c.y, *c.mean_f, *c.mean_tau, *c.std_f, *c.std_tau, c.count] for c in cells
     ]).reshape(len(cells), 15)
-    write_csv(path, header, rows)
+    write_csv(path, header, [rows])
 
 
 def rise_time_10_90(time: np.ndarray, signal: np.ndarray) -> float:

@@ -5,12 +5,12 @@ Sigma-point Kalman filter over the 18-dimensional minimal vehicle state
     [d_rho (3), omega (3), pos (3), vel (3), tau_e (3), f_e (3)]
 
 where the attitude mean is carried as a full unit quaternion and ``d_rho`` is
-the MRP of a left-multiplied perturbation about it.  Prediction augments the
-state with the 12-dimensional process noise (extended dimension 30): each
-sigma point's MRP is converted to an error quaternion and injected onto the
-reference mean, the whole set is pushed through the rigid-body process model
-in one batched call, and relative quaternions against the central point are
-converted back to MRPs (short-arc sign) before recombination.
+the MRP of a left-multiplied perturbation about it.  Prediction draws sigma
+points from the 18-dim belief, injects each point's MRP as an error quaternion
+onto the reference mean, pushes the set through the deterministic process
+model in one batched call and converts relative quaternions against the
+central point back to MRPs (short-arc sign) before recombination.  The process
+noise is added in closed form, as the USQUE adds it (Crassidis & Markley 2003).
 
 The pose measurement reads position and the attitude MRP straight off the
 minimal state and adds its noise, so the measurement model is linear in the
@@ -33,6 +33,7 @@ from .attitude import (
     quat_conjugate,
     quat_multiply,
     quat_normalize,
+    rotmat_body_to_global,
 )
 from .rigid_body import NoiseConfig, VehicleParams, VehicleState, process_step
 
@@ -49,15 +50,16 @@ __all__ = [
     "UsqueEstimator",
 ]
 
-# sigma-point spread of the USQUE construction (Crassidis & Markley 2003)
-KAPPA = 2.0
+# sigma-point spread: kappa = 2 on the state augmented with the 12-dim noise
+# gives L + kappa = 32, and its 24 noise points carry the state mean, so their
+# weight 24/64 joins the centre's 2/32 as kappa / (18 + kappa) = 14/32
+KAPPA = 14.0
 # gate on the pose innovation's Mahalanobis^2: the chi-square 0.95 quantile at
 # 6 dof, scipy.stats.chi2.ppf(0.95, 6) = 12.5916 (src/ imports no scipy)
 GATE_THRESHOLD = 12.59
 _CONDITION_LIMIT = 1e12
 
 STATE_DIM = 18
-PROCESS_NOISE_DIM = 12
 # minimal-state indices the pose measurement reads: position, then attitude MRP
 _POSE_IDX = np.r_[6:9, 0:3]
 
@@ -139,7 +141,7 @@ class GaussianBelief:
 
 @dataclass
 class SigmaPointSet:
-    """2L+1 extended-state points with their recombination weights;
+    """2L+1 points of an L-dim Gaussian with their recombination weights;
     ``jittered`` marks a covariance that needed diagonal jitter to factor."""
 
     points: np.ndarray   # (2L+1, L)
@@ -231,21 +233,29 @@ def predict(
 ) -> GaussianBelief:
     """Sigma-point propagation of the belief through the process model.
 
-    A non-finite predicted covariance raises :class:`CovarianceNotPD`.
+    The 37 points of the belief go through the deterministic model, and the
+    process noise Q (:meth:`NoiseConfig.process_cov`) adds ``G Q G'``, G
+    mapping it at the prior mean into the rates (``T inv(J)``), position and
+    velocity (``T^2/2 R(q)/m``, ``T R(q)/m``) and the wrench (identity).
+    Given the state the noise enters linearly and never reaches q, so these
+    are exactly the moments of the noise-augmented set.  The jitter rule of
+    :func:`generate_sigma_points` sees the 18x18 prior's trace.  A non-finite
+    predicted covariance raises :class:`CovarianceNotPD`.
     """
-    ext_mean = np.concatenate([belief.minimal_mean(), np.zeros(PROCESS_NOISE_DIM)])
-    ext_cov = np.zeros((STATE_DIM + PROCESS_NOISE_DIM,) * 2)
-    ext_cov[:STATE_DIM, :STATE_DIM] = belief.cov
-    ext_cov[STATE_DIM:, STATE_DIM:] = noise.process_cov()
+    sp = generate_sigma_points(belief.minimal_mean(), belief.cov)
 
-    sp = generate_sigma_points(ext_mean, ext_cov)
-
-    states = _states_from_points(sp.points[:, :STATE_DIM], belief.mean.q)
-    propagated = process_step(states, rotor_speeds, sp.points[:, STATE_DIM:], params)
+    states = _states_from_points(sp.points, belief.mean.q)
+    propagated = process_step(states, rotor_speeds, None, params)
 
     reference = propagated.q[0]
     minimal = _minimal_from_states(propagated, reference)
     mean_min, cov = recombine(minimal, sp.weights)
+    T, accel_map = params.dt, rotmat_body_to_global(belief.mean.q) / params.mass
+    noise_map = np.zeros((STATE_DIM, 12))
+    noise_map[3:6, 0:3] = T * params.inertia_inv
+    noise_map[6:12, 6:9] = np.vstack([0.5 * T * T * accel_map, T * accel_map])
+    noise_map[12:15, 3:6] = noise_map[15:18, 9:12] = np.eye(3)
+    cov = cov + _symmetrize(noise_map @ noise.process_cov() @ noise_map.T)
     if not np.isfinite(cov).all():
         raise CovarianceNotPD("predicted covariance is not finite", cov)
 

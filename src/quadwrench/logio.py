@@ -65,21 +65,20 @@ def log_columns(estimators) -> list[str]:
     return names
 
 
-def write_csv(path, header: str, matrix: np.ndarray) -> None:
-    """Write the non-empty ``header`` and the rows of the 2-D ``matrix`` printed with ``%.10g``.
+def write_csv(path, header: str, groups) -> None:
+    """Write the non-empty ``header`` and the rows of the 2-D column ``groups``, side by side.
 
-    The bytes are those of ``np.savetxt(path, matrix, fmt="%.10g",
-    delimiter=",", header=header, comments="")``.  Rows are formatted
-    ``CSV_BLOCK_ROWS`` at a time from one flat list of Python floats, so no
-    per-row tuple of numpy scalars and no whole-file string is built.
+    The bytes are those of ``np.savetxt(path, np.hstack(groups), fmt="%.10g",
+    delimiter=",", header=header, comments="")``, stacked and formatted
+    ``CSV_BLOCK_ROWS`` rows at a time, so no whole-log matrix is built.
     """
-    n_rows, n_cols = matrix.shape
-    row_fmt = ",".join(["%.10g"] * n_cols) + "\n"
+    n_rows = len(groups[0])
+    row_fmt = ",".join(["%.10g"] * sum(g.shape[1] for g in groups)) + "\n"
     block_fmt = row_fmt * CSV_BLOCK_ROWS
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for start in range(0, n_rows, CSV_BLOCK_ROWS):
-            block = matrix[start:start + CSV_BLOCK_ROWS]
+            block = np.hstack([g[start:start + CSV_BLOCK_ROWS] for g in groups])
             fmt = block_fmt if len(block) == CSV_BLOCK_ROWS else row_fmt * len(block)
             fh.write(fmt % tuple(block.ravel().tolist()))
 
@@ -113,11 +112,14 @@ class TimeSeriesLog:
     def column_names(self) -> list[str]:
         return log_columns(self.estimates)
 
-    def to_matrix(self) -> np.ndarray:
-        cols = [self.time[:, None], self.truth, self.meas]
+    def _column_groups(self) -> list[np.ndarray]:
+        groups = [self.time[:, None], self.truth, self.meas]
         for est in self.estimates:
-            cols += [self.estimates[est], self.cov_diags[est]]
-        return np.hstack(cols)
+            groups += [self.estimates[est], self.cov_diags[est]]
+        return groups
+
+    def to_matrix(self) -> np.ndarray:
+        return np.hstack(self._column_groups())
 
     def to_csv(self, path) -> None:
         meta = dict(self.meta)
@@ -127,7 +129,7 @@ class TimeSeriesLog:
             f"# meta: {json.dumps(meta, sort_keys=True)}\n"
             + ",".join(self.column_names())
         )
-        write_csv(path, header, self.to_matrix())
+        write_csv(path, header, self._column_groups())
 
     @classmethod
     def from_csv(cls, path) -> "TimeSeriesLog":

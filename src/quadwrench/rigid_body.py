@@ -106,18 +106,27 @@ class VehicleParams:
             raise ValueError("thrust_coeff must be 4 positive values")
         if self.drag_coeff.shape != (4,) or not np.all(self.drag_coeff > 0.0):
             raise ValueError("drag_coeff must be 4 positive values")
-        object.__setattr__(self, "inertia_inv", np.linalg.inv(self.inertia))
-        # run constants of rotor_wrench, and of the motor mixer: the inverse of
+        # run constants of rotor_wrench and of the motor mixer (the inverse of
         # the map from per-motor thrust k_i * Omega_i^2 to [T, tau], and each
-        # motor's thrust at omega_max
+        # motor's thrust at omega_max), built without numpy warnings and then
+        # checked with the model's 1/mass, which finite settings can overflow
         k, d = self.thrust_coeff, self.drag_coeff
         l = np.full(4, self.arm_length)
-        constants = {
-            "rotor_coeffs": _ROTOR_SIGNS * np.stack([k, k, k, d]),
-            "rotor_scale": np.array([1.0, self.arm_length, self.arm_length, 1.0]),
-            "mixer_inv": np.linalg.inv(_ROTOR_SIGNS * np.stack([np.ones(4), l, l, d / k])),
-            "motor_thrust_max": k * self.omega_max**2,
-        }
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            constants = {
+                "inertia_inv": np.linalg.inv(self.inertia),
+                "rotor_coeffs": _ROTOR_SIGNS * np.stack([k, k, k, d]),
+                "rotor_scale": np.array([1.0, self.arm_length, self.arm_length, 1.0]),
+                "mixer_inv": np.linalg.inv(_ROTOR_SIGNS * np.stack([np.ones(4), l, l, d / k])),
+                "motor_thrust_max": k * np.float64(self.omega_max) ** 2,
+            }
+            derived = {"1/mass": ("mass", 1.0 / np.float64(self.mass)),
+                       "inertia_inv": ("inertia", constants["inertia_inv"]),
+                       "mixer_inv": ("arm_length, thrust_coeff, drag_coeff", constants["mixer_inv"]),
+                       "motor_thrust_max": ("thrust_coeff, omega_max", constants["motor_thrust_max"])}
+        for name, (settings, value) in derived.items():
+            if not np.isfinite(value).all():
+                raise ValueError(f"VehicleParams {settings}: the derived {name} is not finite")
         for name, value in constants.items():
             value.flags.writeable = False
             object.__setattr__(self, name, value)
@@ -129,10 +138,6 @@ class VehicleParams:
             mass=float(self.mass), dt=float(self.dt), gravity=tuple(self.gravity.tolist()),
             inertia=rows(self.inertia), inertia_inv=rows(self.inertia_inv),
             rotor_coeffs=rows(self.rotor_coeffs), rotor_scale=tuple(self.rotor_scale.tolist())))
-
-    def hover_speed(self) -> float:
-        """Per-motor turn rate (rad/s) balancing gravity with equal motors."""
-        return float(np.sqrt(self.mass * self.gravity[2] / np.sum(self.thrust_coeff)))
 
 
 @dataclass
@@ -278,9 +283,9 @@ def process_step(
     ``[tau_m, tau_e, ct, f_e]`` like :meth:`NoiseConfig.process_cov`: body
     motor-torque noise (N m), external-torque random walk (N m), body thrust
     noise (N) and external-force random walk (N).  With ``noise=None`` (or all
-    zeros) this is the deterministic motion model; the simulator adds scenario
-    wrenches by seeding ``tau_e``/``f_e`` and the filter perturbs each sigma
-    point through its noise columns.
+    zeros) this is the deterministic motion model that the filter's sigma
+    points go through; the simulator seeds scenario wrenches in
+    ``tau_e``/``f_e``, and Monte-Carlo batches draw noise through this block.
     """
     if noise is None:
         noise = _ZERO_NOISE

@@ -49,7 +49,6 @@ __all__ = [
     "FanTrack",
     "SensorModel",
     "FlightController",
-    "mix_motor_speeds",
     "Scenario",
     "RunSetup",
     "truth_step",
@@ -354,7 +353,21 @@ def _mixer_constants(params: VehicleParams) -> tuple[list, list, list]:
 
 
 def _mix(constants, thrust: float, torque) -> tuple[list[float], bool]:
-    """:func:`mix_motor_speeds` on floats, from :func:`_mixer_constants`."""
+    """Invert thrust/torque maps to per-motor speeds, on floats, from
+    :func:`_mixer_constants`; clamp to [0, omega_max].
+
+    The demand is reachable when every per-motor thrust k_i * Omega_i^2 that
+    solves the mixing rows lies in [0, k_i * omega_max^2]. Yaw torque comes
+    only from motor drag, gamma = drag_coeff / thrust_coeff times the
+    differential thrust, so its authority is small: with the default vehicle
+    (gamma = 0.016 m, 2.28 N per motor at omega_max) it is about 0.07 N m
+    around hover and shrinks towards zero and full thrust.
+
+    Returns the speeds and a flag set when clipping changed at least one
+    motor's thrust demand; when it is clear, the speeds reproduce the
+    demanded thrust and torque exactly up to rounding.  A non-finite demand
+    raises ``ValueError``.
+    """
     mixer_rows, thrust_max, thrust_coeff = constants
     t, tx, ty, tz = demand = (thrust, *torque)
     speeds = []
@@ -369,26 +382,6 @@ def _mix(constants, thrust: float, torque) -> tuple[list[float], bool]:
     if saturated and not all(map(math.isfinite, demand)):
         raise ValueError(f"mixer demand must be finite, got thrust {thrust!r}, torque {torque!r}")
     return speeds, saturated
-
-
-def mix_motor_speeds(params: VehicleParams, thrust: float, torque: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Invert thrust/torque maps to per-motor speeds; clamp to [0, params.omega_max].
-
-    The demand is reachable when every per-motor thrust k_i * Omega_i^2 that
-    solves the mixing rows lies in [0, k_i * omega_max^2]. Yaw torque comes
-    only from motor drag, gamma = drag_coeff / thrust_coeff times the
-    differential thrust, so its authority is small: with the default vehicle
-    (gamma = 0.016 m, 2.28 N per motor at omega_max) it is about 0.07 N m
-    around hover and shrinks towards zero and full thrust.
-
-    Returns the speeds and a flag set when clipping changed at least one
-    motor's thrust demand; when it is clear, the speeds reproduce the
-    demanded thrust and torque exactly up to rounding.  A non-finite demand
-    raises ``ValueError``.
-    """
-    speeds, saturated = _mix(_mixer_constants(params), float(thrust),
-                             np.asarray(torque, dtype=float).tolist())
-    return np.array(speeds), saturated
 
 
 class FlightController:

@@ -2,14 +2,18 @@
 
 Oracles: an independent Cholesky factorization for point placement, exact
 linear-Gaussian Kalman algebra for the (position, velocity, force) chain, a
-1e5-sample Monte-Carlo propagation for the predicted moments, and the
-sigma-point form of the pose correction for the closed-form update.
+1e5-sample Monte-Carlo propagation for the predicted moments, the sigma-point
+form of the pose correction for the closed-form update, and the prediction on
+the state augmented with the process noise for the closed-form noise term.
 """
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.stats import chi2
 
 from quadwrench import attitude as att
@@ -29,6 +33,7 @@ from quadwrench.estimator import (
 )
 from quadwrench.rigid_body import NoiseConfig, VehicleParams, VehicleState, process_step
 from quadwrench.simulator import Hover, RunSetup, Scenario, SteppedMass, run_scenario
+from test_rigid_body import hover_speeds
 
 PARAMS = VehicleParams()
 
@@ -38,10 +43,32 @@ CLOSED_FORM_RTOL = 1e-12
 # per-column drift of the logged estimates (max |delta| over max |column|)
 # when a whole scenario runs on the closed form instead of the sigma points
 SCENARIO_DRIFT_RTOL = 1e-11
+# closed-form process noise against the noise-augmented prediction: the two
+# differ only by rounding in the recombination sums, read at ~2e-15
+AUGMENTED_RTOL = 1e-12
 
 
-def hover_speeds():
-    return np.full(4, PARAMS.hover_speed())
+def augmented_predict(belief, rotor_speeds, noise, params):
+    """Prediction on the state augmented with the 12-dim process noise.
+
+    The 61-point set of the extended dimension L = 30 at the USQUE's kappa = 2:
+    spread sqrt(32), weight 2/32 on the centre and 1/64 on every other point.
+    Each point goes through ``process_step`` with its own noise columns.
+    """
+    mean = np.concatenate([belief.minimal_mean(), np.zeros(12)])
+    cov = np.zeros((30, 30))
+    cov[:18, :18] = belief.cov
+    cov[18:, 18:] = noise.process_cov()
+    spread = np.sqrt(32.0) * np.linalg.cholesky(0.5 * (cov + cov.T)).T
+    points = np.concatenate([mean[None, :], mean + spread, mean - spread], axis=0)
+    weights = np.full(61, 1.0 / 64.0)
+    weights[0] = 2.0 / 32.0
+
+    states = estimator._states_from_points(points[:, :18], belief.mean.q)
+    propagated = process_step(states, rotor_speeds, points[:, 18:], params)
+    reference = propagated.q[0]
+    mean_min, cov = recombine(estimator._minimal_from_states(propagated, reference), weights)
+    return GaussianBelief(mean=estimator._states_from_points(mean_min, reference), cov=cov)
 
 
 def sigma_point_correct(belief, measurement, noise):
@@ -89,17 +116,18 @@ def default_belief(p_rho=1e-4, p_omega=1e-4, p_pos=1e-4, p_vel=1e-4, p_tau=1e-4,
 
 class TestSigmaPoints:
     def test_unit_cov_l2(self):
+        # spread sqrt(L + kappa) = sqrt(2 + 14) = 4
         sp = generate_sigma_points(np.zeros(2), np.eye(2))
-        expected = np.array([[0, 0], [2, 0], [0, 2], [-2, 0], [0, -2]], dtype=float)
+        expected = np.array([[0, 0], [4, 0], [0, 4], [-4, 0], [0, -4]], dtype=float)
         np.testing.assert_allclose(sp.points, expected, atol=1e-12)
 
     def test_anisotropic_cov_against_cholesky_oracle(self):
         cov = np.diag([4.0, 1.0])
         sp = generate_sigma_points(np.zeros(2), cov)
         chol = np.linalg.cholesky(cov)
-        np.testing.assert_allclose(sp.points[1], 2.0 * chol[:, 0], atol=1e-12)  # (4, 0)
-        np.testing.assert_allclose(sp.points[2], 2.0 * chol[:, 1], atol=1e-12)  # (0, 2)
-        np.testing.assert_allclose(sp.points[1], [4.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(sp.points[1], 4.0 * chol[:, 0], atol=1e-12)  # (8, 0)
+        np.testing.assert_allclose(sp.points[2], 4.0 * chol[:, 1], atol=1e-12)  # (0, 4)
+        np.testing.assert_allclose(sp.points[1], [8.0, 0.0], atol=1e-12)
 
     def test_recombination_reproduces_moments(self):
         rng = np.random.default_rng(0)
@@ -125,17 +153,18 @@ class TestSigmaPoints:
 
     @pytest.mark.parametrize("dim", [1, 2, 6, 18, 30])
     def test_weight_pattern(self, dim):
-        # the USQUE spread: kappa = 2 for every state dimension
-        assert estimator.KAPPA == 2.0
+        # kappa = 14 for every dimension: at the filter's L = 18 that is the
+        # USQUE's kappa = 2 on the state augmented with the 12-dim noise
+        assert estimator.KAPPA == 14.0
         w = sigma_weights(dim)
         assert w.shape == (2 * dim + 1,)
-        assert w[0] == pytest.approx(2.0 / (dim + 2.0))
-        np.testing.assert_allclose(w[1:], 1.0 / (2 * (dim + 2.0)))
+        assert w[0] == pytest.approx(14.0 / (dim + 14.0))
+        np.testing.assert_allclose(w[1:], 1.0 / (2 * (dim + 14.0)))
         assert np.sum(w) == pytest.approx(1.0, abs=1e-12)
 
     def test_weights_built_once_and_read_only(self):
-        w = sigma_weights(30)
-        assert sigma_weights(30) is w
+        w = sigma_weights(18)
+        assert sigma_weights(18) is w
         assert not w.flags.writeable
 
     def test_jitter_recovers_semidefinite(self):
@@ -162,7 +191,7 @@ class TestPredict:
         belief = GaussianBelief(mean=VehicleState.at_rest(pos=(0, 0, 1)), cov=1e307 * np.eye(18))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(CovarianceNotPD, match="not finite") as exc:
-                predict(belief, hover_speeds(), NoiseConfig.default(), PARAMS)
+                predict(belief, hover_speeds(PARAMS), NoiseConfig.default(), PARAMS)
         assert not np.isfinite(exc.value.cov).all()
 
     @pytest.mark.parametrize("rho_std", [0.1, 1.0, 10.0, 1e4])
@@ -172,7 +201,7 @@ class TestPredict:
         # so the scalar part is >= 0 and NearSingularRotation cannot escape.
         belief = default_belief(p_rho=rho_std**2)
         noise = NoiseConfig.default()
-        predicted = predict(belief, hover_speeds(), noise, PARAMS)
+        predicted = predict(belief, hover_speeds(PARAMS), noise, PARAMS)
         assert np.isfinite(predicted.cov).all()
         # short-arc MRPs have norm <= 1, so the recombined spread stays below 1
         assert np.all(np.diag(predicted.cov)[:3] <= 1.0)
@@ -184,14 +213,14 @@ class TestPredict:
         eps = 1e-10
         belief = default_belief(*(eps,) * 6)
         noise = NoiseConfig(*(np.eye(3) * eps,) * 4, g_x=np.eye(3), g_rho=np.eye(3))
-        out = predict(belief, hover_speeds(), noise, PARAMS)
-        det = process_step(belief.mean, hover_speeds(), None, PARAMS)
+        out = predict(belief, hover_speeds(PARAMS), noise, PARAMS)
+        det = process_step(belief.mean, hover_speeds(PARAMS), None, PARAMS)
         np.testing.assert_allclose(out.mean.as_vector(), det.as_vector(), atol=10 * eps)
 
     def test_force_block_is_linear_random_walk(self):
         belief = default_belief()
         noise = NoiseConfig.default()
-        out = predict(belief, hover_speeds(), noise, PARAMS)
+        out = predict(belief, hover_speeds(PARAMS), noise, PARAMS)
         np.testing.assert_allclose(
             out.cov[15:18, 15:18], belief.cov[15:18, 15:18] + noise.q_f_e, atol=1e-12
         )
@@ -209,7 +238,7 @@ class TestPredict:
         belief.cov[np.ix_(idx, idx)] = P9
 
         noise = NoiseConfig.default()
-        out = predict(belief, hover_speeds(), noise, PARAMS)
+        out = predict(belief, hover_speeds(PARAMS), noise, PARAMS)
 
         T, m = PARAMS.dt, PARAMS.mass
         I3, Z3 = np.eye(3), np.zeros((3, 3))
@@ -223,7 +252,7 @@ class TestPredict:
         expected = A @ P9 @ A.T + B_ct @ noise.q_ct @ B_ct.T + B_fe @ noise.q_f_e @ B_fe.T
         np.testing.assert_allclose(out.cov[np.ix_(idx, idx)], expected, atol=1e-9)
 
-        det = process_step(belief.mean, hover_speeds(), None, PARAMS)
+        det = process_step(belief.mean, hover_speeds(PARAMS), None, PARAMS)
         np.testing.assert_allclose(out.mean.as_vector(), det.as_vector(), atol=1e-12)
 
     def test_moments_match_monte_carlo_oracle(self):
@@ -238,7 +267,7 @@ class TestPredict:
         ])
         belief = GaussianBelief(mean=mean, cov=np.diag(diag))
         noise = NoiseConfig.default()
-        w = hover_speeds()
+        w = hover_speeds(PARAMS)
 
         out = predict(belief, w, noise, PARAMS)
 
@@ -276,6 +305,31 @@ class TestPredict:
         np.testing.assert_allclose(np.diag(out.cov), np.diag(mc_cov), rtol=0.10)
         scale = np.sqrt(np.outer(np.diag(mc_cov), np.diag(mc_cov)))
         np.testing.assert_array_less(np.abs(out.cov - mc_cov) / scale, 0.10)
+
+
+    @given(
+        rotvec=hnp.arrays(np.float64, 3, elements=st.floats(-np.pi, np.pi)),
+        speeds=hnp.arrays(np.float64, 4, elements=st.floats(500.0, 2500.0)),
+        log_scales=hnp.arrays(np.float64, 18, elements=st.floats(np.log(1e-4), np.log(1e-1))),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_augmented_prediction(self, rotvec, speeds, log_scales, seed):
+        # a random belief: any attitude, rates and wrench of order one, and a
+        # full covariance with per-axis scales over three decades
+        rng = np.random.default_rng(seed)
+        mean = VehicleState.at_rest(pos=rng.uniform(-2.0, 2.0, 3), q=att.quat_from_rotvec(rotvec))
+        mean.omega, mean.vel, mean.tau_e, mean.f_e = rng.standard_normal((4, 3))
+        a = rng.standard_normal((18, 18)) * np.exp(log_scales)
+        belief = GaussianBelief(mean=mean, cov=a @ a.T + 1e-8 * np.eye(18))
+        noise = NoiseConfig.default()
+
+        got = predict(belief, speeds, noise, PARAMS)
+        want = augmented_predict(belief, speeds, noise, PARAMS)
+
+        d_q = att.quat_canonical(att.quat_multiply(got.mean.q, att.quat_conjugate(want.mean.q)))
+        assert np.linalg.norm(att.error_quat_to_mrp(d_q)) <= AUGMENTED_RTOL
+        for x, y in ((got.mean.as_vector()[4:], want.mean.as_vector()[4:]), (got.cov, want.cov)):
+            assert np.linalg.norm(x - y) <= AUGMENTED_RTOL * np.linalg.norm(y)
 
 
 class TestCorrect:
@@ -444,7 +498,7 @@ class TestStepAndEquivariance:
                 "rho": 0.005, "omega": 0.05, "pos": 0.005, "vel": 0.05, "tau_e": 0.01, "f_e": 0.05,
             }),
         )
-        w = hover_speeds()
+        w = hover_speeds(PARAMS)
         norms = []
         for _ in range(1000):
             truth = process_step(truth, w, None, PARAMS)
@@ -457,9 +511,9 @@ class TestStepAndEquivariance:
         belief = default_belief()
         noise = NoiseConfig.default()
         est = UsqueEstimator(PARAMS, noise, belief)
-        est.step(hover_speeds(), measurement=None)
+        est.step(hover_speeds(PARAMS), measurement=None)
         out = est.belief
-        direct = predict(default_belief(), hover_speeds(), noise, PARAMS)
+        direct = predict(default_belief(), hover_speeds(PARAMS), noise, PARAMS)
         np.testing.assert_allclose(out.mean.as_vector(), direct.mean.as_vector(), atol=1e-12)
         np.testing.assert_allclose(out.cov, direct.cov, atol=1e-12)
 
@@ -477,7 +531,7 @@ class TestStepAndEquivariance:
         cov = a @ a.T + np.diag(np.full(18, 1e-5))
         belief = GaussianBelief(mean=mean, cov=cov)
 
-        w = np.full(4, PARAMS.hover_speed() * 1.02)
+        w = hover_speeds(PARAMS) * 1.02
         meas = PoseMeasurement(
             pos=mean.pos + rng.standard_normal(3) * 0.002,
             q=att.quat_multiply(att.quat_from_rotvec(rng.standard_normal(3) * 0.002), mean.q),
@@ -537,13 +591,30 @@ class TestStepAndEquivariance:
             drift = np.abs(g - w).max(axis=0)
             assert np.all(drift <= SCENARIO_DRIFT_RTOL * np.abs(w).max(axis=0))
 
+    def test_stepped_mass_scenario_matches_augmented_prediction(self, monkeypatch):
+        # the logged estimates of a whole run stay within the stated drift of
+        # the same run with the noise-augmented prediction in the loop
+        def scenario():
+            return Scenario(duration_s=2.0, seed=5, trajectory=Hover(),
+                            disturbance=SteppedMass(offset_body=[0.05, 0.0, 0.0], onset_s=1.0))
+
+        got = run_scenario(scenario(), RunSetup())
+        monkeypatch.setattr(estimator, "predict", augmented_predict)
+        want = run_scenario(scenario(), RunSetup())
+
+        np.testing.assert_array_equal(got.truth, want.truth)
+        for g, w in ((got.estimates["usque"], want.estimates["usque"]),
+                     (got.cov_diags["usque"], want.cov_diags["usque"])):
+            drift = np.abs(g - w).max(axis=0)
+            assert np.all(drift <= SCENARIO_DRIFT_RTOL * np.abs(w).max(axis=0))
+
     def test_jittered_predictions_are_counted(self):
         # a zero rate variance makes the first prior semidefinite; process
         # noise makes every later one positive definite
         est = UsqueEstimator(PARAMS, NoiseConfig.default(), default_belief(p_omega=0.0))
-        est.step(hover_speeds())
+        est.step(hover_speeds(PARAMS))
         assert est.jitter_count == 1
-        est.step(hover_speeds())
+        est.step(hover_speeds(PARAMS))
         assert est.jitter_count == 1
 
     def test_record_is_belief_mean_and_covariance_diagonal(self):
@@ -551,8 +622,8 @@ class TestStepAndEquivariance:
         est = UsqueEstimator(PARAMS, NoiseConfig.default(), default_belief())
         truth = VehicleState.at_rest(pos=(0, 0, 1))
         for _ in range(5):
-            truth = process_step(truth, hover_speeds(), None, PARAMS)
-            est.step(hover_speeds(), PoseMeasurement(pos=truth.pos + 0.001 * rng.standard_normal(3),
+            truth = process_step(truth, hover_speeds(PARAMS), None, PARAMS)
+            est.step(hover_speeds(PARAMS), PoseMeasurement(pos=truth.pos + 0.001 * rng.standard_normal(3),
                                                      q=truth.q))
             np.testing.assert_array_equal(est.mean_vector(), est.belief.mean.as_vector())
             np.testing.assert_array_equal(est.cov_diagonal(), est.belief.cov_diagonal())
@@ -572,7 +643,7 @@ class TestStepAndEquivariance:
         belief = default_belief()
         est = UsqueEstimator(PARAMS, noise, belief)
         truth = VehicleState.at_rest(pos=(0, 0, 1))
-        w = hover_speeds()
+        w = hover_speeds(PARAMS)
         for k in range(50):
             truth = process_step(truth, w, None, PARAMS)
             meas = PoseMeasurement(

@@ -5,6 +5,7 @@ must be byte for byte what it writes for the log's matrix and header.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,6 +72,23 @@ class TestWriteContract:
         path = tmp_path / "log.csv"
         log.to_csv(path)
         assert path.read_bytes() == savetxt_bytes(tmp_path / "oracle.csv", log.to_matrix(), log_header(log))
+
+    def test_writer_builds_no_whole_log_matrix(self, tmp_path):
+        # the stepped-mass benchmark's log: 4000 rows, two estimators, 101 columns
+        rng = np.random.default_rng(0)
+        n = 4000
+        log = TimeSeriesLog(
+            time=np.arange(n) * 0.005, truth=rng.standard_normal((n, 19)), meas=rng.standard_normal((n, 7)),
+            estimates={e: rng.standard_normal((n, 19)) for e in ("usque", "observer")},
+            cov_diags={e: rng.standard_normal((n, 18)) for e in ("usque", "observer")},
+        )
+        tracemalloc.start()
+        try:
+            log.to_csv(tmp_path / "log.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < log.to_matrix().nbytes
 
 
 class TestReadContract:

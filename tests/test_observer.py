@@ -7,6 +7,7 @@ from quadwrench import attitude as att
 from quadwrench.estimator import PoseMeasurement
 from quadwrench.observer import MomentumObserver, ObserverGains, lowpass_alpha
 from quadwrench.rigid_body import VehicleParams, VehicleState, process_step
+from test_rigid_body import hover_speeds
 
 PARAMS = VehicleParams()
 DT = PARAMS.dt
@@ -63,7 +64,7 @@ def run_observer(truth_sequence, speeds, gains=None):
 class TestMomentumObserver:
     def test_zero_wrench_stays_zero(self):
         truth = VehicleState.at_rest(pos=(0, 0, 1))
-        speeds = np.full(4, PARAMS.hover_speed())
+        speeds = hover_speeds(PARAMS)
         seq = []
         for _ in range(400):
             truth = process_step(truth, speeds, None, PARAMS)
@@ -78,7 +79,7 @@ class TestMomentumObserver:
         gains = ObserverGains(force=2.2, torque=2.2, pos_cutoff_hz=30.0, att_cutoff_hz=30.0)
         truth = VehicleState.at_rest(pos=(0, 0, 1))
         truth.f_e = np.array([-0.52, 0.0, 0.0])
-        speeds = np.full(4, PARAMS.hover_speed())
+        speeds = hover_speeds(PARAMS)
         n = int(5.0 / gains.force / DT) + 200
         obs = MomentumObserver(PARAMS, gains)
         for k in range(n):
@@ -94,7 +95,7 @@ class TestMomentumObserver:
         # the true force
         truth = VehicleState.at_rest(pos=(0, 0, 1))
         truth.f_e = np.array([0.0, 0.0, -0.52])
-        speeds = np.full(4, PARAMS.hover_speed())
+        speeds = hover_speeds(PARAMS)
         obs = MomentumObserver(PARAMS)
         for k in range(int(4.0 / DT)):
             truth = process_step(truth, speeds, None, PARAMS)
@@ -106,7 +107,7 @@ class TestMomentumObserver:
         gains = ObserverGains(force=2.2, torque=2.2, pos_cutoff_hz=30.0, att_cutoff_hz=30.0)
         truth = VehicleState.at_rest(pos=(0, 0, 1))
         truth.f_e = np.array([0.0, 0.0, -0.52])
-        speeds = np.full(4, PARAMS.hover_speed())
+        speeds = hover_speeds(PARAMS)
         obs = MomentumObserver(PARAMS, gains)
         history = []
         for k in range(int(4.0 / DT)):
@@ -123,7 +124,7 @@ class TestMomentumObserver:
         # does not tumble and the error dynamics stay first order
         truth = VehicleState.at_rest(pos=(0, 0, 1))
         truth.f_e = np.array([0.3, -0.2, -0.5])
-        speeds = np.full(4, PARAMS.hover_speed())
+        speeds = hover_speeds(PARAMS)
         obs = MomentumObserver(PARAMS)
         errs = []
         for k in range(int(6.0 / DT)):
@@ -141,7 +142,7 @@ class TestMomentumObserver:
                             q=att.quat_from_rotvec(rng.standard_normal(3) * 0.02))
             for _ in range(100)
         ]
-        speeds = np.full(4, PARAMS.hover_speed())
+        speeds = hover_speeds(PARAMS)
         outs = []
         for _ in range(2):
             obs = MomentumObserver(PARAMS)
@@ -160,7 +161,7 @@ class TestMomentumObserver:
 
     def test_holds_estimate_on_dropout(self):
         obs = MomentumObserver(PARAMS)
-        speeds = np.full(4, PARAMS.hover_speed())
+        speeds = hover_speeds(PARAMS)
         obs.step(speeds, PoseMeasurement(pos=[0, 0, 1], q=[1, 0, 0, 0]))
         before = obs.f_e.copy()
         obs.step(speeds, None)

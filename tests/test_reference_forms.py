@@ -37,7 +37,6 @@ from quadwrench.attitude import (
     quat_conjugate,
     quat_multiply,
     quat_normalize,
-    quat_to_rotvec,
     rotmat_body_to_global,
 )
 from quadwrench.control import AdmittanceConfig, admittance_command
@@ -52,9 +51,10 @@ from quadwrench.simulator import (
     RunSetup,
     Scenario,
     SensorModel,
-    mix_motor_speeds,
     run_scenario,
 )
+from test_attitude import quat_to_rotvec
+from test_simulator import mix_motor_speeds
 
 PARAMS = VehicleParams()
 EPS = np.finfo(float).eps
@@ -386,7 +386,6 @@ class TestQuatFromRotvec:
 REFERENCE_FORMS = {
     "quat_from_rotvec": (attitude.quat_from_rotvec, ref_quat_from_rotvec),
     "admittance_command": (control.admittance_command, ref_admittance_command),
-    "mix_motor_speeds": (simulator.mix_motor_speeds, ref_mix_motor_speeds),
     "truth_step": (simulator.truth_step, ref_truth_step),
 }
 REFERENCE_METHODS = [

@@ -22,7 +22,8 @@ def params():
 
 
 def hover_speeds(params):
-    return np.full(4, params.hover_speed())
+    """Equal motor speeds whose thrust balances gravity, sqrt(m g / sum k)."""
+    return np.full(4, np.sqrt(params.mass * params.gravity[2] / np.sum(params.thrust_coeff)))
 
 
 def oracle_rotor_wrench(params, rotor_speeds):

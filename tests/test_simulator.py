@@ -24,7 +24,8 @@ from quadwrench.simulator import (
     Scenario,
     SensorModel,
     SteppedMass,
-    mix_motor_speeds,
+    _mix,
+    _mixer_constants,
     run_scenario,
     truth_step,
 )
@@ -36,6 +37,12 @@ EPS = np.finfo(float).eps
 # quaternion product and the matrix-vector products in different orders, each
 # a few ulp of its unit-scale factors.
 TRUTH_RTOL = 4 * EPS
+
+
+def mix_motor_speeds(params, thrust, torque):
+    """The controller's mixer ``_mix`` on one vehicle's demand, as arrays."""
+    speeds, saturated = _mix(_mixer_constants(params), float(thrust), np.asarray(torque, dtype=float).tolist())
+    return np.array(speeds), saturated
 
 
 def _vector(low, high, size=3):
@@ -196,6 +203,20 @@ VEHICLE_FINITE_SETTINGS = [
 def test_vehicle_and_noise_settings_reject_non_finite(build, name, value):
     with pytest.raises(ValueError, match=rf"\.{name} must be finite"):
         build(**{name: value})
+
+
+@pytest.mark.parametrize("name, value, derived", [
+    pytest.param("omega_max", 1e200, "motor_thrust_max", id="omega_max"),
+    pytest.param("thrust_coeff", np.full(4, 1e-320), "mixer_inv", id="thrust_coeff"),
+    pytest.param("mass", 1e-320, "1/mass", id="mass"),
+    pytest.param("inertia", np.diag([1e-320, 3.4e-3, 4.7e-3]), "inertia_inv", id="inertia"),
+])
+def test_vehicle_settings_that_overflow_a_derived_constant_are_rejected(name, value, derived):
+    # finite settings whose run constants overflow: omega_max**2 raised an
+    # untyped OverflowError, the mixer's drag/thrust ratio a numpy overflow
+    # warning, and a tiny mass or inertia constructed and overflowed mid-run
+    with pytest.raises(ValueError, match=rf"VehicleParams .*\b{name}\b.*: the derived {derived} is not finite"):
+        VehicleParams(**{name: value})
 
 
 class TestFanModel:
