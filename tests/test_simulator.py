@@ -212,9 +212,8 @@ def test_vehicle_and_noise_settings_reject_non_finite(build, name, value):
     pytest.param("inertia", np.diag([1e-320, 3.4e-3, 4.7e-3]), "inertia_inv", id="inertia"),
 ])
 def test_vehicle_settings_that_overflow_a_derived_constant_are_rejected(name, value, derived):
-    # finite settings whose run constants overflow: omega_max**2 raised an
-    # untyped OverflowError, the mixer's drag/thrust ratio a numpy overflow
-    # warning, and a tiny mass or inertia constructed and overflowed mid-run
+    # finite settings whose run constants overflow: omega_max**2, the mixer's
+    # drag/thrust ratio, and the model's divisions by a tiny mass or inertia
     with pytest.raises(ValueError, match=rf"VehicleParams .*\b{name}\b.*: the derived {derived} is not finite"):
         VehicleParams(**{name: value})
 
