@@ -75,6 +75,7 @@ class WrenchMapCell:
 _TAU_SLICE = slice(STATE_FIELDS.index("tau_e_x"), STATE_FIELDS.index("tau_e_z") + 1)
 _F_SLICE = slice(STATE_FIELDS.index("f_e_x"), STATE_FIELDS.index("f_e_z") + 1)
 _BASELINE_WINDOW_S = 1.0  # s, the leading window rise_time_10_90 averages as baseline
+_STEADY_WINDOW_S = 10.0   # s, the trailing window log_metrics takes as steady state
 
 
 def build_wrench_map(
@@ -120,7 +121,7 @@ def wrench_map_to_csv(cells: list[WrenchMapCell], path) -> None:
     rows = np.array([
         [c.x, c.y, *c.mean_f, *c.mean_tau, *c.std_f, *c.std_tau, c.count] for c in cells
     ]).reshape(len(cells), 15)
-    write_csv(path, header, [rows])
+    write_csv(path, header, rows)
 
 
 def rise_time_10_90(time: np.ndarray, signal: np.ndarray) -> float:
@@ -153,23 +154,25 @@ def rise_time_10_90(time: np.ndarray, signal: np.ndarray) -> float:
     return float(time[i90] - time[i10])
 
 
-def log_metrics(
-    log: TimeSeriesLog,
-    estimator: str,
-    steady_window_s: float = 10.0,
-    rmse_from_s: float | None = None,
-) -> dict:
+def log_metrics(log: TimeSeriesLog, estimator: str, rmse_from_s: float | None = None) -> dict:
     """Summary metrics for one estimator: steady-state stats, RMSE, rise time.
 
-    Rise time is computed per wrench channel on the truth-detected step and
-    reported only for channels where a step exists.
+    Steady-state stats cover the trailing ``_STEADY_WINDOW_S`` seconds, RMSE
+    the samples from ``rmse_from_s`` (default: the whole log).  Rise time is
+    computed per wrench channel on the truth-detected step and reported only
+    for channels where a step exists.  A steady window of fewer than two
+    samples or an empty RMSE window raises ``ValueError``.
     """
     est = log.estimates[estimator]
     truth = log.truth
     t = log.time
 
-    steady_mask = t >= t[-1] - steady_window_s
+    steady_mask = t >= t[-1] - _STEADY_WINDOW_S
     rmse_mask = t >= (rmse_from_s if rmse_from_s is not None else t[0])
+    if np.count_nonzero(steady_mask) < 2:
+        raise ValueError(f"the steady window, {_STEADY_WINDOW_S:g} s to t = {t[-1]:g} s, has under two samples")
+    if not rmse_mask.any():
+        raise ValueError(f"the RMSE window from t = {rmse_from_s:g} s is empty; the log ends at t = {t[-1]:g} s")
 
     out: dict = {"channels": {}}
     for i in np.r_[_TAU_SLICE, _F_SLICE]:

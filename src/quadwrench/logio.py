@@ -10,6 +10,11 @@ One row per simulation step.  Column groups:
   minimal coordinates (MRP, rates, position, velocity, torque, force); the
   observer logs zeros for the diagonal
 
+In memory a log is one ``(N, len(log_columns(estimators)))`` matrix in this
+file layout; its blocks (time, truth, measurements, each estimator's mean and
+covariance diagonal) are column views of it, so writing a block writes the
+matrix.
+
 File contract: the first line is a schema version comment, the second carries
 run metadata (and dwell segments) as JSON so post-processing tools can work
 from the CSV alone, and the third names the columns in the fixed layout above.
@@ -23,7 +28,7 @@ other.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,20 +70,19 @@ def log_columns(estimators) -> list[str]:
     return names
 
 
-def write_csv(path, header: str, groups) -> None:
-    """Write the non-empty ``header`` and the rows of the 2-D column ``groups``, side by side.
+def write_csv(path, header: str, matrix: np.ndarray) -> None:
+    """Write the non-empty ``header`` and the rows of the 2-D ``matrix``.
 
-    The bytes are those of ``np.savetxt(path, np.hstack(groups), fmt="%.10g",
-    delimiter=",", header=header, comments="")``, stacked and formatted
-    ``CSV_BLOCK_ROWS`` rows at a time, so no whole-log matrix is built.
+    The bytes are those of ``np.savetxt(path, matrix, fmt="%.10g",
+    delimiter=",", header=header, comments="")``, formatted ``CSV_BLOCK_ROWS``
+    rows at a time, so no string or value list of the whole matrix is built.
     """
-    n_rows = len(groups[0])
-    row_fmt = ",".join(["%.10g"] * sum(g.shape[1] for g in groups)) + "\n"
+    row_fmt = ",".join(["%.10g"] * matrix.shape[1]) + "\n"
     block_fmt = row_fmt * CSV_BLOCK_ROWS
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for start in range(0, n_rows, CSV_BLOCK_ROWS):
-            block = np.hstack([g[start:start + CSV_BLOCK_ROWS] for g in groups])
+        for start in range(0, len(matrix), CSV_BLOCK_ROWS):
+            block = matrix[start:start + CSV_BLOCK_ROWS]
             fmt = block_fmt if len(block) == CSV_BLOCK_ROWS else row_fmt * len(block)
             fh.write(fmt % tuple(block.ravel().tolist()))
 
@@ -93,18 +97,33 @@ class DwellSegment:
     t_end: float
 
 
-@dataclass
 class TimeSeriesLog:
-    time: np.ndarray                      # (N,)
-    truth: np.ndarray                     # (N, 19)
-    meas: np.ndarray                      # (N, 7), NaN when no sample
-    estimates: dict[str, np.ndarray]      # name -> (N, 19)
-    cov_diags: dict[str, np.ndarray]      # name -> (N, 18)
-    segments: list[DwellSegment] = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
+    """One run's per-step log: an ``(N, len(log_columns(estimators)))`` matrix
+    in the file layout, whose blocks are column views set at construction:
+    ``time`` ``(N,)``, ``truth`` ``(N, 19)``, ``meas`` ``(N, 7)`` and, per
+    estimator name, ``estimates`` ``(N, 19)`` and ``cov_diags`` ``(N, 18)``.
+    Another width or a repeated estimator name raises ``ValueError``.
+    """
+
+    def __init__(self, data: np.ndarray, estimators, segments=(), meta: dict | None = None):
+        estimators = list(estimators)
+        width = len(log_columns(estimators))
+        if len(set(estimators)) < len(estimators) or np.ndim(data) != 2 or np.shape(data)[1] != width:
+            raise ValueError(f"a {np.shape(data)} matrix is not the {SCHEMA_VERSION} layout of {width} "
+                             f"columns for the estimators {estimators}, each named once")
+        self._data = data
+        self.time = data[:, 0]
+        self.truth = data[:, _TRUTH_COLS]
+        self.meas = data[:, _MEAS_COLS]
+        n_state = len(STATE_FIELDS)
+        starts = {est: _MEAS_COLS.stop + i * _EST_WIDTH for i, est in enumerate(estimators)}
+        self.estimates = {est: data[:, i:i + n_state] for est, i in starts.items()}
+        self.cov_diags = {est: data[:, i + n_state:i + _EST_WIDTH] for est, i in starts.items()}
+        self.segments = list(segments)
+        self.meta = {} if meta is None else meta
 
     def __len__(self) -> int:
-        return len(self.time)
+        return len(self._data)
 
     def estimator_names(self) -> list[str]:
         return list(self.estimates.keys())
@@ -112,14 +131,9 @@ class TimeSeriesLog:
     def column_names(self) -> list[str]:
         return log_columns(self.estimates)
 
-    def _column_groups(self) -> list[np.ndarray]:
-        groups = [self.time[:, None], self.truth, self.meas]
-        for est in self.estimates:
-            groups += [self.estimates[est], self.cov_diags[est]]
-        return groups
-
     def to_matrix(self) -> np.ndarray:
-        return np.hstack(self._column_groups())
+        """The log's own matrix, not a copy: writing to it writes the log."""
+        return self._data
 
     def to_csv(self, path) -> None:
         meta = dict(self.meta)
@@ -129,7 +143,7 @@ class TimeSeriesLog:
             f"# meta: {json.dumps(meta, sort_keys=True)}\n"
             + ",".join(self.column_names())
         )
-        write_csv(path, header, self._column_groups())
+        write_csv(path, header, self._data)
 
     @classmethod
     def from_csv(cls, path) -> "TimeSeriesLog":
@@ -144,22 +158,8 @@ class TimeSeriesLog:
             names = fh.readline().strip().split(",")
             # every estimator block starts with its q0 column
             estimators = [name.removesuffix("_q0") for name in names[_MEAS_COLS.stop::_EST_WIDTH]]
-            if names != log_columns(estimators) or len(set(estimators)) < len(estimators):
+            if names != log_columns(estimators):
                 raise ValueError(f"columns do not follow the {SCHEMA_VERSION} layout")
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        if data.shape[1] != len(names):
-            raise ValueError(f"rows have {data.shape[1]} values for {len(names)} columns")
-
-        # column slices of the one matrix, not copies
-        n_state = len(STATE_FIELDS)
-        starts = {est: _MEAS_COLS.stop + i * _EST_WIDTH for i, est in enumerate(estimators)}
         segments = [DwellSegment(*row) for row in meta.pop("segments", [])]
-        return cls(
-            time=data[:, 0],
-            truth=data[:, _TRUTH_COLS],
-            meas=data[:, _MEAS_COLS],
-            estimates={est: data[:, i:i + n_state] for est, i in starts.items()},
-            cov_diags={est: data[:, i + n_state:i + _EST_WIDTH] for est, i in starts.items()},
-            segments=segments,
-            meta=meta,
-        )
+        return cls(data, estimators, segments, meta)

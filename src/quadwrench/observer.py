@@ -15,7 +15,7 @@ rise time of ``ln(9)/k`` seconds.
 The observer serves one vehicle, so its step computes on Python floats with
 ``attitude``'s ``*_floats`` forms and ``rotor_wrench_floats``, the rotor map
 the truth step also uses, bit-identical to the process model's
-``rotor_wrench``.  The signals and estimates read back as arrays.
+``rotor_wrench``.
 """
 
 from __future__ import annotations
@@ -97,11 +97,6 @@ class MomentumObserver:
         self._velocity = self._body_rate = _ZERO3
         self._f_e = self._tau_e = _ZERO3  # N and N m, global
         self._force_integral = self._torque_integral = _ZERO3
-
-    velocity = property(lambda self: np.array(self._velocity), doc="Low-passed velocity (m/s, global).")
-    body_rate = property(lambda self: np.array(self._body_rate), doc="Low-passed body rate (rad/s).")
-    f_e = property(lambda self: np.array(self._f_e), doc="External force estimate (N, global).")
-    tau_e = property(lambda self: np.array(self._tau_e), doc="External torque estimate (N m, global).")
 
     def step(self, rotor_speeds: np.ndarray, measurement: PoseMeasurement | None) -> None:
         self._periods += 1

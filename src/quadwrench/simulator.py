@@ -36,7 +36,7 @@ from .attitude import (
 )
 from .control import AdmittanceConfig, admittance_command
 from .estimator import GaussianBelief, PoseMeasurement, UsqueEstimator
-from .logio import COV_FIELDS, MEAS_FIELDS, STATE_FIELDS, DwellSegment, TimeSeriesLog
+from .logio import STATE_FIELDS, DwellSegment, TimeSeriesLog, log_columns
 from .observer import MomentumObserver, ObserverGains
 from .rigid_body import NoiseConfig, VehicleParams, VehicleState, _check_finite, rotor_wrench_floats
 
@@ -572,20 +572,20 @@ def run_scenario(scenario: Scenario, setup: RunSetup | None = None) -> TimeSerie
     if isinstance(traj, FanTrack) and not estimators:
         raise ValueError("a FanTrack reference is steered by an estimator; list one")
 
-    time = np.empty(n)
-    truth_log = np.empty((n, len(STATE_FIELDS)))
-    meas_log = np.full((n, len(MEAS_FIELDS)), np.nan)
-    est_log = {name: np.empty((n, len(STATE_FIELDS))) for name in estimators}
-    cov_log = {name: np.empty((n, len(COV_FIELDS))) for name in estimators}
+    segments = traj.segments() if isinstance(traj, GridSurvey) else []
+    log = TimeSeriesLog(np.empty((n, len(log_columns(estimators)))), estimators, segments)
+    log.time[:] = dt * np.arange(1, n + 1)
+    log.meas[:] = np.nan
     # the first listed estimator's logged z-torque column steers a FanTrack
-    steering = next(iter(est_log.values()))[:, _TAU_Z] if isinstance(traj, FanTrack) else None
+    steering = next(iter(log.estimates.values()))[:, _TAU_Z] if isinstance(traj, FanTrack) else None
 
     for k in range(n):
         t = k * dt
         ref_pos, ref_vel = traj.reference(t)
-        # actuator commands share the telemetry's 8-bit word, so the vehicle
-        # flies exactly the speeds the estimators are told about; thrust-map
-        # error away from hover is what Q_ct covers
+        # actuator commands share the telemetry's quantized word, so the
+        # vehicle flies exactly the speeds the estimators are told about; the
+        # truth flies the filter's own rotor map, so there is no thrust-map
+        # error for Q_ct to cover
         speeds = sensor.quantize_speeds(controller.command(truth, ref_pos, ref_vel, yaw=yaw), params.omega_max)
 
         wrench = scenario.disturbance.wrench(t, truth) if scenario.disturbance else (np.zeros(3), np.zeros(3))
@@ -594,22 +594,20 @@ def run_scenario(scenario: Scenario, setup: RunSetup | None = None) -> TimeSerie
         measurement = None
         if (k + 1) % meas_every == 0:
             measurement = sensor.sample_pose(truth, rng)
-            meas_log[k] = np.concatenate([measurement.pos, measurement.q])
+            log.meas[k] = np.concatenate([measurement.pos, measurement.q])
 
         for name, est in estimators.items():
             est.step(speeds, measurement)
-            est_log[name][k] = est.mean_vector()
-            cov_log[name][k] = est.cov_diagonal()
+            log.estimates[name][k] = est.mean_vector()
+            log.cov_diags[name][k] = est.cov_diagonal()
 
         if steering is not None:
             traj.advance(steering[k], dt)
 
-        time[k] = (k + 1) * dt
-        truth_log[k] = truth.as_vector()
+        log.truth[k] = truth.as_vector()
 
-    segments = traj.segments() if isinstance(traj, GridSurvey) else []
     usque = {name: est for name, est in estimators.items() if isinstance(est, UsqueEstimator)}
-    meta = {
+    log.meta = {
         "seed": scenario.seed,
         "dt_s": dt,
         "sensor_rate_hz": scenario.sensor_rate_hz,
@@ -618,7 +616,4 @@ def run_scenario(scenario: Scenario, setup: RunSetup | None = None) -> TimeSerie
         "jitter_count": {name: est.jitter_count for name, est in usque.items()},
         "rejected_count": {name: est.rejected_count for name, est in usque.items()},
     }
-    return TimeSeriesLog(
-        time=time, truth=truth_log, meas=meas_log,
-        estimates=est_log, cov_diags=cov_log, segments=segments, meta=meta,
-    )
+    return log

@@ -1,9 +1,11 @@
-"""The benchmark's per-layer tracer against the program's names.
+"""The benchmark's per-layer tracer and post-processing against the program's names.
 
 ``perfbench/layertrace.py`` wraps functions and methods looked up by name
 (``vars(owner)[attr]``), so a rename or a bypassed call in ``src/`` breaks
-only the traced benchmark run.  Here the tracer runs a short scenario of each
-benchmarked workload; ``perfbench/`` is imported, not changed.
+only the traced benchmark run; ``perfbench/measure.py`` post-processes each
+run's log through ``log_metrics`` and the ``logio`` CSV round trip.  Here
+both run on a short scenario of each benchmarked workload; ``perfbench/`` is
+imported, not changed.
 """
 
 import dataclasses
@@ -49,11 +51,15 @@ def _load(name):
     return module
 
 
+def _short_run(workloads, workload):
+    scenario, setup = workloads.WORKLOADS[workload].build(1)
+    return dataclasses.replace(scenario, duration_s=SECONDS), setup
+
+
 @pytest.mark.parametrize("workload", sorted(EXERCISED))
 def test_traced_run_reports_every_layer_once_per_step(workload):
     layertrace, workloads = _load("layertrace"), _load("workloads")
-    scenario, setup = workloads.WORKLOADS[workload].build(1)
-    scenario = dataclasses.replace(scenario, duration_s=SECONDS)
+    scenario, setup = _short_run(workloads, workload)
     tracer = layertrace.Tracer()
     with tracer.installed(scenario) as traced:
         traced(scenario, setup)
@@ -66,3 +72,17 @@ def test_traced_run_reports_every_layer_once_per_step(workload):
     calls = {name: len(spans) for name, spans in tracer.durations.items()
              if spans and name != "simulator.run_scenario"}
     assert calls == dict.fromkeys(EXERCISED[workload], STEPS)
+
+
+@pytest.mark.parametrize("workload", sorted(EXERCISED))
+def test_postprocessing_round_trip_reports_no_problem(workload, tmp_path, monkeypatch):
+    workloads = _load("workloads")
+    # measure.py imports the tracer by its module name
+    monkeypatch.setitem(sys.modules, "layertrace", _load("layertrace"))
+    measure = _load("measure")
+    scenario, setup = _short_run(workloads, workload)
+    log = measure.run_scenario(scenario, setup)
+    (metrics, _, back, csv_bytes), _ = measure.postprocess(workloads.WORKLOADS[workload], log, tmp_path)
+    assert set(metrics) == set(setup.estimators)
+    assert csv_bytes > 0
+    assert measure.check_round_trip(log, back) == []

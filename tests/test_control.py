@@ -19,6 +19,7 @@ from quadwrench.control import (
     wrench_map_to_csv,
 )
 from quadwrench.logio import COV_FIELDS, MEAS_FIELDS, STATE_FIELDS, DwellSegment, TimeSeriesLog
+from quadwrench.simulator import Scenario, run_scenario
 
 DT = 0.01
 N = 1000  # 10 s of samples
@@ -33,14 +34,14 @@ def synthetic_log(truth=None, est=None, segments=()):
     rows = np.arange(N)[:, None]
     cols = np.arange(len(STATE_FIELDS))[None, :]
     distinct = 1000.0 * cols + 0.01 * rows
-    return TimeSeriesLog(
-        time=time,
-        truth=distinct if truth is None else truth,
-        meas=np.full((N, len(MEAS_FIELDS)), np.nan),
-        estimates={"usque": distinct.copy() if est is None else est},
-        cov_diags={"usque": np.zeros((N, len(COV_FIELDS)))},
-        segments=list(segments),
-    )
+    data = np.hstack([
+        time[:, None],
+        distinct if truth is None else truth,
+        np.full((N, len(MEAS_FIELDS)), np.nan),
+        distinct if est is None else est,
+        np.zeros((N, len(COV_FIELDS))),
+    ])
+    return TimeSeriesLog(data, ["usque"], segments)
 
 
 def test_record_layout_matches_state_fields():
@@ -117,6 +118,18 @@ class TestLogMetrics:
         out = log_metrics(self.error_log(), "usque")
         assert out["force_rmse"] == pytest.approx(3.0 * scale, rel=1e-9)
         assert out["torque_rmse"] == pytest.approx(0.05 * scale, rel=1e-9)
+
+    def test_rmse_window_past_the_log_rejected(self):
+        # the log ends at t = 10 s; numpy gives a NaN RMSE for an empty window
+        with pytest.raises(ValueError, match="RMSE window from t = 20 s"):
+            log_metrics(synthetic_log(), "usque", rmse_from_s=20.0)
+
+    def test_one_step_run_rejected(self):
+        # one sample has no sample std (numpy gives NaN)
+        log = run_scenario(Scenario(duration_s=0.005))
+        assert len(log) == 1
+        with pytest.raises(ValueError, match="steady window"):
+            log_metrics(log, "usque")
 
 
 class TestRiseTime:

@@ -25,13 +25,8 @@ def log_header(log) -> str:
 
 
 def head(log, n) -> TimeSeriesLog:
-    """The first ``n`` rows of ``log``, as copies."""
-    return TimeSeriesLog(
-        time=log.time[:n].copy(), truth=log.truth[:n].copy(), meas=log.meas[:n].copy(),
-        estimates={e: v[:n].copy() for e, v in log.estimates.items()},
-        cov_diags={e: v[:n].copy() for e, v in log.cov_diags.items()},
-        segments=list(log.segments), meta=dict(log.meta),
-    )
+    """The first ``n`` rows of ``log``, as a copy."""
+    return TimeSeriesLog(log.to_matrix()[:n].copy(), log.estimator_names(), list(log.segments), dict(log.meta))
 
 
 def run(estimators):
@@ -75,13 +70,7 @@ class TestWriteContract:
 
     def test_writer_builds_no_whole_log_matrix(self, tmp_path):
         # the stepped-mass benchmark's log: 4000 rows, two estimators, 101 columns
-        rng = np.random.default_rng(0)
-        n = 4000
-        log = TimeSeriesLog(
-            time=np.arange(n) * 0.005, truth=rng.standard_normal((n, 19)), meas=rng.standard_normal((n, 7)),
-            estimates={e: rng.standard_normal((n, 19)) for e in ("usque", "observer")},
-            cov_diags={e: rng.standard_normal((n, 18)) for e in ("usque", "observer")},
-        )
+        log = TimeSeriesLog(np.random.default_rng(0).standard_normal((4000, 101)), ["usque", "observer"])
         tracemalloc.start()
         try:
             log.to_csv(tmp_path / "log.csv")
@@ -116,12 +105,14 @@ class TestReadContract:
         back.to_csv(again)
         assert again.read_bytes() == path.read_bytes()
 
-    def test_blocks_are_views_of_one_matrix(self, written):
-        back = TimeSeriesLog.from_csv(written[1])
-        base = back.time.base
+    @pytest.mark.parametrize("source", ["csv", "run"])
+    def test_blocks_are_views_of_one_matrix(self, written, source):
+        log = TimeSeriesLog.from_csv(written[1]) if source == "csv" else written[0]
+        base = log.time.base
         assert base is not None
-        blocks = [back.truth, back.meas, *back.estimates.values(), *back.cov_diags.values()]
+        blocks = [log.truth, log.meas, *log.estimates.values(), *log.cov_diags.values()]
         assert all(block.base is base for block in blocks)
+        assert np.shares_memory(log.to_matrix(), log.time)
 
     @pytest.mark.parametrize(
         "edit", ["reordered", "missing", "extra", "missing_estimator_column", "repeated_estimator"])

@@ -5,12 +5,16 @@ import pytest
 
 from quadwrench import attitude as att
 from quadwrench.estimator import PoseMeasurement
+from quadwrench.logio import STATE_FIELDS
 from quadwrench.observer import MomentumObserver, ObserverGains, lowpass_alpha
 from quadwrench.rigid_body import VehicleParams, VehicleState, process_step
 from test_rigid_body import hover_speeds
 
 PARAMS = VehicleParams()
 DT = PARAMS.dt
+# the estimates' slots in the observer's log record
+TAU_E = slice(STATE_FIELDS.index("tau_e_x"), STATE_FIELDS.index("tau_e_z") + 1)
+F_E = slice(STATE_FIELDS.index("f_e_x"), STATE_FIELDS.index("f_e_z") + 1)
 
 
 def lowpass_run(cutoff_hz, inputs):
@@ -70,8 +74,8 @@ class TestMomentumObserver:
             truth = process_step(truth, speeds, None, PARAMS)
             seq.append(truth.copy())
         obs = run_observer(seq, speeds)
-        np.testing.assert_allclose(obs.f_e, np.zeros(3), atol=1e-6)
-        np.testing.assert_allclose(obs.tau_e, np.zeros(3), atol=1e-8)
+        np.testing.assert_allclose(obs.mean_vector()[F_E], np.zeros(3), atol=1e-6)
+        np.testing.assert_allclose(obs.mean_vector()[TAU_E], np.zeros(3), atol=1e-8)
 
     def test_constant_force_convergence_rate(self):
         # noise-free: first-order error dynamics, settled within 5 time
@@ -85,7 +89,7 @@ class TestMomentumObserver:
         for k in range(n):
             truth = process_step(truth, speeds, None, PARAMS)
             obs.step(speeds, PoseMeasurement(pos=truth.pos.copy(), q=truth.q.copy()))
-        np.testing.assert_allclose(obs.f_e, [-0.52, 0.0, 0.0], atol=0.01)
+        np.testing.assert_allclose(obs.mean_vector()[F_E], [-0.52, 0.0, 0.0], atol=0.01)
 
     @pytest.mark.parametrize("gap", [2, 4, 20])
     def test_constant_force_converges_at_any_pose_rate(self, gap):
@@ -101,7 +105,7 @@ class TestMomentumObserver:
             truth = process_step(truth, speeds, None, PARAMS)
             pose = PoseMeasurement(pos=truth.pos.copy(), q=truth.q.copy()) if (k + 1) % gap == 0 else None
             obs.step(speeds, pose)
-        np.testing.assert_allclose(obs.f_e, [0.0, 0.0, -0.52], atol=0.005)
+        np.testing.assert_allclose(obs.mean_vector()[F_E], [0.0, 0.0, -0.52], atol=0.005)
 
     def test_rise_time_matches_first_order_oracle(self):
         gains = ObserverGains(force=2.2, torque=2.2, pos_cutoff_hz=30.0, att_cutoff_hz=30.0)
@@ -113,7 +117,7 @@ class TestMomentumObserver:
         for k in range(int(4.0 / DT)):
             truth = process_step(truth, speeds, None, PARAMS)
             obs.step(speeds, PoseMeasurement(pos=truth.pos.copy(), q=truth.q.copy()))
-            history.append(obs.f_e[2])
+            history.append(obs.mean_vector()[F_E][2])
         history = np.asarray(history)
         t10 = DT * np.argmax(history <= 0.1 * -0.52)
         t90 = DT * np.argmax(history <= 0.9 * -0.52)
@@ -130,7 +134,7 @@ class TestMomentumObserver:
         for k in range(int(6.0 / DT)):
             truth = process_step(truth, speeds, None, PARAMS)
             obs.step(speeds, PoseMeasurement(pos=truth.pos.copy(), q=truth.q.copy()))
-            errs.append(np.linalg.norm(obs.f_e - truth.f_e))
+            errs.append(np.linalg.norm(obs.mean_vector()[F_E] - truth.f_e))
         errs = np.asarray(errs)
         settled = errs[int(1.0 / DT):]
         assert np.all(np.diff(settled) <= 1e-9)
@@ -148,7 +152,7 @@ class TestMomentumObserver:
             obs = MomentumObserver(PARAMS)
             for m in poses:
                 obs.step(speeds, m)
-            outs.append(np.concatenate([obs.f_e, obs.tau_e]))
+            outs.append(obs.mean_vector())
         np.testing.assert_array_equal(outs[0], outs[1])
 
     @pytest.mark.parametrize("cutoffs", [{"pos_cutoff_hz": 500.0}, {"att_cutoff_hz": 100.0},
@@ -163,6 +167,6 @@ class TestMomentumObserver:
         obs = MomentumObserver(PARAMS)
         speeds = hover_speeds(PARAMS)
         obs.step(speeds, PoseMeasurement(pos=[0, 0, 1], q=[1, 0, 0, 0]))
-        before = obs.f_e.copy()
+        before = obs.mean_vector()[F_E]
         obs.step(speeds, None)
-        np.testing.assert_array_equal(obs.f_e, before)
+        np.testing.assert_array_equal(obs.mean_vector()[F_E], before)

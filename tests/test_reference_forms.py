@@ -347,11 +347,6 @@ class TestObserver:
             got.append(obs.mean_vector())
             want.append(oracle.mean_vector())
         assert_columns_close(got, want, ESTIMATE_RTOL)
-        # the signals and estimates read back as the arrays the record logs
-        record = obs.mean_vector()
-        for name, first in (("body_rate", "wx"), ("velocity", "vel_x"), ("tau_e", "tau_e_x"), ("f_e", "f_e_x")):
-            start = logio.STATE_FIELDS.index(first)
-            assert_bits_equal(getattr(obs, name), record[start:start + 3])
 
     def test_zero_covariance_is_read_only(self):
         cov = MomentumObserver(PARAMS).cov_diagonal()
