@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .logio import STATE_FIELDS, TimeSeriesLog, write_csv
+from .rigid_body import _check_finite
 
 __all__ = [
     "AdmittanceConfig",
@@ -43,6 +44,7 @@ class AdmittanceConfig:
     deadband: float = 0.002  # N m, suppresses hover jitter
 
     def __post_init__(self):
+        _check_finite(self, "gain", "limit", "deadband")
         if not (self.gain > 0.0 and self.limit > 0.0 and self.deadband >= 0.0):
             raise ValueError("admittance gain/limit must be positive, deadband non-negative")
 

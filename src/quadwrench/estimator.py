@@ -125,9 +125,15 @@ class GaussianBelief:
     def from_std(cls, mean: VehicleState, stds) -> "GaussianBelief":
         """Diagonal covariance from per-block standard deviations.
 
-        ``stds`` is a mapping with keys rho, omega, pos, vel, tau_e, f_e.
+        ``stds`` maps exactly the keys rho, omega, pos, vel, tau_e, f_e to
+        finite stds >= 0; anything else raises ``ValueError`` naming the key.
         """
         order = ("rho", "omega", "pos", "vel", "tau_e", "f_e")
+        for key in set(stds) ^ set(order):
+            raise ValueError(f"std key {key!r} is unknown or missing; the keys are {', '.join(order)}")
+        for key in order:
+            if not 0.0 <= float(stds[key]) < np.inf:
+                raise ValueError(f"std {key!r} must be finite and >= 0, got {stds[key]!r}")
         diag = np.concatenate([np.full(3, float(stds[k]) ** 2) for k in order])
         return cls(mean=mean, cov=np.diag(diag))
 
@@ -273,16 +279,19 @@ def correct(
     """Posterior of a linear Kalman update from a 6-DoF pose measurement.
 
     The measurement is ``H x + v`` with H selecting ``[pos, d_rho]`` and
-    ``v ~ N(0, R)``, so the cross covariance is ``P H'``, the innovation
-    covariance ``S = H P H' + R`` and the gain ``K = P H' inv(S)``.  The
+    ``v ~ N(0, R)``, so the cross covariance is ``P H'`` and the innovation
+    covariance ``S = H P H' + R``.  One eigendecomposition ``S = V diag(l) V'``
+    serves the update: S with a non-finite entry, ``min(l) <= 0`` or
+    ``max(l)/min(l) > 1e12`` raises :class:`InnovationCovarianceSingular`;
+    ``W = V diag(l)^-1/2`` whitens the innovation ``nu`` into ``z = W' nu``,
+    whose ``z . z`` is its Mahalanobis distance squared; with ``C = P H' W``
+    the mean moves by ``C z`` and the gain is ``K = C W' = P H' inv(S)``.  The
     covariance update is the Joseph form ``(I - K H) P (I - K H)' + K R K'``,
     symmetrized, which stays positive semidefinite under rounding.
 
     The attitude residual is the MRP of the left-relative quaternion between
-    the measured and predicted attitude (short-arc sign).  ``S`` with a
-    non-finite entry or a 2-norm condition number above 1e12 raises
-    :class:`InnovationCovarianceSingular`.  With ``gate_enabled``, an
-    innovation whose Mahalanobis distance squared exceeds :data:`GATE_THRESHOLD`
+    the measured and predicted attitude (short-arc sign).  With
+    ``gate_enabled``, a Mahalanobis distance squared above :data:`GATE_THRESHOLD`
     raises :class:`MeasurementRejected` instead of updating.
     """
     meas_cov = noise.measurement_cov()
@@ -291,22 +300,25 @@ def correct(
 
     if not np.isfinite(innovation_cov).all():
         raise InnovationCovarianceSingular("predicted measurement covariance is not finite")
-    # singular values of a symmetric matrix are its absolute eigenvalues
-    eig = np.abs(np.linalg.eigvalsh(innovation_cov))
-    if eig.min() == 0.0 or eig.max() / eig.min() > _CONDITION_LIMIT:
+    eigvals, eigvecs = np.linalg.eigh(innovation_cov)
+    low, high = float(eigvals[0]), float(eigvals[-1])
+    if not low > 0.0 or high / low > _CONDITION_LIMIT:
         raise InnovationCovarianceSingular(
-            f"predicted measurement covariance condition number exceeds {_CONDITION_LIMIT:g}"
+            f"predicted measurement covariance not positive definite or condition above {_CONDITION_LIMIT:g}"
         )
+    whiten = eigvecs / np.sqrt(eigvals)
 
     innovation = np.concatenate([measurement.pos - belief.mean.pos, _mrp_about(measurement.q, belief.mean.q)])
+    whitened = innovation @ whiten
 
     if gate_enabled:
-        m2 = float(innovation @ np.linalg.solve(innovation_cov, innovation))
+        m2 = float(whitened @ whitened)
         if m2 > GATE_THRESHOLD:
             raise MeasurementRejected(m2)
 
-    gain = np.linalg.solve(innovation_cov, cross_cov.T).T
-    delta = gain @ innovation
+    whitened_cross = cross_cov @ whiten
+    delta = whitened_cross @ whitened
+    gain = whitened_cross @ whiten.T
     i_kh = np.eye(STATE_DIM)
     i_kh[:, _POSE_IDX] -= gain
     cov = _symmetrize(i_kh @ belief.cov @ i_kh.T + gain @ meas_cov @ gain.T)

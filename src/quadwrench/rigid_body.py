@@ -72,6 +72,9 @@ class VehicleFloats(NamedTuple):
     inertia_inv: tuple
     rotor_coeffs: tuple
     rotor_scale: tuple
+    mixer_inv: tuple
+    motor_thrust_max: tuple
+    thrust_coeff: tuple
 
 
 @dataclass(frozen=True)
@@ -137,7 +140,9 @@ class VehicleParams:
         object.__setattr__(self, "floats", VehicleFloats(
             mass=float(self.mass), dt=float(self.dt), gravity=tuple(self.gravity.tolist()),
             inertia=rows(self.inertia), inertia_inv=rows(self.inertia_inv),
-            rotor_coeffs=rows(self.rotor_coeffs), rotor_scale=tuple(self.rotor_scale.tolist())))
+            rotor_coeffs=rows(self.rotor_coeffs), rotor_scale=tuple(self.rotor_scale.tolist()),
+            mixer_inv=rows(self.mixer_inv), motor_thrust_max=tuple(self.motor_thrust_max.tolist()),
+            thrust_coeff=tuple(self.thrust_coeff.tolist())))
 
 
 @dataclass
@@ -177,13 +182,13 @@ class VehicleState:
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    """Diagonal process and measurement covariances.
+    """Diagonal process and measurement covariances, three variances per block.
 
-    ``q_*`` are per-step process covariances, ``g_x`` the pose-position
-    measurement covariance (m^2) and ``g_rho`` the attitude measurement
-    covariance in MRP units squared (a rotation by angle a has |rho| ~ a/4).
-    Every matrix is a read-only copy, and the stacked covariances are built
-    once at construction.
+    ``q_*`` are per-step process variances, ``g_x`` the pose-position
+    measurement variances (m^2) and ``g_rho`` the attitude measurement
+    variances in MRP units squared (a rotation by angle a has |rho| ~ a/4).
+    Each block is a read-only ``(3,)`` copy (x, y, z; another shape raises
+    ``ValueError``), and the stacked covariances are built once.
     """
 
     q_ct: np.ndarray
@@ -195,25 +200,16 @@ class NoiseConfig:
 
     def __post_init__(self):
         for name in ("q_ct", "q_tau_m", "q_f_e", "q_tau_e", "g_x", "g_rho"):
-            mat = np.array(np.atleast_1d(getattr(self, name)), dtype=float)
-            if mat.ndim == 1:
-                mat = np.diag(mat)
-            if mat.shape != (3, 3):
-                raise ValueError(f"{name} must be a 3x3 matrix or length-3 diagonal")
-            mat.flags.writeable = False
-            object.__setattr__(self, name, mat)
-            _check_finite(self, name)
-            if not np.all(np.diag(mat) > 0.0):
-                raise ValueError(f"{name} diagonal must be strictly positive")
-        process = np.zeros((12, 12))
-        for i, mat in enumerate((self.q_tau_m, self.q_tau_e, self.q_ct, self.q_f_e)):
-            process[3 * i:3 * i + 3, 3 * i:3 * i + 3] = mat
-        measurement = np.zeros((6, 6))
-        measurement[0:3, 0:3] = self.g_x
-        measurement[3:6, 3:6] = self.g_rho
-        for name, value in (("_process_cov", process), ("_measurement_cov", measurement)):
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
+            var = np.array(getattr(self, name), dtype=float)
+            if var.shape != (3,) or not np.all((var > 0.0) & (var < np.inf)):
+                raise ValueError(f"NoiseConfig.{name} must be finite: three positive variances, got {var!r}")
+            var.flags.writeable = False
+            object.__setattr__(self, name, var)
+        for name, blocks in (("_process_cov", (self.q_tau_m, self.q_tau_e, self.q_ct, self.q_f_e)),
+                             ("_measurement_cov", (self.g_x, self.g_rho))):
+            cov = np.diag(np.concatenate(blocks))
+            cov.flags.writeable = False
+            object.__setattr__(self, name, cov)
 
     @classmethod
     def default(cls) -> "NoiseConfig":
@@ -221,12 +217,12 @@ class NoiseConfig:
         # estimator bandwidth and are chosen for a ~1 s 10-90% rise at the
         # default measurement noise.
         return cls(
-            q_ct=np.diag([0.025**2, 0.025**2, 0.05**2]),
-            q_tau_m=np.eye(3) * 0.005**2,
-            q_f_e=np.eye(3) * 6e-4**2,
-            q_tau_e=np.eye(3) * 5e-5**2,
-            g_x=np.eye(3) * 0.001**2,
-            g_rho=np.eye(3) * 0.0005**2,
+            q_ct=[0.025**2, 0.025**2, 0.05**2],
+            q_tau_m=np.full(3, 0.005**2),
+            q_f_e=np.full(3, 6e-4**2),
+            q_tau_e=np.full(3, 5e-5**2),
+            g_x=np.full(3, 0.001**2),
+            g_rho=np.full(3, 0.0005**2),
         )
 
     def process_cov(self) -> np.ndarray:

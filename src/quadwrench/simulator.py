@@ -11,8 +11,9 @@ The truth step, controller, mixer, pose sensor, disturbances and references
 serve one vehicle per call and compute on Python floats with ``attitude``'s
 ``*_floats`` forms, ``rotor_wrench_floats`` and ``VehicleParams.floats``: each
 reads its array inputs once with ``.tolist()`` and builds an array only where
-its caller needs one (the motor speeds, the truth state, the ``(force,
-torque)`` pair, the pose).  References are tuples of three floats.  The truth
+its caller needs one (the motor speeds, the truth state, the pose).
+References, and the disturbances' ``(force, torque)`` pair, are tuples of
+three floats.  The truth
 step is ``process_step`` written out on one vehicle and agrees with it to a
 few ulp; its rotor map and carried wrench are bit-identical.  The speed
 quantizer stays on numpy; a float form of it measured no faster.
@@ -57,6 +58,7 @@ __all__ = [
 
 
 _ZERO3 = (0.0, 0.0, 0.0)
+_ZERO_WRENCH = (_ZERO3, _ZERO3)
 
 
 # ---------------------------------------------------------------------------
@@ -100,23 +102,24 @@ class FanModel:
             raise ValueError("fan axis must have a horizontal component")
         self._lateral_dir = tuple((lateral / lateral_norm).tolist())
 
-    def wrench_at(self, point, position=None) -> tuple[np.ndarray, np.ndarray]:
-        """(force, torque) on a vehicle hovering at ``point``, with the fan at
-        ``position`` (default ``self.position``); both are 3-sequences."""
+    def wrench_at(self, point, position=None) -> tuple[tuple, tuple]:
+        """(force, torque), two float triples, on a vehicle hovering at
+        ``point`` with the fan at ``position`` (default ``self.position``);
+        both are 3-sequences."""
         px, py, pz = point
         ox, oy, oz = self.position.tolist() if position is None else position
         rx, ry, rz = px - ox, py - oy, pz - oz
         ax, ay, az = self.axis.tolist()
         d = rx * ax + ry * ay + rz * az
         if d <= 0.0:
-            return np.zeros(3), np.zeros(3)
+            return _ZERO_WRENCH
         nx, ny, nz = rx - d * ax, ry - d * ay, rz - d * az  # radial offset
         r = math.sqrt(nx * nx + ny * ny + nz * nz)
         f_mag = self.axial_force * math.exp(-d / self.axial_decay) * math.exp(-0.5 * (r / self.radial_sigma) ** 2)
         lx, ly, lz = self._lateral_dir
         u = (rx * lx + ry * ly + rz * lz) / self.torque_peak_radius
         tau_z = self.torque_peak * u * math.exp(0.5 * (1.0 - u * u))
-        return np.array([f_mag * ax, f_mag * ay, f_mag * az]), np.array([0.0, 0.0, tau_z])
+        return (f_mag * ax, f_mag * ay, f_mag * az), (0.0, 0.0, tau_z)
 
 
 @dataclass
@@ -131,14 +134,14 @@ class SteppedMass:
         self.offset_body = np.asarray(self.offset_body, dtype=float)
         _check_finite(self, "mass", "offset_body", "onset_s")
 
-    def wrench(self, t: float, state: VehicleState) -> tuple[np.ndarray, np.ndarray]:
+    def wrench(self, t: float, state: VehicleState) -> tuple[tuple, tuple]:
         if t < self.onset_s:
-            return np.zeros(3), np.zeros(3)
+            return _ZERO_WRENCH
         f_z = -self.mass * 9.81
         rows = rotmat_body_to_global_floats(state.q.tolist())
         # R' f for the vertical force f is f_z times R's last row
         tx, ty, tz = cross3_floats(self.offset_body.tolist(), [f_z * r for r in rows[2]])
-        return np.array([0.0, 0.0, f_z]), np.array([a * tx + b * ty + c * tz for a, b, c in rows])
+        return (0.0, 0.0, f_z), tuple(a * tx + b * ty + c * tz for a, b, c in rows)
 
 
 @dataclass
@@ -156,7 +159,7 @@ class FanDisturbance:
         (px, py, pz), (vx, vy, vz) = self.fan.position.tolist(), self.velocity.tolist()
         return (px + vx * dt_moving, py + vy * dt_moving, pz + vz * dt_moving)
 
-    def wrench(self, t: float, state: VehicleState) -> tuple[np.ndarray, np.ndarray]:
+    def wrench(self, t: float, state: VehicleState) -> tuple[tuple, tuple]:
         return self.fan.wrench_at(state.pos.tolist(), position=self.fan_position(t))
 
 
@@ -305,10 +308,10 @@ class SensorModel:
     @classmethod
     def from_noise(cls, noise: NoiseConfig, quant_bits: int) -> "SensorModel":
         """The sensor ``noise`` describes; one std per block samples only an
-        isotropic diagonal ``g_x``/``g_rho``, so any other raises ``ValueError``."""
-        if not all(np.array_equal(m, m[0, 0] * np.eye(3)) for m in (noise.g_x, noise.g_rho)):
-            raise ValueError("g_x and g_rho must be isotropic diagonals to build a SensorModel")
-        pos_var, att_var = noise.g_x[0, 0], noise.g_rho[0, 0]
+        isotropic ``g_x``/``g_rho``, so three unequal variances raise ``ValueError``."""
+        if not all(np.all(v == v[0]) for v in (noise.g_x, noise.g_rho)):
+            raise ValueError("g_x and g_rho must each be three equal variances to build a SensorModel")
+        pos_var, att_var = noise.g_x[0], noise.g_rho[0]
         return cls(pos_std=float(np.sqrt(pos_var)), att_std_mrp=float(np.sqrt(att_var)),
                    quant_bits=quant_bits)
 
@@ -346,15 +349,9 @@ def _dot3(a, b) -> float:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def _mixer_constants(params: VehicleParams) -> tuple[list, list, list]:
-    """The run constants of the mixer as Python floats: the rows of
-    ``mixer_inv``, each motor's thrust limit and its thrust coefficient."""
-    return params.mixer_inv.tolist(), params.motor_thrust_max.tolist(), params.thrust_coeff.tolist()
-
-
-def _mix(constants, thrust: float, torque) -> tuple[list[float], bool]:
-    """Invert thrust/torque maps to per-motor speeds, on floats, from
-    :func:`_mixer_constants`; clamp to [0, omega_max].
+def _mix(params: VehicleParams, thrust: float, torque) -> tuple[list[float], bool]:
+    """Invert thrust/torque maps to per-motor speeds, on floats, from the
+    mixer's run constants in ``params.floats``; clamp to [0, omega_max].
 
     The demand is reachable when every per-motor thrust k_i * Omega_i^2 that
     solves the mixing rows lies in [0, k_i * omega_max^2]. Yaw torque comes
@@ -368,11 +365,11 @@ def _mix(constants, thrust: float, torque) -> tuple[list[float], bool]:
     demanded thrust and torque exactly up to rounding.  A non-finite demand
     raises ``ValueError``.
     """
-    mixer_rows, thrust_max, thrust_coeff = constants
     t, tx, ty, tz = demand = (thrust, *torque)
     speeds = []
     saturated = False
-    for (a, b, c, d), limit, k in zip(mixer_rows, thrust_max, thrust_coeff):
+    constants = params.floats
+    for (a, b, c, d), limit, k in zip(constants.mixer_inv, constants.motor_thrust_max, constants.thrust_coeff):
         per_motor = a * t + b * tx + c * ty + d * tz
         clipped = min(max(0.0, per_motor), limit)
         saturated |= per_motor != clipped
@@ -395,7 +392,6 @@ class FlightController:
     def __init__(self, params: VehicleParams):
         self.params = params
         self.saturation_count = 0
-        self._mixer = _mixer_constants(params)
 
     def command(self, state: VehicleState, ref_pos, ref_vel=None, yaw: float = 0.0) -> np.ndarray:
         """Motor speeds steering ``state`` towards the reference; ``ref_pos``
@@ -433,7 +429,7 @@ class FlightController:
         ang_acc = [-ATT_P * e - ATT_D * w for e, w in zip(e_rot, state.omega.tolist())]
         torque = [_dot3(row, ang_acc) for row in inertia]
 
-        speeds, saturated = _mix(self._mixer, thrust, torque)
+        speeds, saturated = _mix(self.params, thrust, torque)
         if saturated:
             self.saturation_count += 1
         return np.array(speeds)
@@ -454,6 +450,7 @@ class Scenario:
     disturbance: SteppedMass | FanDisturbance | None = None
 
     def __post_init__(self):
+        _check_finite(self, "duration_s")
         if not self.duration_s > 0.0:
             raise ValueError("duration must be positive")
         if not 0.0 < self.sensor_rate_hz < math.inf:
@@ -491,9 +488,10 @@ _TAU_Z = STATE_FIELDS.index("tau_e_z")
 
 
 def truth_step(state: VehicleState, rotor_speeds: np.ndarray,
-               wrench: tuple[np.ndarray, np.ndarray], params: VehicleParams) -> VehicleState:
+               wrench: tuple[tuple, tuple], params: VehicleParams) -> VehicleState:
     """One ground-truth step: the deterministic process model with the
-    scenario wrench ``(force, torque)`` injected in place of the random walk.
+    scenario wrench ``(force, torque)``, two float triples, injected in place
+    of the random walk.
 
     ``process_step``'s map written out on one vehicle in Python floats.  The
     rotor map and the carried wrench are bit-identical to it; the rotation,
@@ -503,7 +501,7 @@ def truth_step(state: VehicleState, rotor_speeds: np.ndarray,
     constants = params.floats
     mass, dt, inertia, inertia_inv = constants.mass, constants.dt, constants.inertia, constants.inertia_inv
     gx, gy, gz = constants.gravity
-    force, torque = wrench[0].tolist(), wrench[1].tolist()
+    force, torque = wrench
     thrust, mx, my, mz = rotor_wrench_floats(params, rotor_speeds.tolist())
     q = state.q.tolist()
     (wx, wy, wz), (px, py, pz), (vx, vy, vz) = state.omega.tolist(), state.pos.tolist(), state.vel.tolist()
@@ -588,7 +586,7 @@ def run_scenario(scenario: Scenario, setup: RunSetup | None = None) -> TimeSerie
         # error for Q_ct to cover
         speeds = sensor.quantize_speeds(controller.command(truth, ref_pos, ref_vel, yaw=yaw), params.omega_max)
 
-        wrench = scenario.disturbance.wrench(t, truth) if scenario.disturbance else (np.zeros(3), np.zeros(3))
+        wrench = scenario.disturbance.wrench(t, truth) if scenario.disturbance else _ZERO_WRENCH
         truth = truth_step(truth, speeds, wrench, params)
 
         measurement = None

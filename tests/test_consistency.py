@@ -59,8 +59,8 @@ def test_nees_within_chi_square_envelope():
     ref = np.array([0.0, 0.0, 1.0])
     q_proc = NOISE.process_cov()
     q_chol = np.linalg.cholesky(q_proc)
-    pos_std = np.sqrt(NOISE.g_x[0, 0])
-    rho_std = np.sqrt(NOISE.g_rho[0, 0])
+    pos_std = np.sqrt(NOISE.g_x[0])
+    rho_std = np.sqrt(NOISE.g_rho[0])
 
     nees_sum = np.zeros(n_steps)
     for run in range(n_runs):

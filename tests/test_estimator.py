@@ -114,6 +114,24 @@ def default_belief(p_rho=1e-4, p_omega=1e-4, p_pos=1e-4, p_vel=1e-4, p_tau=1e-4,
     return GaussianBelief(mean=mean, cov=np.diag(diag))
 
 
+INIT_STDS = {"rho": 0.005, "omega": 0.05, "pos": 0.005, "vel": 0.05, "tau_e": 0.01, "f_e": 0.05}
+
+
+class TestFromStd:
+    @pytest.mark.parametrize("stds, key", [
+        pytest.param({**INIT_STDS, "omega": -0.05}, "omega", id="negative"),
+        pytest.param({**INIT_STDS, "pos": np.nan}, "pos", id="nan"),
+        pytest.param({**INIT_STDS, "f_e": np.inf}, "f_e", id="inf"),
+        pytest.param({**INIT_STDS, "fe": 1.0}, "fe", id="unknown-key"),
+        pytest.param({k: v for k, v in INIT_STDS.items() if k != "tau_e"}, "tau_e", id="missing-key"),
+    ])
+    def test_rejects_bad_std_naming_the_key(self, stds, key):
+        # a negative std was squared into a valid variance, and an unknown
+        # key, a misspelt one among them, was ignored
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            GaussianBelief.from_std(VehicleState.at_rest(), stds)
+
+
 class TestSigmaPoints:
     def test_unit_cov_l2(self):
         # spread sqrt(L + kappa) = sqrt(2 + 14) = 4
@@ -212,7 +230,7 @@ class TestPredict:
     def test_zero_covariance_limit_matches_deterministic_step(self):
         eps = 1e-10
         belief = default_belief(*(eps,) * 6)
-        noise = NoiseConfig(*(np.eye(3) * eps,) * 4, g_x=np.eye(3), g_rho=np.eye(3))
+        noise = NoiseConfig(*(np.full(3, eps),) * 4, g_x=np.ones(3), g_rho=np.ones(3))
         out = predict(belief, hover_speeds(PARAMS), noise, PARAMS)
         det = process_step(belief.mean, hover_speeds(PARAMS), None, PARAMS)
         np.testing.assert_allclose(out.mean.as_vector(), det.as_vector(), atol=10 * eps)
@@ -222,7 +240,7 @@ class TestPredict:
         noise = NoiseConfig.default()
         out = predict(belief, hover_speeds(PARAMS), noise, PARAMS)
         np.testing.assert_allclose(
-            out.cov[15:18, 15:18], belief.cov[15:18, 15:18] + noise.q_f_e, atol=1e-12
+            out.cov[15:18, 15:18], belief.cov[15:18, 15:18] + np.diag(noise.q_f_e), atol=1e-12
         )
 
     def test_translational_chain_matches_analytic_kalman_prediction(self):
@@ -249,7 +267,7 @@ class TestPredict:
         ])
         B_ct = np.vstack([0.5 * T * T / m * I3, T / m * I3, Z3])
         B_fe = np.vstack([Z3, Z3, I3])
-        expected = A @ P9 @ A.T + B_ct @ noise.q_ct @ B_ct.T + B_fe @ noise.q_f_e @ B_fe.T
+        expected = A @ P9 @ A.T + B_ct @ np.diag(noise.q_ct) @ B_ct.T + B_fe @ np.diag(noise.q_f_e) @ B_fe.T
         np.testing.assert_allclose(out.cov[np.ix_(idx, idx)], expected, atol=1e-9)
 
         det = process_step(belief.mean, hover_speeds(PARAMS), None, PARAMS)
@@ -373,7 +391,7 @@ class TestCorrect:
 
         H = np.zeros((3, 9))
         H[:, 0:3] = np.eye(3)
-        S = H @ P9 @ H.T + noise.g_x
+        S = H @ P9 @ H.T + np.diag(noise.g_x)
         K = P9 @ H.T @ np.linalg.inv(S)
         delta = K @ offset
         P_post = P9 - K @ S @ K.T
@@ -409,7 +427,7 @@ class TestCorrect:
         # wildly disparate position vs attitude scales push the innovation
         # covariance condition number past the 1e12 limit
         belief = default_belief(p_pos=1.0, p_rho=1e-16)
-        noise = replace(NoiseConfig.default(), g_x=np.eye(3) * 0.1, g_rho=np.eye(3) * 1e-16)
+        noise = replace(NoiseConfig.default(), g_x=np.full(3, 0.1), g_rho=np.full(3, 1e-16))
         with pytest.raises(InnovationCovarianceSingular):
             correct(belief, PoseMeasurement(pos=belief.mean.pos, q=belief.mean.q), noise)
 
@@ -421,6 +439,38 @@ class TestCorrect:
         noise = NoiseConfig.default()
         with pytest.raises(InnovationCovarianceSingular, match="not finite"):
             correct(belief, PoseMeasurement(pos=belief.mean.pos, q=belief.mean.q), noise)
+
+    def test_indefinite_innovation_covariance_is_singular(self):
+        # a negative position variance makes S indefinite with a well-scaled
+        # spectrum: the condition check on absolute eigenvalues let it update
+        belief = default_belief()
+        belief.cov[6, 6] = -1e-3
+        with pytest.raises(InnovationCovarianceSingular, match="not positive definite"):
+            correct(belief, PoseMeasurement(pos=belief.mean.pos, q=belief.mean.q), NoiseConfig.default())
+
+    def test_rejected_mahalanobis_matches_a_solve(self):
+        rng = np.random.default_rng(10)
+        noise = NoiseConfig.default()
+        for _ in range(25):
+            mean = VehicleState.at_rest(pos=rng.uniform(-2.0, 2.0, 3))
+            mean.q = att.quat_from_rotvec(rng.uniform(-np.pi, np.pi, 3) / 2.0)
+            a = rng.standard_normal((18, 18)) * np.exp(rng.uniform(np.log(1e-4), np.log(1e-2), 18))
+            belief = GaussianBelief(mean=mean, cov=a @ a.T + 1e-8 * np.eye(18))
+            # an offset of 20 to 50 stds of each position and attitude axis
+            scale = np.sqrt(np.diag(belief.cov)[estimator._POSE_IDX] + np.diag(noise.measurement_cov()))
+            offset = scale * rng.uniform(20.0, 50.0, 6) * rng.choice([-1.0, 1.0], 6)
+            meas = PoseMeasurement(pos=mean.pos + offset[:3],
+                                   q=att.quat_multiply(att.mrp_to_error_quat(offset[3:]), mean.q))
+            with pytest.raises(MeasurementRejected) as exc:
+                correct(belief, meas, noise, gate_enabled=True)
+
+            H = np.zeros((6, 18))
+            H[0:3, 6:9] = np.eye(3)
+            H[3:6, 0:3] = np.eye(3)
+            S = H @ belief.cov @ H.T + noise.measurement_cov()
+            nu = np.concatenate([meas.pos - mean.pos, estimator._mrp_about(meas.q, mean.q)])
+            want = nu @ np.linalg.solve(S, nu)
+            assert exc.value.mahalanobis_sq == pytest.approx(want, rel=1e-12)
 
     def test_matches_sigma_point_oracle_on_random_beliefs(self):
         rng = np.random.default_rng(9)

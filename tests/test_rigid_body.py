@@ -64,6 +64,13 @@ class TestParams:
         for name in ("rotor_coeffs", "rotor_scale", "mixer_inv"):
             assert not getattr(params, name).flags.writeable
 
+    def test_floats_are_the_array_constants(self, params):
+        for name in ("gravity", "inertia", "inertia_inv", "rotor_coeffs", "rotor_scale", "mixer_inv",
+                     "motor_thrust_max", "thrust_coeff"):
+            value = getattr(params, name).tolist()
+            assert getattr(params.floats, name) == (tuple(map(tuple, value)) if type(value[0]) is list
+                                                    else tuple(value))
+
     def test_hover_balance(self, params):
         ct = rotor_wrench(params, hover_speeds(params))[..., 0]
         assert ct == pytest.approx(params.mass * 9.81, rel=1e-12)
@@ -262,13 +269,13 @@ class TestMonteCarloMoments:
         # sample covariances within 5% of the linear propagation
         T, m = params.dt, params.mass
         R = att.rotmat_body_to_global(s0.q)
-        cov_vel = (T / m) ** 2 * R @ noise.q_ct @ R.T
-        cov_omega = T**2 * params.inertia_inv @ noise.q_tau_m @ params.inertia_inv.T
+        cov_vel = (T / m) ** 2 * R @ np.diag(noise.q_ct) @ R.T
+        cov_omega = T**2 * params.inertia_inv @ np.diag(noise.q_tau_m) @ params.inertia_inv.T
         for samples, expected in [
             (out.vel, cov_vel),
             (out.omega, cov_omega),
-            (out.f_e, noise.q_f_e),
-            (out.tau_e, noise.q_tau_e),
+            (out.f_e, np.diag(noise.q_f_e)),
+            (out.tau_e, np.diag(noise.q_tau_e)),
         ]:
             got = np.cov(samples.T)
             np.testing.assert_allclose(np.diag(got), np.diag(expected), rtol=0.05)
@@ -285,13 +292,23 @@ class TestNoiseConfig:
     def test_block_layout(self):
         cfg = NoiseConfig.default()
         Q = cfg.process_cov()
-        np.testing.assert_allclose(Q[0:3, 0:3], cfg.q_tau_m)
-        np.testing.assert_allclose(Q[3:6, 3:6], cfg.q_tau_e)
-        np.testing.assert_allclose(Q[6:9, 6:9], cfg.q_ct)
-        np.testing.assert_allclose(Q[9:12, 9:12], cfg.q_f_e)
+        np.testing.assert_array_equal(Q, np.diag(np.concatenate([cfg.q_tau_m, cfg.q_tau_e, cfg.q_ct, cfg.q_f_e])))
         G = cfg.measurement_cov()
-        np.testing.assert_allclose(G[0:3, 0:3], cfg.g_x)
-        np.testing.assert_allclose(G[3:6, 3:6], cfg.g_rho)
+        np.testing.assert_array_equal(G, np.diag(np.concatenate([cfg.g_x, cfg.g_rho])))
+
+    @pytest.mark.parametrize("value", [
+        pytest.param(np.array([[1e-6, 1e-7, 0.0], [0.0, 1e-6, 0.0], [0.0, 0.0, 1e-6]]), id="asymmetric"),
+        pytest.param(np.eye(3) * 1e-6, id="diagonal-matrix"),
+        pytest.param(np.array([[1e-6, np.nan, 0.0], [np.nan, 1e-6, 0.0], [0.0, 0.0, 1e-6]]),
+                     id="g_x-off-diagonal-nan"),
+        pytest.param(1e-6, id="scalar"),
+        pytest.param([1e-6] * 4, id="four"),
+    ])
+    def test_rejects_a_matrix_or_other_than_three_variances(self, value):
+        # a block is three variances: a matrix was checked on its diagonal
+        # only, so an asymmetric or indefinite one constructed
+        with pytest.raises(ValueError, match="g_x must be finite: three positive variances"):
+            dataclasses.replace(NoiseConfig.default(), g_x=value)
 
     def test_frozen_and_built_once(self):
         diag = np.ones(3)
@@ -302,7 +319,7 @@ class TestNoiseConfig:
         assert cfg.measurement_cov() is cfg.measurement_cov()
         for mat in (cfg.q_ct, cfg.g_rho, cfg.process_cov(), cfg.measurement_cov()):
             with pytest.raises(ValueError, match="read-only"):
-                mat[0, 0] = 2.0
+                mat[0] = 2.0
         # the caller's array is copied, not frozen in place
         diag[0] = 2.0
-        assert cfg.q_ct[0, 0] == 1.0
+        assert cfg.q_ct[0] == 1.0

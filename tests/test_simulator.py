@@ -25,7 +25,6 @@ from quadwrench.simulator import (
     SensorModel,
     SteppedMass,
     _mix,
-    _mixer_constants,
     run_scenario,
     truth_step,
 )
@@ -41,7 +40,7 @@ TRUTH_RTOL = 4 * EPS
 
 def mix_motor_speeds(params, thrust, torque):
     """The controller's mixer ``_mix`` on one vehicle's demand, as arrays."""
-    speeds, saturated = _mix(_mixer_constants(params), float(thrust), np.asarray(torque, dtype=float).tolist())
+    speeds, saturated = _mix(params, float(thrust), np.asarray(torque, dtype=float).tolist())
     return np.array(speeds), saturated
 
 
@@ -117,6 +116,14 @@ class TestTruthStep:
         _, tau_yawed = dist.wrench(1.0, state)
         np.testing.assert_allclose(tau_yawed, [-0.053 * 9.81 * 0.13, 0.0, 0.0], atol=1e-12)
 
+    def test_disturbances_return_float_triples(self):
+        state = VehicleState.at_rest(pos=(1.0, 0.5, 1.0))
+        behind = FanDisturbance(FanModel(position=[2.0, 0.0, 1.0]))
+        for dist in (SteppedMass(onset_s=0.0), SteppedMass(onset_s=7.0), FanDisturbance(FanModel()), behind):
+            for triple in dist.wrench(1.0, state):
+                assert type(triple) is tuple and len(triple) == 3
+                assert all(type(value) is float for value in triple)
+
     def test_fan_injection_matches_field(self):
         fan = FanModel(position=[0, 0, 1])
         dist = FanDisturbance(fan=fan)
@@ -129,10 +136,6 @@ class TestTruthStep:
 
 def _noise(**diagonals):
     return dataclasses.replace(NoiseConfig.default(), **{k: np.full(3, v) for k, v in diagonals.items()})
-
-
-def _noise_matrices(**matrices):
-    return dataclasses.replace(NoiseConfig.default(), **matrices)
 
 
 # every setting of a run's configuration that must be strictly positive
@@ -160,14 +163,17 @@ def _fan_disturbance(**settings):
     return FanDisturbance(FanModel(), **settings)
 
 
-# every disturbance and reference setting that must be finite, with a vector
-# setting given one non-finite entry
+# every disturbance, reference, observer, admittance and scenario setting that
+# must be finite, with a vector setting given one non-finite entry
 FINITE_SETTINGS = [
     (FanModel, "axial_force", False), (FanModel, "torque_peak", False), (FanModel, "position", True),
     (SteppedMass, "mass", False), (SteppedMass, "offset_body", True), (SteppedMass, "onset_s", False),
     (_fan_disturbance, "velocity", True), (_fan_disturbance, "move_from_s", False),
     (Hover, "point", True), (FanTrack, "start_point", True),
     (GridSurvey, "height", False), (FanTrack, "yaw", False),
+    (ObserverGains, "force", False), (ObserverGains, "torque", False),
+    (AdmittanceConfig, "gain", False), (AdmittanceConfig, "limit", False), (AdmittanceConfig, "deadband", False),
+    (Scenario, "duration_s", False),
 ]
 
 
@@ -176,8 +182,11 @@ FINITE_SETTINGS = [
                          ids=[f"{build.__name__.strip('_')}.{name}" for build, name, _ in FINITE_SETTINGS])
 def test_disturbance_and_reference_settings_reject_non_finite(build, name, vector, value):
     # SteppedMass(onset_s=nan) would apply the mass from t = 0 without an
-    # error (t < nan is false); the others fail steps later, in the sensor or
-    # the mixer, under a message that names neither setting
+    # error (t < nan is false); ObserverGains(force=inf) logs non-finite
+    # estimates without an error, AdmittanceConfig(gain=inf) commands NaN and
+    # Scenario(duration_s=inf) raised an untyped OverflowError in run_scenario;
+    # the others fail steps later, in the sensor or the mixer, under a message
+    # that names neither setting
     with pytest.raises(ValueError, match=name):
         build(**{name: np.array([0.0, value, 1.0]) if vector else value})
 
@@ -185,7 +194,6 @@ def test_disturbance_and_reference_settings_reject_non_finite(build, name, vecto
 # every vehicle and noise setting that must be finite: an infinite one passed
 # construction and failed mid-run, on a mixer error, a numpy warning or an
 # untyped LinAlgError, or, in the float truth step, as a NaN with no warning
-NAN_OFF_DIAGONAL = np.array([[1e-6, np.nan, 0.0], [np.nan, 1e-6, 0.0], [0.0, 0.0, 1e-6]])
 VEHICLE_FINITE_SETTINGS = [
     *(pytest.param(VehicleParams, name, np.inf, id=name) for name in ("mass", "arm_length", "dt", "omega_max")),
     pytest.param(VehicleParams, "inertia", np.diag([3.4e-3, np.inf, 4.7e-3]), id="inertia"),
@@ -195,7 +203,6 @@ VEHICLE_FINITE_SETTINGS = [
     pytest.param(VehicleParams, "gravity", [np.nan, 0.0, 9.81], id="gravity-nan"),
     *(pytest.param(_noise, name, np.inf, id=name)
       for name in ("q_ct", "q_tau_m", "q_f_e", "q_tau_e", "g_x", "g_rho")),
-    pytest.param(_noise_matrices, "g_x", NAN_OFF_DIAGONAL, id="g_x-off-diagonal-nan"),
 ]
 
 
@@ -240,7 +247,7 @@ class TestFanModel:
 
     def test_axial_force_non_negative_and_decaying(self):
         fan = FanModel(position=[0, 0, 1])
-        forces = [fan.wrench_at([d, 0.2, 1.0])[0] for d in (0.3, 0.8, 1.5, 2.5)]
+        forces = [np.array(fan.wrench_at([d, 0.2, 1.0])[0]) for d in (0.3, 0.8, 1.5, 2.5)]
         mags = [np.linalg.norm(f) for f in forces]
         assert all(m >= 0 for m in mags)
         assert np.all(np.diff(mags) < 0)
@@ -310,8 +317,8 @@ class TestSensorModel:
     def test_from_noise_samples_the_filter_covariance(self):
         noise = NoiseConfig.default()
         sensor = SensorModel.from_noise(noise, quant_bits=8)
-        assert sensor.pos_std ** 2 == pytest.approx(noise.g_x[0, 0], rel=1e-12)
-        assert sensor.att_std_mrp ** 2 == pytest.approx(noise.g_rho[0, 0], rel=1e-12)
+        assert sensor.pos_std ** 2 == pytest.approx(noise.g_x[0], rel=1e-12)
+        assert sensor.att_std_mrp ** 2 == pytest.approx(noise.g_rho[0], rel=1e-12)
 
     @pytest.mark.parametrize("name", ["g_x", "g_rho"])
     def test_from_noise_rejects_anisotropic_covariance(self, name):
