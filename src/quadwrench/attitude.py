@@ -16,7 +16,10 @@ Conventions used throughout the package:
 The array functions broadcast over leading axes: quaternions are ``(..., 4)``
 arrays, vectors ``(..., 3)``.  Every public operation returns its quaternion
 at unit norm to machine precision: re-normalized, or, for
-``mrp_to_error_quat``, unit by construction.
+``mrp_to_error_quat``, unit by construction.  ``quat_product_matrix(b)`` is
+the (4, 4) matrix M with ``a (x) b = a @ M``, so many quaternions compose
+with one in a single matmul; that product is not renormalized, and is unit
+to rounding for unit factors.
 
 The Hamilton product and the rotation matrix are both bilinear in quaternion
 components.  Each is computed as the 16 component products
@@ -27,13 +30,15 @@ quaternion.  The maps sum their terms in another order than the written-out
 component formulas, so results agree with those to a few ulp, not bitwise.
 
 The ``*_floats`` functions are the written-out formulas on one quaternion or
-vector held as Python floats, for the single-vehicle layers (truth step,
-controller, pose sensor, disturbances, momentum observer), where one numpy
-call costs more than the whole formula in floats.  They take any sequence of
-floats and return tuples, and agree with the array kernels to a few ulp.  The
-array kernels serve the sigma-point sets of ``process_step`` and the filter;
-the two share no code, because each form is the slow one for the other's
-callers.
+vector held as Python floats, for the single-vehicle work (truth step,
+controller, pose sensor, disturbances, momentum observer, and the filter's
+own one-quaternion steps: the rotation in its process-noise map, its
+posterior mean and its innovation), where one numpy call costs more than
+the whole formula in floats.  They take any sequence of floats and return
+tuples, and agree with the array kernels to a few ulp.  The array kernels
+serve the filter's 37-row sigma-point sets, in ``process_step`` and on
+either side of it; the two share no code, because each form is the slow one
+for the other's callers.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ __all__ = [
     "quat_normalize",
     "quat_canonical",
     "quat_multiply",
+    "quat_product_matrix",
     "quat_conjugate",
     "quat_from_axis_angle",
     "quat_from_rotvec",
@@ -58,6 +64,7 @@ __all__ = [
     "quat_multiply_floats",
     "rotmat_body_to_global_floats",
     "mrp_to_error_quat_floats",
+    "error_quat_to_mrp_floats",
     "quat_from_rotvec_floats",
     "quat_to_rotvec_floats",
 ]
@@ -101,6 +108,8 @@ _ROTATION = _frozen(2.0 * _product_map([
     "+13 -02", "+23 +01", "+00 +33",
 ]))
 _EYE9 = _frozen(np.eye(3).ravel())
+# the product map as (4, 4, 4): [i, j, k] is the sign of a_i * b_j in component k
+_QUAT_PRODUCT_3D = _frozen(_QUAT_PRODUCT.reshape(4, 4, 4))
 _CONJUGATE = _frozen(np.array([1.0, -1.0, -1.0, -1.0]))
 # cross3 operand orders: c_i = a_(i+1) b_(i+2) - a_(i+2) b_(i+1)
 _NEXT = _frozen(np.array([1, 2, 0]))
@@ -151,6 +160,16 @@ def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return quat_normalize(_products(a, b) @ _QUAT_PRODUCT)
 
 
+def quat_product_matrix(b: np.ndarray) -> np.ndarray:
+    """(4, 4) matrix M of the product with one quaternion ``b`` on the right,
+    ``a (x) b = a @ M``, for composing many quaternions ``a`` with it.
+
+    The product is not renormalized: two unit factors give a unit result to
+    rounding.  Each entry of M is a component of ``b`` or its negative.
+    """
+    return np.asarray(b, dtype=float) @ _QUAT_PRODUCT_3D
+
+
 def quat_conjugate(q: np.ndarray) -> np.ndarray:
     """Conjugate (q0, -qv); the inverse for unit quaternions."""
     return np.asarray(q, dtype=float) * _CONJUGATE
@@ -164,15 +183,16 @@ def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
 
 def quat_from_rotvec(v: np.ndarray) -> np.ndarray:
     """Quaternion for a rotation vector (axis * angle), safe at zero angle."""
-    v = np.asarray(v, dtype=float)
-    angle = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
-    half = 0.5 * angle
+    return quat_normalize(_rotvec_quat(np.asarray(v, dtype=float)))
+
+
+def _rotvec_quat(v: np.ndarray) -> np.ndarray:
+    """:func:`quat_from_rotvec` before its renormalization (unit to rounding)."""
+    half = 0.5 * np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
     # sin(h)/h at h >= 1e-20: below that both round to h, so the ratio is
     # its limit 1 and there is no 0/0 at zero rotation
     h = np.maximum(half, _TINY_HALF_ANGLE)
-    vector = 0.5 * v * (np.sin(h) / h)
-    scalar = np.cos(half)
-    return quat_normalize(np.concatenate([scalar, vector], axis=-1))
+    return np.concatenate([np.cos(half), 0.5 * v * (np.sin(h) / h)], axis=-1)
 
 
 def rotmat_body_to_global(q: np.ndarray) -> np.ndarray:
@@ -212,8 +232,12 @@ def mrp_to_error_quat(rho: np.ndarray) -> np.ndarray:
 
 def quat_apply_body_rates(q: np.ndarray, omega: np.ndarray, dt: float) -> np.ndarray:
     """Rotate ``q`` in its body frame by the angle ``|omega| * dt`` about
-    ``omega``: ``q (x) quat_from_rotvec(omega * dt)``."""
-    return quat_multiply(q, quat_from_rotvec(np.asarray(omega, dtype=float) * dt))
+    ``omega``: ``q (x) quat_from_rotvec(omega * dt)``.
+
+    The rate quaternion is not renormalized before the product, which
+    renormalizes its result.
+    """
+    return quat_multiply(q, _rotvec_quat(np.asarray(omega, dtype=float) * dt))
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +278,17 @@ def mrp_to_error_quat_floats(rho) -> tuple[float, float, float, float]:
     s = r0 * r0 + r1 * r1 + r2 * r2
     d = 1.0 + s
     return ((1.0 - s) / d, 2.0 * r0 / d, 2.0 * r1 / d, 2.0 * r2 / d)
+
+
+def error_quat_to_mrp_floats(dq) -> tuple[float, float, float]:
+    """:func:`error_quat_to_mrp` of one error quaternion, with the same operations
+    and the same :class:`NearSingularRotation` guard."""
+    d0, d1, d2, d3 = dq
+    if d0 <= -1.0 + _MRP_SINGULARITY_EPS:
+        raise NearSingularRotation(
+            "error quaternion scalar part %r too close to -1 (rotation near +-2*pi)" % d0)
+    d = 1.0 + d0
+    return (d1 / d, d2 / d, d3 / d)
 
 
 def quat_from_rotvec_floats(v) -> tuple[float, float, float, float]:

@@ -10,17 +10,27 @@ points from the 18-dim belief, injects each point's MRP as an error quaternion
 onto the reference mean, pushes the set through the deterministic process
 model in one batched call and converts relative quaternions against the
 central point back to MRPs (short-arc sign) before recombination.  The process
-noise is added in closed form, as the USQUE adds it (Crassidis & Markley 2003).
+noise is added in closed form, as the USQUE adds it (Crassidis & Markley 2003):
+``G Q G'`` goes onto the recombined covariance as its three non-zero blocks
+(rates, position/velocity, wrench), computed on floats.
 
 The pose measurement reads position and the attitude MRP straight off the
 minimal state and adds its noise, so the measurement model is linear in the
 state.  The correction is therefore the closed-form Kalman update with H
 selecting ``[pos, d_rho]``; an unscented transform of that model would give
 the same moments at the cost of a second sigma-point set.
+
+The 37-row sigma-point set goes through the ``attitude`` array kernels, and
+is composed with the prior or centre quaternion by one 4x4 matmul
+(:func:`quat_product_matrix`).  Work on one quaternion (the rotation in G,
+the posterior mean of ``predict`` and ``correct``, the innovation) is done
+on Python floats with the ``*_floats`` forms, where a numpy call would cost
+more than the arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,12 +38,14 @@ import numpy as np
 
 from .attitude import (
     error_quat_to_mrp,
+    error_quat_to_mrp_floats,
     mrp_to_error_quat,
+    mrp_to_error_quat_floats,
     quat_canonical,
     quat_conjugate,
-    quat_multiply,
-    quat_normalize,
-    rotmat_body_to_global,
+    quat_multiply_floats,
+    quat_product_matrix,
+    rotmat_body_to_global_floats,
 )
 from .rigid_body import NoiseConfig, VehicleParams, VehicleState, process_step
 
@@ -60,8 +72,13 @@ GATE_THRESHOLD = 12.59
 _CONDITION_LIMIT = 1e12
 
 STATE_DIM = 18
-# minimal-state indices the pose measurement reads: position, then attitude MRP
+# minimal-state indices the pose measurement reads: position, then attitude
+# MRP, and H, the 6x18 matrix that selects them
 _POSE_IDX = np.r_[6:9, 0:3]
+_H = np.eye(STATE_DIM)[_POSE_IDX]
+_H.flags.writeable = False
+_IDENTITY = np.eye(STATE_DIM)
+_IDENTITY.flags.writeable = False
 
 
 class CovarianceNotPD(np.linalg.LinAlgError):
@@ -87,19 +104,29 @@ class MeasurementRejected(RuntimeError):
 
 @dataclass
 class PoseMeasurement:
-    """6-DoF pose sample: global position and attitude quaternion (normalized
-    here; a non-finite or zero-norm input raises ``ValueError``)."""
+    """6-DoF pose sample: global position and attitude quaternion, given as
+    sequences of three and four floats and stored as arrays.
+
+    Validated and normalized on floats: a non-finite position, or a
+    quaternion that is non-finite or of zero norm, raises ``ValueError``;
+    the norm sums the squares left to right, as ``attitude.quat_normalize``
+    does, so the quaternion is its result to the bit.
+    """
 
     pos: np.ndarray
     q: np.ndarray
 
     def __post_init__(self):
-        self.pos = np.asarray(self.pos, dtype=float)
-        q = np.asarray(self.q, dtype=float)
-        # q @ q is NaN or inf for a non-finite q, and 0 for a zero one
-        if not (np.isfinite(self.pos).all() and 0.0 < q @ q < np.inf):
+        pos = [float(v) for v in self.pos]
+        w, x, y, z = (float(v) for v in self.q)
+        # the sum of squares is NaN or inf for a non-finite q, and 0 for a
+        # zero one
+        norm2 = w * w + x * x + y * y + z * z
+        if not (all(map(math.isfinite, pos)) and 0.0 < norm2 < math.inf):
             raise ValueError("pose needs a finite position and a finite, nonzero quaternion")
-        self.q = quat_normalize(q)
+        norm = math.sqrt(norm2)
+        self.pos = np.array(pos)
+        self.q = np.array([w / norm, x / norm, y / norm, z / norm])
 
 
 @dataclass
@@ -206,11 +233,10 @@ def recombine(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.n
     return mean, _symmetrize(cov)
 
 
-def _states_from_points(points: np.ndarray, reference_q: np.ndarray) -> VehicleState:
-    """Minimal-state rows (..., 18) as full states about ``reference_q``."""
-    d_q = mrp_to_error_quat(points[..., 0:3])
+def _full_states(points: np.ndarray, q: np.ndarray) -> VehicleState:
+    """Minimal-state rows (..., 18) as full states with attitudes ``q``."""
     return VehicleState(
-        q=quat_multiply(d_q, reference_q),
+        q=q,
         omega=points[..., 3:6],
         pos=points[..., 6:9],
         vel=points[..., 9:12],
@@ -219,16 +245,70 @@ def _states_from_points(points: np.ndarray, reference_q: np.ndarray) -> VehicleS
     )
 
 
-def _mrp_about(q: np.ndarray, reference_q: np.ndarray) -> np.ndarray:
-    """MRP of the left-relative rotation from ``reference_q`` to ``q``, short arc."""
-    return error_quat_to_mrp(quat_canonical(quat_multiply(q, quat_conjugate(reference_q))))
+def _mean_state(minimal: np.ndarray, reference_q) -> VehicleState:
+    """One minimal-state row (18,) as the full state about ``reference_q``,
+    a quaternion as floats; the attitude is composed on floats."""
+    d_q = mrp_to_error_quat_floats(minimal[0:3].tolist())
+    return _full_states(minimal, np.array(quat_multiply_floats(d_q, reference_q)))
 
 
-def _minimal_from_states(states: VehicleState, reference_q: np.ndarray) -> np.ndarray:
-    return np.concatenate(
-        [_mrp_about(states.q, reference_q), states.omega, states.pos, states.vel, states.tau_e, states.f_e],
-        axis=-1,
+def _mrp_about(q, reference_q) -> tuple[float, float, float]:
+    """MRP of the left-relative rotation from ``reference_q`` to ``q``, short
+    arc; both one quaternion as floats."""
+    w, x, y, z = reference_q
+    d_q = quat_multiply_floats(q, (w, -x, -y, -z))
+    return error_quat_to_mrp_floats(d_q if d_q[0] >= 0.0 else tuple(-c for c in d_q))
+
+
+def _sandwich(rows, var) -> tuple[tuple[float, float, float], ...]:
+    """Rows of ``M diag(var) M'`` for a 3x3 ``M`` given by its rows; each
+    entry below the diagonal is the one above it, so the result is exactly
+    symmetric."""
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
+    v0, v1, v2 = var
+    x0, x1, x2 = a0 * v0, a1 * v1, a2 * v2
+    y0, y1, y2 = b0 * v0, b1 * v1, b2 * v2
+    ab = x0 * b0 + x1 * b1 + x2 * b2
+    ac = x0 * c0 + x1 * c1 + x2 * c2
+    bc = y0 * c0 + y1 * c1 + y2 * c2
+    return (
+        (x0 * a0 + x1 * a1 + x2 * a2, ab, ac),
+        (ab, y0 * b0 + y1 * b1 + y2 * b2, bc),
+        (ac, bc, c0 * v0 * c0 + c1 * v1 * c1 + c2 * v2 * c2),
     )
+
+
+# flat indices into the 18x18 covariance of the non-zero entries of G Q G',
+# in the order _process_noise lists them: the omega block, the pos/vel block,
+# then the tau_e and f_e diagonals
+_NOISE_IDX = np.concatenate([
+    (STATE_DIM * np.arange(3, 6)[:, None] + np.arange(3, 6)).ravel(),
+    (STATE_DIM * np.arange(6, 12)[:, None] + np.arange(6, 12)).ravel(),
+    (STATE_DIM + 1) * np.arange(12, 18),
+])
+
+
+def _process_noise(q, noise: NoiseConfig, params: VehicleParams) -> list[float]:
+    """The non-zero entries of ``G Q G'`` at the attitude ``q`` (floats), in
+    the order of :data:`_NOISE_IDX`.
+
+    G maps the noise ``[tau_m, tau_e, ct, f_e]`` into the rates through
+    ``T inv(J)``, into position and velocity through ``T^2/2 R(q)/m`` and
+    ``T R(q)/m``, and into the wrench as the identity, so G Q G' has three
+    non-zero blocks: ``T^2 inv(J) diag(q_tau_m) inv(J)'`` on the rates,
+    ``[[T^4/4, T^3/2], [T^3/2, T^2]] (x) R diag(q_ct) R' / m^2`` on position
+    and velocity, and the ``q_tau_e`` and ``q_f_e`` diagonals.
+    """
+    constants = params.floats
+    T, m = constants.dt, constants.mass
+    tt, mm = T * T, m * m
+    rates = _sandwich(constants.inertia_inv, [tt * v for v in noise.q_tau_m.tolist()])
+    out = [*rates[0], *rates[1], *rates[2]]
+    thrust = _sandwich(rotmat_body_to_global_floats(q), noise.q_ct.tolist())
+    for left, right in ((0.25 * tt * tt / mm, 0.5 * tt * T / mm), (0.5 * tt * T / mm, tt / mm)):
+        for a, b, c in thrust:
+            out += (left * a, left * b, left * c, right * a, right * b, right * c)
+    return out + noise.q_tau_e.tolist() + noise.q_f_e.tolist()
 
 
 def predict(
@@ -239,35 +319,37 @@ def predict(
 ) -> GaussianBelief:
     """Sigma-point propagation of the belief through the process model.
 
-    The 37 points of the belief go through the deterministic model, and the
-    process noise Q (:meth:`NoiseConfig.process_cov`) adds ``G Q G'``, G
-    mapping it at the prior mean into the rates (``T inv(J)``), position and
-    velocity (``T^2/2 R(q)/m``, ``T R(q)/m``) and the wrench (identity).
-    Given the state the noise enters linearly and never reaches q, so these
-    are exactly the moments of the noise-augmented set.  The jitter rule of
-    :func:`generate_sigma_points` sees the 18x18 prior's trace.  A non-finite
-    predicted covariance raises :class:`CovarianceNotPD`.
+    The 37 points of the belief go through the deterministic model in one
+    :func:`process_step` call, and the process noise Q
+    (:meth:`NoiseConfig.process_cov`) adds ``G Q G'``, G mapping it at the
+    prior mean (see :func:`_process_noise`).  Given the state the noise
+    enters linearly and never reaches q, so these are exactly the moments of
+    the noise-augmented set.  The jitter rule of
+    :func:`generate_sigma_points` sees the 18x18 prior's trace.  A
+    non-finite predicted covariance raises :class:`CovarianceNotPD`.
     """
+    prior_q = belief.mean.q
     sp = generate_sigma_points(belief.minimal_mean(), belief.cov)
-
-    states = _states_from_points(sp.points, belief.mean.q)
-    propagated = process_step(states, rotor_speeds, None, params)
+    points = sp.points
+    q = mrp_to_error_quat(points[:, 0:3]) @ quat_product_matrix(prior_q)
+    propagated = process_step(_full_states(points, q), rotor_speeds, None, params)
 
     reference = propagated.q[0]
-    minimal = _minimal_from_states(propagated, reference)
+    d_q = quat_canonical(propagated.q @ quat_product_matrix(quat_conjugate(reference)))
+    minimal = np.concatenate(
+        [error_quat_to_mrp(d_q), propagated.omega, propagated.pos, propagated.vel, propagated.tau_e,
+         propagated.f_e],
+        axis=1,
+    )
     mean_min, cov = recombine(minimal, sp.weights)
-    T, accel_map = params.dt, rotmat_body_to_global(belief.mean.q) / params.mass
-    noise_map = np.zeros((STATE_DIM, 12))
-    noise_map[3:6, 0:3] = T * params.inertia_inv
-    noise_map[6:12, 6:9] = np.vstack([0.5 * T * T * accel_map, T * accel_map])
-    noise_map[12:15, 3:6] = noise_map[15:18, 9:12] = np.eye(3)
-    cov = cov + _symmetrize(noise_map @ noise.process_cov() @ noise_map.T)
+    # G Q G' is exactly symmetric, so the sum stays symmetric
+    cov.flat[_NOISE_IDX] += _process_noise(prior_q.tolist(), noise, params)
     if not np.isfinite(cov).all():
         raise CovarianceNotPD("predicted covariance is not finite", cov)
 
     # the MRP coordinate is re-zeroed against the new reference quaternion;
     # the recombined covariance is kept unchanged (standard USQUE reset)
-    return GaussianBelief(mean=_states_from_points(mean_min, reference), cov=cov, jittered=sp.jittered)
+    return GaussianBelief(mean=_mean_state(mean_min, reference.tolist()), cov=cov, jittered=sp.jittered)
 
 
 def correct(
@@ -279,20 +361,22 @@ def correct(
     """Posterior of a linear Kalman update from a 6-DoF pose measurement.
 
     The measurement is ``H x + v`` with H selecting ``[pos, d_rho]`` and
-    ``v ~ N(0, R)``, so the cross covariance is ``P H'`` and the innovation
-    covariance ``S = H P H' + R``.  One eigendecomposition ``S = V diag(l) V'``
-    serves the update: S with a non-finite entry, ``min(l) <= 0`` or
-    ``max(l)/min(l) > 1e12`` raises :class:`InnovationCovarianceSingular`;
-    ``W = V diag(l)^-1/2`` whitens the innovation ``nu`` into ``z = W' nu``,
-    whose ``z . z`` is its Mahalanobis distance squared; with ``C = P H' W``
-    the mean moves by ``C z`` and the gain is ``K = C W' = P H' inv(S)``.  The
-    covariance update is the Joseph form ``(I - K H) P (I - K H)' + K R K'``,
-    symmetrized, which stays positive semidefinite under rounding.
+    ``v ~ N(0, R)``, R diagonal, so the cross covariance is ``P H'`` and the
+    innovation covariance ``S = H P H' + R``.  One eigendecomposition
+    ``S = V diag(l) V'`` serves the update: S with a non-finite entry,
+    ``min(l) <= 0`` or ``max(l)/min(l) > 1e12`` raises
+    :class:`InnovationCovarianceSingular`; ``W = V diag(l)^-1/2`` whitens the
+    innovation ``nu`` into ``z = W' nu``, whose ``z . z`` is its Mahalanobis
+    distance squared; with ``C = P H' W`` the mean moves by ``C z`` and the
+    gain is ``K = C W' = P H' inv(S)``.  The covariance update is the Joseph
+    form ``(I - K H) P (I - K H)' + K R K'``, symmetrized, which stays
+    positive semidefinite under rounding.
 
-    The attitude residual is the MRP of the left-relative quaternion between
-    the measured and predicted attitude (short-arc sign).  With
-    ``gate_enabled``, a Mahalanobis distance squared above :data:`GATE_THRESHOLD`
-    raises :class:`MeasurementRejected` instead of updating.
+    The innovation is computed on floats: the position difference and the
+    MRP of the left-relative quaternion between the measured and predicted
+    attitude (short-arc sign).  With ``gate_enabled``, a Mahalanobis distance
+    squared above :data:`GATE_THRESHOLD` raises :class:`MeasurementRejected`
+    instead of updating.
     """
     meas_cov = noise.measurement_cov()
     cross_cov = belief.cov[:, _POSE_IDX]
@@ -308,8 +392,10 @@ def correct(
         )
     whiten = eigvecs / np.sqrt(eigvals)
 
-    innovation = np.concatenate([measurement.pos - belief.mean.pos, _mrp_about(measurement.q, belief.mean.q)])
-    whitened = innovation @ whiten
+    mean = belief.mean
+    (mx, my, mz), (px, py, pz) = measurement.pos.tolist(), mean.pos.tolist()
+    prior_q = mean.q.tolist()
+    whitened = (mx - px, my - py, mz - pz, *_mrp_about(measurement.q.tolist(), prior_q)) @ whiten
 
     if gate_enabled:
         m2 = float(whitened @ whitened)
@@ -319,12 +405,11 @@ def correct(
     whitened_cross = cross_cov @ whiten
     delta = whitened_cross @ whitened
     gain = whitened_cross @ whiten.T
-    i_kh = np.eye(STATE_DIM)
-    i_kh[:, _POSE_IDX] -= gain
-    cov = _symmetrize(i_kh @ belief.cov @ i_kh.T + gain @ meas_cov @ gain.T)
+    i_kh = _IDENTITY - gain @ _H
+    # R is diagonal, so K R K' is (K * r) K'
+    cov = _symmetrize(i_kh @ belief.cov @ i_kh.T + (gain * meas_cov.diagonal()) @ gain.T)
 
-    mean = _states_from_points(belief.minimal_mean() + delta, belief.mean.q)
-    return GaussianBelief(mean=mean, cov=cov)
+    return GaussianBelief(mean=_mean_state(belief.minimal_mean() + delta, prior_q), cov=cov)
 
 
 class UsqueEstimator:

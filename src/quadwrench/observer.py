@@ -10,7 +10,11 @@ on noisy measurements at all.
 
 With noise-free signals and a constant true wrench the estimation error obeys
 first-order dynamics at the configured gain, so a gain ``k`` gives a 10-90%
-rise time of ``ln(9)/k`` seconds.
+rise time of ``ln(9)/k`` seconds.  In discrete time, over a pose interval
+``h``, the error is multiplied by ``1 - k h``, so ``step`` raises
+``ValueError`` when ``k h >= 2``: the loop would oscillate without decaying
+or diverge.  The default gains at poses from 10 Hz to 200 Hz have
+``k h <= 0.22``.
 
 The observer serves one vehicle, so its step computes on Python floats with
 ``attitude``'s ``*_floats`` forms and ``rotor_wrench_floats``, the rotor map
@@ -112,6 +116,13 @@ class MomentumObserver:
         (px, py, pz), (w, x, y, z) = previous
 
         h = n * p.dt
+        # each error loop has the discrete pole 1 - k h, inside the unit
+        # circle only while k h < 2
+        force_gain, torque_gain = self.gains.force, self.gains.torque
+        gain = max(force_gain, torque_gain)
+        if gain * h >= 2.0:
+            raise ValueError(f"observer {'force' if gain == force_gain else 'torque'} gain {gain:g} 1/s at a pose "
+                             f"interval h = {h:g} s: gain * h must stay below 2, or the error loop does not decay")
         alpha_vel = h / (h + self._tau_vel)
         alpha_rate = h / (h + self._tau_rate)
         # low-passed first differences of the pose; quat_to_rotvec_floats
@@ -137,7 +148,7 @@ class MomentumObserver:
         iy += h * (r12 * thrust - gy + fy)
         iz += h * (r22 * thrust - gz + fz)
         self._force_integral = (ix, iy, iz)
-        k, m = self.gains.force, p.mass
+        k, m = force_gain, p.mass
         self._f_e = (k * (m * vx - ix), k * (m * vy - iy), k * (m * vz - iz))
 
         # torque, in the body frame: the angular momentum minus the integral
@@ -152,7 +163,7 @@ class MomentumObserver:
         iy += h * (ty - cy + (r01 * ex + r11 * ey + r21 * ez))
         iz += h * (tz - cz + (r02 * ex + r12 * ey + r22 * ez))
         self._torque_integral = (ix, iy, iz)
-        k = self.gains.torque
+        k = torque_gain
         ux, uy, uz = k * (lx - ix), k * (ly - iy), k * (lz - iz)
         self._tau_e = (r00 * ux + r01 * uy + r02 * uz, r10 * ux + r11 * uy + r12 * uz,
                        r20 * ux + r21 * uy + r22 * uz)

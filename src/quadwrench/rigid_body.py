@@ -41,9 +41,6 @@ __all__ = [
 ]
 
 _EZ = np.array([0.0, 0.0, 1.0])
-# the noise block of the deterministic map, [tau_m, tau_e, ct, f_e]
-_ZERO_NOISE = np.zeros(12)
-_ZERO_NOISE.flags.writeable = False
 # sign of each motor's term in [thrust, tau_x, tau_y, tau_z]; see rotor_wrench
 _ROTOR_SIGNS = np.array([
     [1.0, 1.0, 1.0, 1.0],
@@ -278,13 +275,14 @@ def process_step(
     ``noise`` is a ``(..., 12)`` block of process-noise draws ordered
     ``[tau_m, tau_e, ct, f_e]`` like :meth:`NoiseConfig.process_cov`: body
     motor-torque noise (N m), external-torque random walk (N m), body thrust
-    noise (N) and external-force random walk (N).  With ``noise=None`` (or all
-    zeros) this is the deterministic motion model that the filter's sigma
-    points go through; the simulator seeds scenario wrenches in
+    noise (N) and external-force random walk (N).  With ``noise=None`` this is
+    the deterministic motion model that the filter's sigma points go through:
+    the thrust acceleration is the body-z column of R times the thrust, the
+    noise terms are left out, and the carried wrench gets ``+ 0.0``, the
+    zero noise's only trace, which turns a -0.0 into 0.0.  All-zero noise
+    gives the same state.  The simulator seeds scenario wrenches in
     ``tau_e``/``f_e``, and Monte-Carlo batches draw noise through this block.
     """
-    if noise is None:
-        noise = _ZERO_NOISE
     T = params.dt
     m = params.mass
 
@@ -293,12 +291,11 @@ def process_step(
     # matvecs: einsum is the cheaper form of R v on a sigma-point set,
     # v-times-matrix matmul the cheaper form of R' v and of the inertia maps
     R_bg = rotmat_body_to_global(state.q)
-    thrust_body = wrench[..., :1] * _EZ + noise[..., 6:9]
-    acc = (
-        np.einsum("...ij,...j->...i", R_bg, thrust_body) / m
-        - params.gravity
-        + state.f_e / m
-    )
+    if noise is None:
+        thrust = R_bg[..., 2] * wrench[..., :1]  # R (0, 0, T)
+    else:
+        thrust = np.einsum("...ij,...j->...i", R_bg, wrench[..., :1] * _EZ + noise[..., 6:9])
+    acc = thrust / m - params.gravity + state.f_e / m
     pos = state.pos + T * state.vel + 0.5 * T * T * acc
     vel = state.vel + T * acc
 
@@ -306,14 +303,12 @@ def process_step(
 
     tau_e_body = (state.tau_e[..., None, :] @ R_bg)[..., 0, :]  # R' tau_e: global into body axes
     inertia_rate = state.omega @ params.inertia.T
-    torque_sum = tau_e_body + wrench[..., 1:] + noise[..., 0:3] - cross3(state.omega, inertia_rate)
-    omega = state.omega + T * (torque_sum @ params.inertia_inv.T)
+    torque_sum = tau_e_body + wrench[..., 1:]
+    if noise is None:
+        tau_e, f_e = state.tau_e + 0.0, state.f_e + 0.0
+    else:
+        torque_sum = torque_sum + noise[..., 0:3]
+        tau_e, f_e = state.tau_e + noise[..., 3:6], state.f_e + noise[..., 9:12]
+    omega = state.omega + T * ((torque_sum - cross3(state.omega, inertia_rate)) @ params.inertia_inv.T)
 
-    return VehicleState(
-        q=q,
-        omega=omega,
-        pos=pos,
-        vel=vel,
-        tau_e=state.tau_e + noise[..., 3:6],
-        f_e=state.f_e + noise[..., 9:12],
-    )
+    return VehicleState(q=q, omega=omega, pos=pos, vel=vel, tau_e=tau_e, f_e=f_e)

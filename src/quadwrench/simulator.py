@@ -321,7 +321,7 @@ class SensorModel:
         pos = [p + self.pos_std * d for p, d in zip(state.pos.tolist(), draw[:3])]
         rho = [self.att_std_mrp * d for d in draw[3:]]
         q = quat_multiply_floats(mrp_to_error_quat_floats(rho), state.q.tolist())
-        return PoseMeasurement(pos=np.array(pos), q=np.array(q))
+        return PoseMeasurement(pos=pos, q=q)
 
     def quantize_speeds(self, speeds: np.ndarray, omega_max: float) -> np.ndarray:
         """Speeds on the telemetry grid whose full scale is ``omega_max``."""

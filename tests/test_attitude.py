@@ -181,6 +181,14 @@ class TestProductMapsMatchFormulas:
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0, atol=KERNEL_ATOL)
 
+    @given(unit_quats((3, 4)), unit_quats((4,)))
+    def test_quat_product_matrix(self, a, b):
+        # entry (i, k) is +-b_(i xor k), exactly; the matmul is the product,
+        # which the formula renormalizes and the matrix does not
+        m = att.quat_product_matrix(b)
+        np.testing.assert_array_equal(np.abs(m), np.abs(b)[np.bitwise_xor.outer(np.arange(4), np.arange(4))])
+        np.testing.assert_allclose(a @ m, oracle_quat_multiply(a, b), rtol=0, atol=KERNEL_ATOL)
+
     # short-arc MRPs have |rho| <= 1; far beyond, the oracle's 1 + dq0 loses
     # digits to cancellation and it becomes the less accurate of the two
     @given(hnp.array_shapes(min_dims=0, max_dims=2).flatmap(
@@ -231,6 +239,18 @@ class TestFloatFormsMatchKernels:
     @given(hnp.arrays(np.float64, (3,), elements=st.floats(-1.0, 1.0)).map(_within_unit_ball))
     def test_mrp_to_error_quat(self, rho):
         assert att.mrp_to_error_quat_floats(rho.tolist()) == tuple(att.mrp_to_error_quat(rho).tolist())
+
+    # a half turn, and a scalar part just clear of the guard band at -1
+    @example(np.array([0.0, 0.6, 0.0, 0.8]))
+    @example(att.quat_normalize([-1.0 + 2e-6, 2e-3, 0.0, 0.0]))
+    @given(unit_quats((4,)).filter(lambda dq: dq[0] > -1.0 + 1e-6))
+    def test_error_quat_to_mrp(self, dq):
+        assert att.error_quat_to_mrp_floats(dq.tolist()) == tuple(att.error_quat_to_mrp(dq).tolist())
+
+    def test_error_quat_to_mrp_rejects_the_same_near_singular_rotation(self):
+        almost_2pi = att.quat_normalize([-1.0 + 1e-9, 1e-6, 0.0, 0.0])
+        with pytest.raises(att.NearSingularRotation):
+            att.error_quat_to_mrp_floats(almost_2pi.tolist())
 
     # the zero rotation of either sign, a negative scalar part (the short-arc
     # flip) and a half turn

@@ -8,6 +8,7 @@ from quadwrench.estimator import PoseMeasurement
 from quadwrench.logio import STATE_FIELDS
 from quadwrench.observer import MomentumObserver, ObserverGains, lowpass_alpha
 from quadwrench.rigid_body import VehicleParams, VehicleState, process_step
+from quadwrench.simulator import Hover, RunSetup, Scenario, SteppedMass, run_scenario
 from test_rigid_body import hover_speeds
 
 PARAMS = VehicleParams()
@@ -170,3 +171,32 @@ class TestMomentumObserver:
         before = obs.mean_vector()[F_E]
         obs.step(speeds, None)
         np.testing.assert_array_equal(obs.mean_vector()[F_E], before)
+
+
+def hover_run(gains, sensor_rate_hz):
+    """A 0.5 s hover under a mass attached at the start, observer only."""
+    scenario = Scenario(duration_s=0.5, seed=1, sensor_rate_hz=sensor_rate_hz, trajectory=Hover(),
+                        disturbance=SteppedMass(onset_s=0.0))
+    return run_scenario(scenario, RunSetup(estimators=("observer",), observer_gains=gains))
+
+
+class TestGainBound:
+    # the error loops have the pole 1 - k h at pose interval h: a huge gain
+    # logged non-finite rows, force=500 |f_e| ~ 2e18 N and force=400
+    # (k h = 2.0, pole -1) an undamped 325 N oscillation
+    @pytest.mark.parametrize("gains, sensor_rate_hz", [
+        (ObserverGains(torque=1e308), 200.0),
+        (ObserverGains(force=500.0), 200.0),
+        (ObserverGains(force=400.0), 200.0),
+        (ObserverGains(force=25.0), 10.0),
+    ], ids=["torque-1e308", "force-500", "force-400", "force-25-at-10Hz"])
+    def test_gain_times_pose_interval_of_two_or_more_is_rejected(self, gains, sensor_rate_hz):
+        name = "torque" if gains.torque > gains.force else "force"
+        with pytest.raises(ValueError, match=f"observer {name} gain .* h = {1.0 / sensor_rate_hz:g} s"):
+            hover_run(gains, sensor_rate_hz)
+
+    @pytest.mark.parametrize("sensor_rate_hz", [10.0, 200.0])
+    def test_default_gains_run_from_10_to_200_hz(self, sensor_rate_hz):
+        # k h = 2.2 * 0.1 = 0.22 at 10 Hz, the slowest supported rate
+        log = hover_run(ObserverGains(), sensor_rate_hz)
+        assert np.isfinite(log.estimates["observer"]).all()
