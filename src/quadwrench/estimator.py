@@ -18,7 +18,9 @@ The pose measurement reads position and the attitude MRP straight off the
 minimal state and adds its noise, so the measurement model is linear in the
 state.  The correction is therefore the closed-form Kalman update with H
 selecting ``[pos, d_rho]``; an unscented transform of that model would give
-the same moments at the cost of a second sigma-point set.
+the same moments at the cost of a second sigma-point set.  P is symmetric by
+construction, never repaired; ``predict`` and ``correct`` silence numpy's
+overflow warning and raise :class:`CovarianceNotPD` on a non-finite P.
 
 The 37-row sigma-point set goes through the ``attitude`` array kernels, and
 is composed with the prior or centre quaternion by one 4x4 matmul
@@ -82,8 +84,8 @@ _IDENTITY.flags.writeable = False
 
 
 class CovarianceNotPD(np.linalg.LinAlgError):
-    """Cholesky failed even after diagonal jitter, or a predicted covariance
-    is not finite; offending matrix attached."""
+    """Cholesky failed even after diagonal jitter, or a predicted or
+    corrected covariance is not finite; offending matrix attached."""
 
     def __init__(self, message, cov):
         super().__init__(message)
@@ -135,8 +137,9 @@ class GaussianBelief:
 
     The MRP block of ``cov`` expresses attitude uncertainty about ``mean.q``;
     the MRP coordinate of the mean itself is always zero (re-zeroed after
-    every predict and correct).  ``jittered`` is set on a prediction whose
-    prior covariance needed diagonal jitter to factor.
+    every predict and correct).  ``cov`` must be symmetric; nothing checks it,
+    and the filter factors it from its lower triangle.  ``jittered`` is set on a
+    prediction whose prior covariance needed diagonal jitter to factor.
     """
 
     mean: VehicleState
@@ -191,12 +194,17 @@ def sigma_weights(dim: int) -> np.ndarray:
     return w
 
 
-def _symmetrize(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + mat.T)
+@lru_cache(maxsize=8)
+def _stacking(dim: int) -> np.ndarray:
+    """Read-only C of rows 0 and ``+-sqrt(L + KAPPA) e_j``: ``C @ chol'`` is the scaled columns to the bit."""
+    c = np.sqrt(dim + KAPPA) * np.concatenate([np.zeros((1, dim)), np.eye(dim), -np.eye(dim)])
+    c.flags.writeable = False
+    return c
 
 
 def generate_sigma_points(mean: np.ndarray, cov: np.ndarray) -> SigmaPointSet:
-    """Points mean, mean +- sqrt(L + KAPPA) * columns of the Cholesky factor.
+    """Points mean, mean +- sqrt(L + KAPPA) * columns of the Cholesky factor,
+    which reads only the lower triangle of ``cov``.
 
     If the Cholesky decomposition fails, retries once after adding
     ``1e-9 * trace(cov)/L`` to the diagonal and marks the set ``jittered``; a
@@ -204,7 +212,7 @@ def generate_sigma_points(mean: np.ndarray, cov: np.ndarray) -> SigmaPointSet:
     attached.
     """
     mean = np.asarray(mean, dtype=float)
-    cov = _symmetrize(np.asarray(cov, dtype=float))
+    cov = np.asarray(cov, dtype=float)
     dim = mean.shape[0]
     if cov.shape != (dim, dim):
         raise ValueError("mean/covariance dimensions disagree")
@@ -220,17 +228,16 @@ def generate_sigma_points(mean: np.ndarray, cov: np.ndarray) -> SigmaPointSet:
             raise CovarianceNotPD("covariance not positive definite after jitter", cov) from None
         jittered = True
 
-    spread = np.sqrt(dim + KAPPA) * chol.T  # row j = sqrt(L + KAPPA) * col_j(S)
-    points = np.concatenate([mean[None, :], mean + spread, mean - spread], axis=0)
+    points = mean + _stacking(dim) @ chol.T
     return SigmaPointSet(points=points, weights=sigma_weights(dim), jittered=jittered)
 
 
 def recombine(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted mean and covariance of a point set."""
+    """Weighted mean and covariance ``S' S``, ``S = sqrt(w) * (points - mean)``
+    (w > 0): numpy forms it as a symmetric rank-k update, exactly symmetric."""
     mean = weights @ points
-    dev = points - mean
-    cov = (weights[:, None] * dev).T @ dev
-    return mean, _symmetrize(cov)
+    scaled = np.sqrt(weights)[:, None] * (points - mean)
+    return mean, scaled.T @ scaled
 
 
 def _full_states(points: np.ndarray, q: np.ndarray) -> VehicleState:
@@ -311,6 +318,7 @@ def _process_noise(q, noise: NoiseConfig, params: VehicleParams) -> list[float]:
     return out + noise.q_tau_e.tolist() + noise.q_f_e.tolist()
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def predict(
     belief: GaussianBelief,
     rotor_speeds: np.ndarray,
@@ -320,13 +328,13 @@ def predict(
     """Sigma-point propagation of the belief through the process model.
 
     The 37 points of the belief go through the deterministic model in one
-    :func:`process_step` call, and the process noise Q
-    (:meth:`NoiseConfig.process_cov`) adds ``G Q G'``, G mapping it at the
+    :func:`process_step` call, and the process noise, the diagonal Q of the
+    ``q_*`` variances of ``noise``, adds ``G Q G'``, G mapping it at the
     prior mean (see :func:`_process_noise`).  Given the state the noise
     enters linearly and never reaches q, so these are exactly the moments of
     the noise-augmented set.  The jitter rule of
-    :func:`generate_sigma_points` sees the 18x18 prior's trace.  A
-    non-finite predicted covariance raises :class:`CovarianceNotPD`.
+    :func:`generate_sigma_points` sees the 18x18 prior's trace.  A non-finite
+    predicted covariance, as an overflow leaves, raises :class:`CovarianceNotPD`.
     """
     prior_q = belief.mean.q
     sp = generate_sigma_points(belief.minimal_mean(), belief.cov)
@@ -352,6 +360,7 @@ def predict(
     return GaussianBelief(mean=_mean_state(mean_min, reference.tolist()), cov=cov, jittered=sp.jittered)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def correct(
     belief: GaussianBelief,
     measurement: PoseMeasurement,
@@ -370,7 +379,8 @@ def correct(
     distance squared; with ``C = P H' W`` the mean moves by ``C z`` and the
     gain is ``K = C W' = P H' inv(S)``.  The covariance update is the Joseph
     form ``(I - K H) P (I - K H)' + K R K'``, symmetrized, which stays
-    positive semidefinite under rounding.
+    positive semidefinite under rounding; a non-finite one (an overflow, as
+    in :func:`predict`) raises :class:`CovarianceNotPD`.
 
     The innovation is computed on floats: the position difference and the
     MRP of the left-relative quaternion between the measured and predicted
@@ -378,9 +388,10 @@ def correct(
     squared above :data:`GATE_THRESHOLD` raises :class:`MeasurementRejected`
     instead of updating.
     """
-    meas_cov = noise.measurement_cov()
+    meas_var = np.concatenate([noise.g_x, noise.g_rho])
     cross_cov = belief.cov[:, _POSE_IDX]
-    innovation_cov = cross_cov[_POSE_IDX] + meas_cov
+    innovation_cov = cross_cov[_POSE_IDX]
+    innovation_cov.flat[::7] += meas_var
 
     if not np.isfinite(innovation_cov).all():
         raise InnovationCovarianceSingular("predicted measurement covariance is not finite")
@@ -407,7 +418,10 @@ def correct(
     gain = whitened_cross @ whiten.T
     i_kh = _IDENTITY - gain @ _H
     # R is diagonal, so K R K' is (K * r) K'
-    cov = _symmetrize(i_kh @ belief.cov @ i_kh.T + (gain * meas_cov.diagonal()) @ gain.T)
+    joseph = i_kh @ belief.cov @ i_kh.T + (gain * meas_var) @ gain.T
+    cov = 0.5 * (joseph + joseph.T)
+    if not np.isfinite(cov).all():
+        raise CovarianceNotPD("corrected covariance is not finite", cov)
 
     return GaussianBelief(mean=_mean_state(belief.minimal_mean() + delta, prior_q), cov=cov)
 

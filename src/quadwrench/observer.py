@@ -12,9 +12,9 @@ With noise-free signals and a constant true wrench the estimation error obeys
 first-order dynamics at the configured gain, so a gain ``k`` gives a 10-90%
 rise time of ``ln(9)/k`` seconds.  In discrete time, over a pose interval
 ``h``, the error is multiplied by ``1 - k h``, so ``step`` raises
-``ValueError`` when ``k h >= 2``: the loop would oscillate without decaying
-or diverge.  The default gains at poses from 10 Hz to 200 Hz have
-``k h <= 0.22``.
+``ValueError`` when ``k h > 1``: the pole is negative, so the error rings,
+undamped at ``k h = 2`` and diverging beyond.  The default gains at poses
+from 10 Hz to 200 Hz have ``k h <= 0.22``.
 
 The observer serves one vehicle, so its step computes on Python floats with
 ``attitude``'s ``*_floats`` forms and ``rotor_wrench_floats``, the rotor map
@@ -116,13 +116,12 @@ class MomentumObserver:
         (px, py, pz), (w, x, y, z) = previous
 
         h = n * p.dt
-        # each error loop has the discrete pole 1 - k h, inside the unit
-        # circle only while k h < 2
+        # each error loop's discrete pole 1 - k h is negative once k h > 1
         force_gain, torque_gain = self.gains.force, self.gains.torque
         gain = max(force_gain, torque_gain)
-        if gain * h >= 2.0:
+        if gain * h > 1.0:
             raise ValueError(f"observer {'force' if gain == force_gain else 'torque'} gain {gain:g} 1/s at a pose "
-                             f"interval h = {h:g} s: gain * h must stay below 2, or the error loop does not decay")
+                             f"interval h = {h:g} s: gain * h must not exceed 1, or the error loop rings")
         alpha_vel = h / (h + self._tau_vel)
         alpha_rate = h / (h + self._tau_rate)
         # low-passed first differences of the pose; quat_to_rotvec_floats

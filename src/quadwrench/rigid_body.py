@@ -185,7 +185,7 @@ class NoiseConfig:
     measurement variances (m^2) and ``g_rho`` the attitude measurement
     variances in MRP units squared (a rotation by angle a has |rho| ~ a/4).
     Each block is a read-only ``(3,)`` copy (x, y, z; another shape raises
-    ``ValueError``), and the stacked covariances are built once.
+    ``ValueError``).
     """
 
     q_ct: np.ndarray
@@ -202,11 +202,6 @@ class NoiseConfig:
                 raise ValueError(f"NoiseConfig.{name} must be finite: three positive variances, got {var!r}")
             var.flags.writeable = False
             object.__setattr__(self, name, var)
-        for name, blocks in (("_process_cov", (self.q_tau_m, self.q_tau_e, self.q_ct, self.q_f_e)),
-                             ("_measurement_cov", (self.g_x, self.g_rho))):
-            cov = np.diag(np.concatenate(blocks))
-            cov.flags.writeable = False
-            object.__setattr__(self, name, cov)
 
     @classmethod
     def default(cls) -> "NoiseConfig":
@@ -221,14 +216,6 @@ class NoiseConfig:
             g_x=np.full(3, 0.001**2),
             g_rho=np.full(3, 0.0005**2),
         )
-
-    def process_cov(self) -> np.ndarray:
-        """Stacked 12x12 process covariance, ordered [tau_m, tau_e, ct, f_e]."""
-        return self._process_cov
-
-    def measurement_cov(self) -> np.ndarray:
-        """Stacked 6x6 measurement covariance, ordered [position, mrp]."""
-        return self._measurement_cov
 
 
 def rotor_wrench(params: VehicleParams, rotor_speeds: np.ndarray) -> np.ndarray:
@@ -273,14 +260,14 @@ def process_step(
     """Propagate the state one sampling period.
 
     ``noise`` is a ``(..., 12)`` block of process-noise draws ordered
-    ``[tau_m, tau_e, ct, f_e]`` like :meth:`NoiseConfig.process_cov`: body
-    motor-torque noise (N m), external-torque random walk (N m), body thrust
-    noise (N) and external-force random walk (N).  With ``noise=None`` this is
-    the deterministic motion model that the filter's sigma points go through:
-    the thrust acceleration is the body-z column of R times the thrust, the
-    noise terms are left out, and the carried wrench gets ``+ 0.0``, the
-    zero noise's only trace, which turns a -0.0 into 0.0.  All-zero noise
-    gives the same state.  The simulator seeds scenario wrenches in
+    ``[tau_m, tau_e, ct, f_e]`` (the ``NoiseConfig.q_*`` of those names):
+    body motor-torque noise (N m), external-torque random walk (N m), body
+    thrust noise (N) and external-force random walk (N).  With ``noise=None``
+    this is the deterministic motion model that the filter's sigma points go
+    through: the thrust acceleration is the body-z column of R times the
+    thrust, the noise terms are left out, and the carried wrench gets
+    ``+ 0.0``, the zero noise's only trace, which turns a -0.0 into 0.0.
+    All-zero noise gives the same state.  The simulator seeds scenario wrenches in
     ``tau_e``/``f_e``, and Monte-Carlo batches draw noise through this block.
     """
     T = params.dt

@@ -30,7 +30,6 @@ from .attitude import (
     cross3,
     cross3_floats,
     mrp_to_error_quat_floats,
-    quat_from_axis_angle,
     quat_from_rotvec_floats,
     quat_multiply_floats,
     rotmat_body_to_global_floats,
@@ -565,7 +564,7 @@ def run_scenario(scenario: Scenario, setup: RunSetup | None = None) -> TimeSerie
 
     traj = scenario.trajectory
     yaw = getattr(traj, "yaw", 0.0)
-    truth = VehicleState.at_rest(pos=traj.start(), q=quat_from_axis_angle([0, 0, 1], yaw))
+    truth = VehicleState.at_rest(pos=traj.start(), q=quat_from_rotvec_floats((0.0, 0.0, yaw)))
     estimators = _make_estimators(setup, truth)
     if isinstance(traj, FanTrack) and not estimators:
         raise ValueError("a FanTrack reference is steered by an estimator; list one")

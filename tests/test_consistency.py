@@ -14,6 +14,7 @@ from quadwrench import attitude as att
 from quadwrench.estimator import GaussianBelief, PoseMeasurement, UsqueEstimator
 from quadwrench.rigid_body import NoiseConfig, VehicleParams, VehicleState, process_step
 from quadwrench.simulator import FlightController
+from test_rigid_body import process_cov
 
 PARAMS = VehicleParams()
 NOISE = NoiseConfig.default()
@@ -57,7 +58,7 @@ def test_nees_within_chi_square_envelope():
     duration = 10.0
     n_steps = int(duration / PARAMS.dt)
     ref = np.array([0.0, 0.0, 1.0])
-    q_proc = NOISE.process_cov()
+    q_proc = process_cov(NOISE)
     q_chol = np.linalg.cholesky(q_proc)
     pos_std = np.sqrt(NOISE.g_x[0])
     rho_std = np.sqrt(NOISE.g_rho[0])

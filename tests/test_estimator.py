@@ -6,14 +6,17 @@ linear-Gaussian Kalman algebra for the (position, velocity, force) chain, a
 form of the pose correction for the closed-form update, the prediction on
 the state augmented with the process noise for the closed-form noise term, and
 the filter with every quaternion on the array kernels for the shipped one,
-whose one-quaternion work is on floats.
+whose one-quaternion work is on floats.  The oracles draw and recombine
+sigma points with test-local copies of the symmetrizing forms
+(``ref_sigma_points``, ``ref_recombine``), so they stay independent of the
+shipped ``generate_sigma_points`` and ``recombine``.
 """
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.stats import chi2
@@ -34,8 +37,17 @@ from quadwrench.estimator import (
     sigma_weights,
 )
 from quadwrench.rigid_body import NoiseConfig, VehicleParams, VehicleState, process_step
-from quadwrench.simulator import Hover, RunSetup, Scenario, SteppedMass, run_scenario
-from test_rigid_body import hover_speeds
+from quadwrench.simulator import (
+    FanDisturbance,
+    FanModel,
+    GridSurvey,
+    Hover,
+    RunSetup,
+    Scenario,
+    SteppedMass,
+    run_scenario,
+)
+from test_rigid_body import hover_speeds, measurement_cov, process_cov
 
 PARAMS = VehicleParams()
 
@@ -50,6 +62,38 @@ SCENARIO_DRIFT_RTOL = 1e-11
 AUGMENTED_RTOL = 1e-12
 # the shipped filter against the same filter on the array kernels
 LEAN_RTOL = 1e-12
+# the same over a 60-step run, each side on its own beliefs: over 300 random
+# runs of the multi-step test's draws the drift reached 2.7e-13 (covariance,
+# relative), 1.3e-13 (mean) and 3.4e-14 (attitude MRP)
+MULTI_STEP_RTOL = 1e-11
+MULTI_STEP_STEPS = 60
+
+
+def ref_sigma_points(mean, cov):
+    """``generate_sigma_points`` in its symmetrizing form: the Cholesky factor
+    of ``0.5 (P + P')``, its scaled columns stacked, the same jitter rule."""
+    cov = 0.5 * (cov + cov.T)
+    dim = len(mean)
+    jittered = False
+    try:
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        try:
+            chol = np.linalg.cholesky(cov + 1e-9 * np.trace(cov) / dim * np.eye(dim))
+        except np.linalg.LinAlgError:
+            raise CovarianceNotPD("covariance not positive definite after jitter", cov) from None
+        jittered = True
+    spread = np.sqrt(dim + estimator.KAPPA) * chol.T
+    points = np.concatenate([mean[None, :], mean + spread, mean - spread], axis=0)
+    return estimator.SigmaPointSet(points=points, weights=sigma_weights(dim), jittered=jittered)
+
+
+def ref_recombine(points, weights):
+    """``recombine`` in its symmetrizing form: ``(w * dev)' dev``, then ``0.5 (C + C')``."""
+    mean = weights @ points
+    dev = points - mean
+    cov = (weights[:, None] * dev).T @ dev
+    return mean, 0.5 * (cov + cov.T)
 
 
 def augmented_predict(belief, rotor_speeds, noise, params):
@@ -62,7 +106,7 @@ def augmented_predict(belief, rotor_speeds, noise, params):
     mean = np.concatenate([belief.minimal_mean(), np.zeros(12)])
     cov = np.zeros((30, 30))
     cov[:18, :18] = belief.cov
-    cov[18:, 18:] = noise.process_cov()
+    cov[18:, 18:] = process_cov(noise)
     spread = np.sqrt(32.0) * np.linalg.cholesky(0.5 * (cov + cov.T)).T
     points = np.concatenate([mean[None, :], mean + spread, mean - spread], axis=0)
     weights = np.full(61, 1.0 / 64.0)
@@ -71,7 +115,7 @@ def augmented_predict(belief, rotor_speeds, noise, params):
     states = ref_states_from_points(points[:, :18], belief.mean.q)
     propagated = process_step(states, rotor_speeds, points[:, 18:], params)
     reference = propagated.q[0]
-    mean_min, cov = recombine(ref_minimal_from_states(propagated, reference), weights)
+    mean_min, cov = ref_recombine(ref_minimal_from_states(propagated, reference), weights)
     return GaussianBelief(mean=ref_states_from_points(mean_min, reference), cov=cov)
 
 
@@ -86,12 +130,12 @@ def sigma_point_correct(belief, measurement, noise):
     ext_mean = np.concatenate([belief.minimal_mean(), np.zeros(6)])
     ext_cov = np.zeros((24, 24))
     ext_cov[:18, :18] = belief.cov
-    ext_cov[18:, 18:] = noise.measurement_cov()
-    sp = generate_sigma_points(ext_mean, ext_cov)
+    ext_cov[18:, 18:] = measurement_cov(noise)
+    sp = ref_sigma_points(ext_mean, ext_cov)
     pts = sp.points
 
     predicted_meas = np.concatenate([pts[:, 6:9] + pts[:, 18:21], pts[:, 0:3] + pts[:, 21:24]], axis=1)
-    meas_mean, innovation_cov = recombine(predicted_meas, sp.weights)
+    meas_mean, innovation_cov = ref_recombine(predicted_meas, sp.weights)
     state_dev = pts[:, :18] - ext_mean[None, :18]
     cross_cov = (sp.weights[:, None] * state_dev).T @ (predicted_meas - meas_mean)
 
@@ -143,17 +187,17 @@ def ref_minimal_from_states(states, reference_q):
 
 
 def reference_predict(belief, rotor_speeds, noise, params):
-    sp = generate_sigma_points(belief.minimal_mean(), belief.cov)
+    sp = ref_sigma_points(belief.minimal_mean(), belief.cov)
     states = ref_states_from_points(sp.points, belief.mean.q)
     propagated = process_step(states, rotor_speeds, np.zeros((len(sp.points), 12)), params)
     reference = propagated.q[0]
-    mean_min, cov = recombine(ref_minimal_from_states(propagated, reference), sp.weights)
+    mean_min, cov = ref_recombine(ref_minimal_from_states(propagated, reference), sp.weights)
     T, accel_map = params.dt, att.rotmat_body_to_global(belief.mean.q) / params.mass
     noise_map = np.zeros((18, 12))
     noise_map[3:6, 0:3] = T * params.inertia_inv
     noise_map[6:12, 6:9] = np.vstack([0.5 * T * T * accel_map, T * accel_map])
     noise_map[12:15, 3:6] = noise_map[15:18, 9:12] = np.eye(3)
-    gqg = noise_map @ noise.process_cov() @ noise_map.T
+    gqg = noise_map @ process_cov(noise) @ noise_map.T
     cov = cov + 0.5 * (gqg + gqg.T)
     if not np.isfinite(cov).all():
         raise CovarianceNotPD("predicted covariance is not finite", cov)
@@ -161,7 +205,7 @@ def reference_predict(belief, rotor_speeds, noise, params):
 
 
 def reference_correct(belief, measurement, noise, gate_enabled=False):
-    meas_cov = noise.measurement_cov()
+    meas_cov = measurement_cov(noise)
     cross_cov = belief.cov[:, estimator._POSE_IDX]
     innovation_cov = cross_cov[estimator._POSE_IDX] + meas_cov
     if not np.isfinite(innovation_cov).all():
@@ -274,7 +318,23 @@ class TestSigmaPoints:
         cov = np.array([[1.0, 0.0], [0.0, -1.0]])
         with pytest.raises(CovarianceNotPD) as exc:
             generate_sigma_points(np.zeros(2), cov)
-        np.testing.assert_allclose(exc.value.cov, 0.5 * (cov + cov.T))
+        np.testing.assert_array_equal(exc.value.cov, cov)
+
+    @given(log_scales=hnp.arrays(np.float64, 18, elements=st.floats(np.log(1e-6), np.log(1e3))),
+           seed=st.integers(0, 2**32 - 1))
+    def test_points_are_the_symmetrizing_form_to_the_bit(self, log_scales, seed):
+        # on a symmetric covariance the stacking product gives the scaled
+        # Cholesky columns of the symmetrizing form bit for bit
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((18, 18)) * np.exp(log_scales)[:, None]
+        cov = a @ a.T + 1e-12 * np.eye(18)
+        mean = rng.standard_normal(18)
+        assert generate_sigma_points(mean, cov).points.tobytes() == ref_sigma_points(mean, cov).points.tobytes()
+
+    @given(points=hnp.arrays(np.float64, (37, 18), elements=st.floats(-1e3, 1e3)))
+    def test_recombined_covariance_is_exactly_symmetric(self, points):
+        _, cov = recombine(points, sigma_weights(18))
+        assert np.array_equal(cov, cov.T)
 
 
 class TestPredict:
@@ -282,10 +342,31 @@ class TestPredict:
         # a finite but enormous covariance overflows in the process model;
         # predict must raise rather than hand back a non-finite belief
         belief = GaussianBelief(mean=VehicleState.at_rest(pos=(0, 0, 1)), cov=1e307 * np.eye(18))
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(CovarianceNotPD, match="not finite") as exc:
-                predict(belief, hover_speeds(PARAMS), NoiseConfig.default(), PARAMS)
+        with pytest.raises(CovarianceNotPD, match="not finite") as exc:
+            predict(belief, hover_speeds(PARAMS), NoiseConfig.default(), PARAMS)
         assert not np.isfinite(exc.value.cov).all()
+
+    def test_near_overflow_position_variance_predicts_a_symmetric_belief(self):
+        # a position variance of 1e308 is finite; its symmetrize, P + P',
+        # overflowed with a numpy warning, an error under this suite's filter
+        cov = np.eye(18)
+        cov[6:9, 6:9] *= 1e308
+        belief = GaussianBelief(mean=VehicleState.at_rest(pos=(0, 0, 1)), cov=cov)
+        out = predict(belief, np.full(4, 600.0), NoiseConfig.default(), PARAMS)
+        assert np.isfinite(out.cov).all() and np.isfinite(out.mean.as_vector()).all()
+        assert np.array_equal(out.cov, out.cov.T)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_gated_grid_survey_overflow_is_typed(self, seed):
+        # the gated 35 s fan-field survey: the gate rejects every pose once
+        # the fan's wrench arrives, the covariance grows until it overflows,
+        # which numpy warned about in recombine's product before the typed
+        # error; a gate that cannot lock out would let this survey finish
+        survey = GridSurvey(x_range=(0.5, 1.5), y_range=(-0.5, 0.5), spacing=0.5, dwell_s=3.0, height=1.0)
+        scenario = Scenario(duration_s=survey.duration(), seed=seed, sensor_rate_hz=200.0,
+                            trajectory=survey, disturbance=FanDisturbance(FanModel()))
+        with pytest.raises(CovarianceNotPD, match="predicted covariance is not finite"):
+            run_scenario(scenario, RunSetup(estimators=("usque",), gate_enabled=True))
 
     @pytest.mark.parametrize("rho_std", [0.1, 1.0, 10.0, 1e4])
     def test_wide_attitude_covariance_predicts_and_corrects(self, rho_std):
@@ -367,7 +448,7 @@ class TestPredict:
         n = 100_000
         z = rng.multivariate_normal(np.zeros(30), np.block([
             [belief.cov, np.zeros((18, 12))],
-            [np.zeros((12, 18)), noise.process_cov()],
+            [np.zeros((12, 18)), process_cov(noise)],
         ]), size=n)
         dq = att.mrp_to_error_quat(z[:, 0:3])
         states = VehicleState(
@@ -493,7 +574,7 @@ class TestCorrect:
         H = np.zeros((6, 18))
         H[0:3, 6:9] = np.eye(3)
         H[3:6, 0:3] = np.eye(3)
-        S = H @ belief.cov @ H.T + noise.measurement_cov()
+        S = H @ belief.cov @ H.T + measurement_cov(noise)
         K = belief.cov @ H.T @ np.linalg.inv(S)
         alt = belief.cov - K @ S @ K.T
         np.testing.assert_allclose(out.cov, 0.5 * (alt + alt.T), atol=1e-9)
@@ -515,6 +596,16 @@ class TestCorrect:
         with pytest.raises(InnovationCovarianceSingular, match="not finite"):
             correct(belief, PoseMeasurement(pos=belief.mean.pos, q=belief.mean.q), noise)
 
+    @pytest.mark.parametrize("index", [3, 15], ids=["omega", "f_e"])
+    def test_overflowing_joseph_update_is_typed(self, index):
+        # an unmeasured variance of 1.5e308 is finite, but the Joseph
+        # update's symmetrize doubles it: a numpy overflow warning, and a
+        # non-finite posterior returned, before the finiteness check
+        belief = default_belief()
+        belief.cov[index, index] = 1.5e308
+        with pytest.raises(CovarianceNotPD, match="corrected covariance is not finite"):
+            correct(belief, PoseMeasurement(pos=belief.mean.pos, q=belief.mean.q), NoiseConfig.default())
+
     def test_indefinite_innovation_covariance_is_singular(self):
         # a negative position variance makes S indefinite with a well-scaled
         # spectrum: the condition check on absolute eigenvalues let it update
@@ -532,7 +623,7 @@ class TestCorrect:
             a = rng.standard_normal((18, 18)) * np.exp(rng.uniform(np.log(1e-4), np.log(1e-2), 18))
             belief = GaussianBelief(mean=mean, cov=a @ a.T + 1e-8 * np.eye(18))
             # an offset of 20 to 50 stds of each position and attitude axis
-            scale = np.sqrt(np.diag(belief.cov)[estimator._POSE_IDX] + np.diag(noise.measurement_cov()))
+            scale = np.sqrt(np.diag(belief.cov)[estimator._POSE_IDX] + np.diag(measurement_cov(noise)))
             offset = scale * rng.uniform(20.0, 50.0, 6) * rng.choice([-1.0, 1.0], 6)
             meas = PoseMeasurement(pos=mean.pos + offset[:3],
                                    q=att.quat_multiply(att.mrp_to_error_quat(offset[3:]), mean.q))
@@ -542,7 +633,7 @@ class TestCorrect:
             H = np.zeros((6, 18))
             H[0:3, 6:9] = np.eye(3)
             H[3:6, 0:3] = np.eye(3)
-            S = H @ belief.cov @ H.T + noise.measurement_cov()
+            S = H @ belief.cov @ H.T + measurement_cov(noise)
             nu = np.concatenate([meas.pos - mean.pos, ref_mrp_about(meas.q, mean.q)])
             want = nu @ np.linalg.solve(S, nu)
             assert exc.value.mahalanobis_sq == pytest.approx(want, rel=1e-12)
@@ -685,6 +776,61 @@ class TestAgainstArrayFilter:
                 assert got is want
             else:
                 assert_beliefs_close(got, want, LEAN_RTOL)
+                # symmetric by construction, bit for bit
+                assert np.array_equal(got.cov, got.cov.T)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        axis=hnp.arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)).filter(lambda a: np.linalg.norm(a) > 0.1),
+        rate=st.floats(5.0, 40.0),
+        rate_error=st.floats(-20.0, 20.0),
+        log_rho_std=st.floats(np.log(1e-3), np.log(1.0)),
+        bursts=st.lists(st.tuples(st.integers(0, MULTI_STEP_STEPS - 1), st.integers(1, 40)), max_size=3),
+        gate=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_multi_step_run_matches_the_array_filter(self, axis, rate, rate_error, log_rho_std, bursts, gate, seed):
+        # a vehicle spinning at 5-40 rad/s about a fixed axis turns 0.75-6 rad
+        # in the run, so its attitude crosses the MRP shadow boundary (pi
+        # from the start); the prior's rate is off by up to 20 rad/s, and
+        # pose dropouts of up to 40 steps let the predicted attitude drift
+        # from the measured one, by more than pi at the longest.  Each side
+        # runs on its own beliefs; a typed error must be the same on both
+        # sides, otherwise they stay within MULTI_STEP_RTOL
+        rng = np.random.default_rng(seed)
+        axis = axis / np.linalg.norm(axis)
+        noise = NoiseConfig.default()
+        speeds = hover_speeds(PARAMS)
+        start_q = att.quat_from_rotvec(rng.uniform(-np.pi, np.pi, 3) / 2.0)
+        mean = VehicleState.at_rest(pos=(0.0, 0.0, 1.0), q=start_q)
+        mean.omega = (rate + rate_error) * axis
+        stds = {"rho": np.exp(log_rho_std), "omega": max(abs(rate_error), 0.1), "pos": 0.01, "vel": 0.05,
+                "tau_e": 0.01, "f_e": 0.05}
+        got = want = GaussianBelief.from_std(mean, stds)
+        dropped = {k for start, length in bursts for k in range(start, start + length)}
+
+        def step(predict_fn, correct_fn, belief, meas):
+            belief = predict_fn(belief, speeds, noise, PARAMS)
+            if meas is not None:
+                try:
+                    belief = correct_fn(belief, meas, noise, gate)
+                except MeasurementRejected:
+                    pass
+            return belief
+
+        for k in range(MULTI_STEP_STEPS):
+            meas = None
+            if k not in dropped:
+                turned = att.quat_multiply(att.quat_from_rotvec(rate * (k + 1) * PARAMS.dt * axis), start_q)
+                meas = PoseMeasurement(pos=mean.pos + 0.001 * rng.standard_normal(3),
+                                       q=rng.choice([-1.0, 1.0]) * turned)
+            got = outcome(step, predict, correct, got, meas)
+            want = outcome(step, reference_predict, reference_correct, want, meas)
+            if isinstance(want, type):
+                assert got is want
+                break
+            assert_beliefs_close(got, want, MULTI_STEP_RTOL)
+            assert np.array_equal(got.cov, got.cov.T)
 
     def test_stepped_mass_scenario_matches_the_array_filter(self, monkeypatch):
         # the logged estimates of a whole run stay within the stated drift of
@@ -874,5 +1020,5 @@ class TestStepAndEquivariance:
             )
             est.step(w, meas)
             b = est.belief
-            np.testing.assert_allclose(b.cov, b.cov.T, atol=1e-10)
+            assert np.array_equal(b.cov, b.cov.T)
             assert np.linalg.eigvalsh(b.cov).min() > -1e-10

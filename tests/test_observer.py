@@ -195,6 +195,18 @@ class TestGainBound:
         with pytest.raises(ValueError, match=f"observer {name} gain .* h = {1.0 / sensor_rate_hz:g} s"):
             hover_run(gains, sensor_rate_hz)
 
+    # between 1 and 2 the pole is negative: force=399 (k h = 1.995) rang
+    # with |f_e| up to 268 N and no error
+    @pytest.mark.parametrize("gains, sensor_rate_hz", [
+        (ObserverGains(force=399.0), 200.0),
+        (ObserverGains(force=201.0), 200.0),
+        (ObserverGains(torque=12.0), 10.0),
+    ], ids=["force-399", "force-201", "torque-12-at-10Hz"])
+    def test_gain_times_pose_interval_above_one_is_rejected(self, gains, sensor_rate_hz):
+        name = "torque" if gains.torque > gains.force else "force"
+        with pytest.raises(ValueError, match=f"observer {name} gain .* h = {1.0 / sensor_rate_hz:g} s.* exceed 1"):
+            hover_run(gains, sensor_rate_hz)
+
     @pytest.mark.parametrize("sensor_rate_hz", [10.0, 200.0])
     def test_default_gains_run_from_10_to_200_hz(self, sensor_rate_hz):
         # k h = 2.2 * 0.1 = 0.22 at 10 Hz, the slowest supported rate

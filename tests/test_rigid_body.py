@@ -26,6 +26,17 @@ def hover_speeds(params):
     return np.full(4, np.sqrt(params.mass * params.gravity[2] / np.sum(params.thrust_coeff)))
 
 
+def process_cov(noise):
+    """The diagonal 12x12 process-noise covariance of ``noise``, ordered like
+    ``process_step``'s noise block ``[tau_m, tau_e, ct, f_e]``."""
+    return np.diag(np.concatenate([noise.q_tau_m, noise.q_tau_e, noise.q_ct, noise.q_f_e]))
+
+
+def measurement_cov(noise):
+    """The diagonal 6x6 pose-noise covariance of ``noise``, ordered [position, mrp]."""
+    return np.diag(np.concatenate([noise.g_x, noise.g_rho]))
+
+
 def oracle_rotor_wrench(params, rotor_speeds):
     """[thrust, tau] from the per-motor formulas, summed left to right."""
     w = np.asarray(rotor_speeds, dtype=float)
@@ -130,7 +141,7 @@ class TestProcessStep:
         np.testing.assert_allclose(out.as_vector(), s.as_vector(), atol=1e-12)
 
     def test_noise_block_order(self, params):
-        # columns [tau_m, tau_e, ct, f_e], as in NoiseConfig.process_cov()
+        # columns [tau_m, tau_e, ct, f_e], as in process_cov()
         s = VehicleState.at_rest(pos=(0, 0, 1))
         w = hover_speeds(params)
         base = process_step(s, w, None, params)
@@ -246,7 +257,7 @@ class TestMonteCarloMoments:
         s0.q = att.quat_from_axis_angle([1, 0, 0], 0.05)
         w = hover_speeds(params)
 
-        draws = rng.multivariate_normal(np.zeros(12), noise.process_cov(), size=n)
+        draws = rng.multivariate_normal(np.zeros(12), process_cov(noise), size=n)
         batch = VehicleState(
             q=np.broadcast_to(s0.q, (n, 4)),
             omega=np.broadcast_to(s0.omega, (n, 3)),
@@ -289,12 +300,24 @@ class TestNoiseConfig:
                 q_tau_e=np.ones(3), g_x=np.ones(3), g_rho=np.ones(3),
             )
 
-    def test_block_layout(self):
+    def test_block_layout(self, params):
+        # the stacked Q of the tests draws each block into process_step's
+        # slot of that noise: one std of every variance, read back
         cfg = NoiseConfig.default()
-        Q = cfg.process_cov()
-        np.testing.assert_array_equal(Q, np.diag(np.concatenate([cfg.q_tau_m, cfg.q_tau_e, cfg.q_ct, cfg.q_f_e])))
-        G = cfg.measurement_cov()
-        np.testing.assert_array_equal(G, np.diag(np.concatenate([cfg.g_x, cfg.g_rho])))
+        eta = np.sqrt(np.diag(process_cov(cfg)))
+        s = VehicleState.at_rest(pos=(0, 0, 1))
+        out = process_step(s, hover_speeds(params), eta, params)
+        np.testing.assert_array_equal(out.tau_e, np.sqrt(cfg.q_tau_e))
+        np.testing.assert_array_equal(out.f_e, np.sqrt(cfg.q_f_e))
+        base = process_step(s, hover_speeds(params), None, params)
+        motor_only = process_step(s, hover_speeds(params), np.concatenate([eta[:3], np.zeros(9)]), params)
+        np.testing.assert_allclose((motor_only.omega - base.omega) / params.dt,
+                                   params.inertia_inv @ np.sqrt(cfg.q_tau_m), rtol=1e-12)
+        thrust_only = process_step(s, hover_speeds(params), np.concatenate([np.zeros(6), eta[6:9], np.zeros(3)]),
+                                   params)
+        np.testing.assert_allclose((thrust_only.vel - base.vel) * params.mass / params.dt, np.sqrt(cfg.q_ct),
+                                   rtol=1e-9)
+        np.testing.assert_array_equal(measurement_cov(cfg), np.diag(np.concatenate([cfg.g_x, cfg.g_rho])))
 
     @pytest.mark.parametrize("value", [
         pytest.param(np.array([[1e-6, 1e-7, 0.0], [0.0, 1e-6, 0.0], [0.0, 0.0, 1e-6]]), id="asymmetric"),
@@ -310,16 +333,14 @@ class TestNoiseConfig:
         with pytest.raises(ValueError, match="g_x must be finite: three positive variances"):
             dataclasses.replace(NoiseConfig.default(), g_x=value)
 
-    def test_frozen_and_built_once(self):
+    def test_frozen_read_only_and_copied(self):
         diag = np.ones(3)
         cfg = NoiseConfig(q_ct=diag, q_tau_m=diag, q_f_e=diag, q_tau_e=diag, g_x=diag, g_rho=diag)
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.g_x = np.eye(3)
-        assert cfg.process_cov() is cfg.process_cov()
-        assert cfg.measurement_cov() is cfg.measurement_cov()
-        for mat in (cfg.q_ct, cfg.g_rho, cfg.process_cov(), cfg.measurement_cov()):
+        for name in ("q_ct", "q_tau_m", "q_f_e", "q_tau_e", "g_x", "g_rho"):
             with pytest.raises(ValueError, match="read-only"):
-                mat[0] = 2.0
+                getattr(cfg, name)[0] = 2.0
         # the caller's array is copied, not frozen in place
         diag[0] = 2.0
         assert cfg.q_ct[0] == 1.0
