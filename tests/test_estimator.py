@@ -790,13 +790,13 @@ class TestAgainstArrayFilter:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_multi_step_run_matches_the_array_filter(self, axis, rate, rate_error, log_rho_std, bursts, gate, seed):
-        # a vehicle spinning at 5-40 rad/s about a fixed axis turns 0.75-6 rad
-        # in the run, so its attitude crosses the MRP shadow boundary (pi
-        # from the start); the prior's rate is off by up to 20 rad/s, and
-        # pose dropouts of up to 40 steps let the predicted attitude drift
-        # from the measured one, by more than pi at the longest.  Each side
-        # runs on its own beliefs; a typed error must be the same on both
-        # sides, otherwise they stay within MULTI_STEP_RTOL
+        # a vehicle spinning at 5-40 rad/s about a fixed axis turns 1.5-12 rad
+        # in the 0.3 s run, so above 10.5 rad/s its attitude crosses the MRP
+        # shadow boundary (pi from the start); the prior's rate is off by up
+        # to 20 rad/s, and pose dropouts of up to 40 steps let the predicted
+        # attitude drift from the measured one, by more than pi at the
+        # longest.  Each side runs on its own beliefs; a typed error must be
+        # the same on both sides, otherwise they stay within MULTI_STEP_RTOL
         rng = np.random.default_rng(seed)
         axis = axis / np.linalg.norm(axis)
         noise = NoiseConfig.default()

@@ -317,7 +317,6 @@ class TestNoiseConfig:
                                    params)
         np.testing.assert_allclose((thrust_only.vel - base.vel) * params.mass / params.dt, np.sqrt(cfg.q_ct),
                                    rtol=1e-9)
-        np.testing.assert_array_equal(measurement_cov(cfg), np.diag(np.concatenate([cfg.g_x, cfg.g_rho])))
 
     @pytest.mark.parametrize("value", [
         pytest.param(np.array([[1e-6, 1e-7, 0.0], [0.0, 1e-6, 0.0], [0.0, 0.0, 1e-6]]), id="asymmetric"),
