@@ -35,10 +35,21 @@ controller, pose sensor, disturbances, momentum observer, and the filter's
 own one-quaternion steps: the rotation in its process-noise map, its
 posterior mean and its innovation), where one numpy call costs more than
 the whole formula in floats.  They take any sequence of floats and return
-tuples, and agree with the array kernels to a few ulp.  The array kernels
-serve the filter's 37-row sigma-point sets, in ``process_step`` and on
-either side of it; the two share no code, because each form is the slow one
-for the other's callers.
+tuples, and agree with the array kernels to a few ulp; the two share no
+code, because each form is the slow one for the other's callers.
+
+The filter's 37-row sigma-point sets use the array forms in two ways.
+``estimator.predict`` calls ``mrp_to_error_quat`` and ``quat_product_matrix``
+(with ``quat_conjugate`` on the centre's quaternion) on either side of
+``process_step``; ``process_step`` calls no kernel here but folds the rotation
+map, the product map and the zero-angle guard of ``quat_apply_body_rates``
+into its own constant map (``rigid_body.VehicleParams.step_map``).  The other
+array kernels (``quat_normalize``, ``quat_canonical``, ``quat_multiply``,
+``quat_from_axis_angle``, ``quat_from_rotvec``, ``rotmat_body_to_global``,
+``error_quat_to_mrp``, ``quat_apply_body_rates``, and ``cross3`` outside one
+construction-time use in the fan model) are no longer on any per-step path:
+they are the oracles that the tests hold the fused kernel and the float forms
+to, through ``reference_process_step`` and the reference filter.
 """
 
 from __future__ import annotations

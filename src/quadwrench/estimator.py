@@ -22,12 +22,18 @@ the same moments at the cost of a second sigma-point set.  P is symmetric by
 construction, never repaired; ``predict`` and ``correct`` silence numpy's
 overflow warning and raise :class:`CovarianceNotPD` on a non-finite P.
 
-The 37-row sigma-point set goes through the ``attitude`` array kernels, and
-is composed with the prior or centre quaternion by one 4x4 matmul
-(:func:`quat_product_matrix`).  Work on one quaternion (the rotation in G,
-the posterior mean of ``predict`` and ``correct``, the innovation) is done
-on Python floats with the ``*_floats`` forms, where a numpy call would cost
-more than the arithmetic.
+The 37-row sigma-point set is a handful of array operations per step: the
+sigma attitudes are ``mrp_to_error_quat`` of the points' MRPs composed with
+the prior by one 4x4 matmul (:func:`quat_product_matrix`); the set goes
+through the fused ``process_step`` kernel in one call; the relative
+quaternions against the centre are one more 4x4 matmul, and their short-arc
+MRPs one division, ``d_v / (d0 -+ 1)`` with the sign of ``d0``; the minimal
+rows are one concatenate.  The filter written on the per-field ``attitude``
+kernels and ``reference_process_step`` stays in the tests as the oracle.
+Work on one quaternion (the rotation in G, the posterior mean of ``predict``
+and ``correct``, the innovation) is done on Python floats with the
+``*_floats`` forms, where a numpy call would cost more than the arithmetic;
+the parts of ``G Q G'`` and ``R`` fixed for a run are built once.
 """
 
 from __future__ import annotations
@@ -39,11 +45,9 @@ from functools import lru_cache
 import numpy as np
 
 from .attitude import (
-    error_quat_to_mrp,
     error_quat_to_mrp_floats,
     mrp_to_error_quat,
     mrp_to_error_quat_floats,
-    quat_canonical,
     quat_conjugate,
     quat_multiply_floats,
     quat_product_matrix,
@@ -172,7 +176,8 @@ class GaussianBelief:
         return np.concatenate([np.zeros(3), m.omega, m.pos, m.vel, m.tau_e, m.f_e])
 
     def cov_diagonal(self) -> np.ndarray:
-        return np.diag(self.cov).copy()
+        """The 18 variances, a read-only view of ``cov``'s diagonal."""
+        return self.cov.diagonal()
 
 
 @dataclass
@@ -295,6 +300,16 @@ _NOISE_IDX = np.concatenate([
 ])
 
 
+@lru_cache(maxsize=8)
+def _constant_noise(inertia_inv, dt, mass, q_tau_m) -> tuple:
+    """The parts of ``G Q G'`` fixed for a run: the rate block's entries and
+    the factors of the position/velocity block (see :func:`_process_noise`)."""
+    tt, mm = dt * dt, mass * mass
+    rates = _sandwich(inertia_inv, [tt * v for v in q_tau_m])
+    return ((*rates[0], *rates[1], *rates[2]),
+            ((0.25 * tt * tt / mm, 0.5 * tt * dt / mm), (0.5 * tt * dt / mm, tt / mm)))
+
+
 def _process_noise(q, noise: NoiseConfig, params: VehicleParams) -> list[float]:
     """The non-zero entries of ``G Q G'`` at the attitude ``q`` (floats), in
     the order of :data:`_NOISE_IDX`.
@@ -304,18 +319,17 @@ def _process_noise(q, noise: NoiseConfig, params: VehicleParams) -> list[float]:
     ``T R(q)/m``, and into the wrench as the identity, so G Q G' has three
     non-zero blocks: ``T^2 inv(J) diag(q_tau_m) inv(J)'`` on the rates,
     ``[[T^4/4, T^3/2], [T^3/2, T^2]] (x) R diag(q_ct) R' / m^2`` on position
-    and velocity, and the ``q_tau_e`` and ``q_f_e`` diagonals.
+    and velocity, and the ``q_tau_e`` and ``q_f_e`` diagonals.  All but the
+    rotation are fixed for a run, and built once per vehicle and noise.
     """
-    constants = params.floats
-    T, m = constants.dt, constants.mass
-    tt, mm = T * T, m * m
-    rates = _sandwich(constants.inertia_inv, [tt * v for v in noise.q_tau_m.tolist()])
-    out = [*rates[0], *rates[1], *rates[2]]
-    thrust = _sandwich(rotmat_body_to_global_floats(q), noise.q_ct.tolist())
-    for left, right in ((0.25 * tt * tt / mm, 0.5 * tt * T / mm), (0.5 * tt * T / mm, tt / mm)):
+    constants, variances = params.floats, noise.floats
+    rates, factors = _constant_noise(constants.inertia_inv, constants.dt, constants.mass, variances.q_tau_m)
+    out = list(rates)
+    thrust = _sandwich(rotmat_body_to_global_floats(q), variances.q_ct)
+    for left, right in factors:
         for a, b, c in thrust:
             out += (left * a, left * b, left * c, right * a, right * b, right * c)
-    return out + noise.q_tau_e.tolist() + noise.q_f_e.tolist()
+    return out + list(variances.wrench)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -342,11 +356,15 @@ def predict(
     q = mrp_to_error_quat(points[:, 0:3]) @ quat_product_matrix(prior_q)
     propagated = process_step(_full_states(points, q), rotor_speeds, None, params)
 
+    # each point's attitude relative to the centre's, and its short-arc MRP
+    # d_v / (d0 - 1) for d0 < 0, else d_v / (d0 + 1): the MRP of -d_q when
+    # d0 < 0, so no NearSingularRotation guard can fire
     reference = propagated.q[0]
-    d_q = quat_canonical(propagated.q @ quat_product_matrix(quat_conjugate(reference)))
+    d_q = propagated.q @ quat_product_matrix(quat_conjugate(reference))
+    d0 = d_q[:, :1]
     minimal = np.concatenate(
-        [error_quat_to_mrp(d_q), propagated.omega, propagated.pos, propagated.vel, propagated.tau_e,
-         propagated.f_e],
+        [d_q[:, 1:] / (d0 + np.where(d0 < 0.0, -1.0, 1.0)), propagated.omega, propagated.pos, propagated.vel,
+         propagated.tau_e, propagated.f_e],
         axis=1,
     )
     mean_min, cov = recombine(minimal, sp.weights)
@@ -388,7 +406,7 @@ def correct(
     squared above :data:`GATE_THRESHOLD` raises :class:`MeasurementRejected`
     instead of updating.
     """
-    meas_var = np.concatenate([noise.g_x, noise.g_rho])
+    meas_var = noise.meas_var
     cross_cov = belief.cov[:, _POSE_IDX]
     innovation_cov = cross_cov[_POSE_IDX]
     innovation_cov.flat[::7] += meas_var

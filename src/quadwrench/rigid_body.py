@@ -12,13 +12,26 @@ the state at k-1 to the state at k:
   gyroscopic term;
 * wrench: ``f_e`` and ``tau_e`` carried forward plus their random-walk noise.
 
-All operations broadcast over leading axes so a whole sigma-point set (or a
-Monte-Carlo batch) propagates in one call; the zero-noise map is exactly the
-deterministic motion model used for filter prediction.  ``process_step`` is the
-one array form of the model: it serves the sigma-point sets and any batch of
-vehicles, and is the oracle of the simulator's truth step, which writes the
-same map out on one vehicle in Python floats from
-:attr:`VehicleParams.floats` and :func:`rotor_wrench_floats`.
+``process_step`` is the one array form of the model.  It takes a state with
+any leading axes, so a whole sigma-point set (or a Monte-Carlo batch)
+propagates in one call, and its zero-noise map is the deterministic motion
+model of the filter's prediction.  It is a fused kernel of a few large array
+operations rather than one per field: the products ``u_i u_j`` of
+``u = [q, omega]`` go through one constant map to the rotation matrix, the
+rate quaternion and the gyroscopic term; the body-frame external torque is one
+batched matrix product; and every next-step field but the attitude is one
+matrix product of the stacked rows with a second constant map, plus one
+per-call offset holding the rotor wrench, computed on floats by
+:func:`rotor_wrench_floats`, and gravity.  The maps are run constants of
+:class:`VehicleParams` (``step_map``, ``carry_map``, ``noise_map``).
+
+The per-field form of the same map, the ``attitude`` array kernels field by
+field, lives in the tests as ``reference_process_step``: it is the oracle of
+``process_step`` (to a stated tolerance) and of the simulator's truth step,
+which writes the map out on one vehicle in Python floats from
+:attr:`VehicleParams.floats` and :func:`rotor_wrench_floats`.  The array
+:func:`rotor_wrench` has no per-step caller left; it is the form that oracle
+uses and that :func:`rotor_wrench_floats` is held to bit for bit.
 """
 
 from __future__ import annotations
@@ -28,19 +41,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .attitude import cross3, quat_apply_body_rates, rotmat_body_to_global
+from .attitude import _QUAT_PRODUCT_3D, _ROTATION, _TINY_HALF_ANGLE
 
 __all__ = [
     "VehicleParams",
     "VehicleFloats",
     "VehicleState",
     "NoiseConfig",
+    "NoiseFloats",
     "rotor_wrench",
     "rotor_wrench_floats",
     "process_step",
 ]
 
-_EZ = np.array([0.0, 0.0, 1.0])
 # sign of each motor's term in [thrust, tau_x, tau_y, tau_z]; see rotor_wrench
 _ROTOR_SIGNS = np.array([
     [1.0, 1.0, 1.0, 1.0],
@@ -48,6 +61,51 @@ _ROTOR_SIGNS = np.array([
     [-1.0, 1.0, 1.0, -1.0],
     [1.0, -1.0, 1.0, -1.0],
 ])
+
+
+def _step_maps(dt, mass, inertia, inertia_inv):
+    """The constant maps of :func:`process_step`: step, carry and noise.
+
+    The step map (49, 17) takes the products ``u_i u_j`` of ``u = [q, omega]``
+    (row ``7 i + j``) to ``R + I`` row-major (9), ``q (x) (0, omega dt/2)``
+    (4), the gyroscopic rate change ``-dt inv(J) (omega x J omega)`` (3) and
+    the squared half rotation angle ``(|omega| dt/2)^2`` (1).
+
+    The carry map (24, 15) takes the stacked rows ``[(R + I)' tau_e,
+    (R + I) b, gyroscopic rate change, omega, pos, vel, tau_e, f_e]``, b the
+    body force, to ``[omega, pos, vel, tau_e, f_e]`` at the next step, and
+    the noise map (12, 15) takes the noise block there.  The identity in
+    ``R + I`` comes off through the ``tau_e`` rows, the thrust-noise rows and
+    the per-call offset.
+    """
+    # the Levi-Civita symbol: (a x b)_l = eps[l, i, j] a_i b_j
+    eps = np.zeros((3, 3, 3))
+    eps[[0, 1, 2], [1, 2, 0], [2, 0, 1]], eps[[0, 1, 2], [2, 0, 1], [1, 2, 0]] = 1.0, -1.0
+    step = np.zeros((7, 7, 17))
+    step[:4, :4, 0:9] = _ROTATION.reshape(4, 4, 9)
+    step[:4, 4:, 9:13] = 0.5 * dt * _QUAT_PRODUCT_3D[:, 1:, :]
+    # (omega x J omega)_l = eps[l, a, b] J[b, c] omega_a omega_c
+    step[4:, 4:, 13:16] = -dt * np.einsum("kl,lab,bc->ack", inertia_inv, eps, inertia)
+    step[4:, 4:, 16] = (0.5 * dt) ** 2 * np.eye(3)
+
+    rate = dt * inertia_inv.T              # a body torque row into the rate change
+    pos, vel = 0.5 * dt * dt / mass, dt / mass
+    eye = np.eye(3)
+    carry = np.zeros((12, 3, 5, 3))        # [input block, its axis, output block, its axis]
+    carry[0, :, 0] = rate                  # (R + I)' tau_e
+    carry[1, :, 1], carry[1, :, 2] = pos * eye, vel * eye  # (R + I) b
+    carry[2, :, 0] = eye                   # gyroscopic rate change
+    carry[3, :, 0] = eye                   # omega
+    carry[4, :, 1] = eye                   # pos
+    carry[5, :, 1], carry[5, :, 2] = dt * eye, eye  # vel
+    carry[6, :, 0], carry[6, :, 3] = -rate, eye     # tau_e
+    carry[7, :, 1], carry[7, :, 2], carry[7, :, 4] = pos * eye, vel * eye, eye  # f_e
+    carry[8, :, 0] = rate                  # noise: body motor torque
+    carry[9, :, 3] = eye                   # external-torque walk
+    carry[10, :, 1], carry[10, :, 2] = -pos * eye, -vel * eye  # body thrust, the -I of R + I
+    carry[11, :, 4] = eye                  # external-force walk
+    carry = carry.reshape(36, 15)
+    return step.reshape(49, 17), carry[:24].copy(), carry[24:].copy()
 
 
 def _check_finite(obj, *names):
@@ -120,10 +178,15 @@ class VehicleParams:
                 "mixer_inv": np.linalg.inv(_ROTOR_SIGNS * np.stack([np.ones(4), l, l, d / k])),
                 "motor_thrust_max": k * np.float64(self.omega_max) ** 2,
             }
+            constants["step_map"], constants["carry_map"], constants["noise_map"] = _step_maps(
+                np.float64(self.dt), np.float64(self.mass), self.inertia, constants["inertia_inv"])
             derived = {"1/mass": ("mass", 1.0 / np.float64(self.mass)),
                        "inertia_inv": ("inertia", constants["inertia_inv"]),
                        "mixer_inv": ("arm_length, thrust_coeff, drag_coeff", constants["mixer_inv"]),
-                       "motor_thrust_max": ("thrust_coeff, omega_max", constants["motor_thrust_max"])}
+                       "motor_thrust_max": ("thrust_coeff, omega_max", constants["motor_thrust_max"]),
+                       "step_map": ("dt, inertia", constants["step_map"]),
+                       "carry_map": ("dt, mass, inertia", constants["carry_map"]),
+                       "noise_map": ("dt, mass, inertia", constants["noise_map"])}
         for name, (settings, value) in derived.items():
             if not np.isfinite(value).all():
                 raise ValueError(f"VehicleParams {settings}: the derived {name} is not finite")
@@ -177,6 +240,15 @@ class VehicleState:
         return np.concatenate([self.q, self.omega, self.pos, self.vel, self.tau_e, self.f_e], axis=-1)
 
 
+class NoiseFloats(NamedTuple):
+    """The process variances of one :class:`NoiseConfig` that the filter
+    reads on every step, as tuples of Python floats."""
+
+    q_ct: tuple
+    q_tau_m: tuple
+    wrench: tuple  # q_tau_e then q_f_e: the wrench diagonal of G Q G'
+
+
 @dataclass(frozen=True)
 class NoiseConfig:
     """Diagonal process and measurement covariances, three variances per block.
@@ -185,7 +257,9 @@ class NoiseConfig:
     measurement variances (m^2) and ``g_rho`` the attitude measurement
     variances in MRP units squared (a rotation by angle a has |rho| ~ a/4).
     Each block is a read-only ``(3,)`` copy (x, y, z; another shape raises
-    ``ValueError``).
+    ``ValueError``).  Built once from them: ``meas_var``, the read-only
+    ``(6,)`` pose variances ``[g_x, g_rho]``, and ``floats``, the
+    :class:`NoiseFloats` of the process variances.
     """
 
     q_ct: np.ndarray
@@ -202,6 +276,12 @@ class NoiseConfig:
                 raise ValueError(f"NoiseConfig.{name} must be finite: three positive variances, got {var!r}")
             var.flags.writeable = False
             object.__setattr__(self, name, var)
+        meas_var = np.concatenate([self.g_x, self.g_rho])
+        meas_var.flags.writeable = False
+        object.__setattr__(self, "meas_var", meas_var)
+        object.__setattr__(self, "floats", NoiseFloats(
+            q_ct=tuple(self.q_ct.tolist()), q_tau_m=tuple(self.q_tau_m.tolist()),
+            wrench=tuple(self.q_tau_e.tolist() + self.q_f_e.tolist())))
 
     @classmethod
     def default(cls) -> "NoiseConfig":
@@ -253,49 +333,63 @@ def rotor_wrench_floats(params: VehicleParams, rotor_speeds) -> tuple[float, flo
 
 def process_step(
     state: VehicleState,
-    rotor_speeds: np.ndarray,
+    rotor_speeds,
     noise: np.ndarray | None,
     params: VehicleParams,
 ) -> VehicleState:
     """Propagate the state one sampling period.
 
-    ``noise`` is a ``(..., 12)`` block of process-noise draws ordered
-    ``[tau_m, tau_e, ct, f_e]`` (the ``NoiseConfig.q_*`` of those names):
-    body motor-torque noise (N m), external-torque random walk (N m), body
-    thrust noise (N) and external-force random walk (N).  With ``noise=None``
-    this is the deterministic motion model that the filter's sigma points go
-    through: the thrust acceleration is the body-z column of R times the
-    thrust, the noise terms are left out, and the carried wrench gets
-    ``+ 0.0``, the zero noise's only trace, which turns a -0.0 into 0.0.
-    All-zero noise gives the same state.  The simulator seeds scenario wrenches in
-    ``tau_e``/``f_e``, and Monte-Carlo batches draw noise through this block.
+    ``rotor_speeds`` are one vehicle's four motor speeds, shared by every
+    row of ``state``.  ``noise`` is ``None`` or a block of process-noise draws
+    with the state's leading shape plus 12, ordered ``[tau_m, tau_e, ct,
+    f_e]`` (the ``NoiseConfig.q_*`` of those names): body motor-torque noise
+    (N m), external-torque random walk (N m), body thrust noise (N) and
+    external-force random walk (N).  With ``noise=None`` this is the
+    deterministic motion model that the filter's sigma points go through;
+    all-zero noise gives the same state.  The simulator seeds
+    scenario wrenches in ``tau_e``/``f_e``, and Monte-Carlo batches draw noise
+    through this block.
+
+    The products of ``[q, omega]`` go through :attr:`VehicleParams.step_map`
+    once, for the rotation matrix, the rate quaternion and the gyroscopic
+    term; the stacked rows then go through :attr:`VehicleParams.carry_map`
+    once, and the rotor wrench and gravity add as one per-call offset; the
+    noise block adds through :attr:`VehicleParams.noise_map`.
     """
     T = params.dt
-    m = params.mass
+    c = params.floats
+    thrust, mx, my, mz = rotor_wrench_floats(params, np.asarray(rotor_speeds, dtype=float).tolist())
+    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = c.inertia_inv
+    gx, gy, gz = c.gravity
+    half_tt = 0.5 * T * T
+    az = gz + thrust / c.mass
+    # rotor torque, gravity and the -I of (R + I) (0, 0, thrust), which the
+    # carry map leaves out; the wrench gets + 0.0, which turns a -0.0 into 0.0
+    offset = [T * (j00 * mx + j01 * my + j02 * mz), T * (j10 * mx + j11 * my + j12 * mz),
+              T * (j20 * mx + j21 * my + j22 * mz), -half_tt * gx, -half_tt * gy, -half_tt * az,
+              -T * gx, -T * gy, -T * az, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
 
-    wrench = rotor_wrench(params, rotor_speeds)
-
-    # matvecs: einsum is the cheaper form of R v on a sigma-point set,
-    # v-times-matrix matmul the cheaper form of R' v and of the inertia maps
-    R_bg = rotmat_body_to_global(state.q)
+    q, omega = state.q, state.omega
+    u = np.concatenate([q, omega], axis=-1)
+    f = (u[..., :, None] * u[..., None, :]).reshape(u.shape[:-1] + (49,)) @ params.step_map
+    r = f[..., 0:9]
+    rotation = r.reshape(r.shape[:-1] + (3, 3))  # R + I
     if noise is None:
-        thrust = R_bg[..., 2] * wrench[..., :1]  # R (0, 0, T)
+        force = r[..., 2::3] * thrust
     else:
-        thrust = np.einsum("...ij,...j->...i", R_bg, wrench[..., :1] * _EZ + noise[..., 6:9])
-    acc = thrust / m - params.gravity + state.f_e / m
-    pos = state.pos + T * state.vel + 0.5 * T * T * acc
-    vel = state.vel + T * acc
+        noise = np.asarray(noise, dtype=float)
+        force = (rotation @ (noise[..., 6:9] + (0.0, 0.0, thrust))[..., None])[..., 0]
+    rows = [(state.tau_e[..., None, :] @ rotation)[..., 0, :], force, f[..., 13:16], omega, state.pos, state.vel,
+            state.tau_e, state.f_e]
+    out = np.concatenate(rows, axis=-1) @ params.carry_map + offset
+    if noise is not None:
+        out = out + noise @ params.noise_map
 
-    q = quat_apply_body_rates(state.q, state.omega, T)
-
-    tau_e_body = (state.tau_e[..., None, :] @ R_bg)[..., 0, :]  # R' tau_e: global into body axes
-    inertia_rate = state.omega @ params.inertia.T
-    torque_sum = tau_e_body + wrench[..., 1:]
-    if noise is None:
-        tau_e, f_e = state.tau_e + 0.0, state.f_e + 0.0
-    else:
-        torque_sum = torque_sum + noise[..., 0:3]
-        tau_e, f_e = state.tau_e + noise[..., 3:6], state.f_e + noise[..., 9:12]
-    omega = state.omega + T * ((torque_sum - cross3(state.omega, inertia_rate)) @ params.inertia_inv.T)
-
-    return VehicleState(q=q, omega=omega, pos=pos, vel=vel, tau_e=tau_e, f_e=f_e)
+    # q (x) (cos h, sin(h) omega / |omega|), h = |omega| T / 2, renormalized;
+    # sin(h)/h at h >= 1e-20: below that the ratio rounds to its limit 1
+    half = np.sqrt(f[..., 16:17])
+    h = np.maximum(half, _TINY_HALF_ANGLE)
+    q = np.cos(half) * q + (np.sin(h) / h) * f[..., 9:13]
+    q = q / np.sqrt(np.add.reduce(q * q, axis=-1, keepdims=True))
+    return VehicleState(q=q, omega=out[..., 0:3], pos=out[..., 3:6], vel=out[..., 6:9], tau_e=out[..., 9:12],
+                        f_e=out[..., 12:15])

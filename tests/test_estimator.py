@@ -47,7 +47,7 @@ from quadwrench.simulator import (
     SteppedMass,
     run_scenario,
 )
-from test_rigid_body import hover_speeds, measurement_cov, process_cov
+from test_rigid_body import hover_speeds, measurement_cov, process_cov, reference_process_step
 
 PARAMS = VehicleParams()
 
@@ -159,8 +159,9 @@ def sigma_point_correct(belief, measurement, noise):
 # The filter with every quaternion on the array kernels, the oracle of the
 # shipped predict and correct: attitudes composed with quat_multiply, the
 # innovation and the posterior mean on arrays, G as the full 18x12 map,
-# K R K' as a product with R, and the sigma points through process_step's
-# noise block (zeros) rather than its noise-free form.
+# K R K' as a product with R, and the sigma points through the per-field
+# reference_process_step with its noise block (zeros) rather than the shipped
+# kernel's noise-free form.
 
 def ref_states_from_points(points, reference_q):
     """Minimal-state rows (..., 18) as full states about ``reference_q``."""
@@ -189,7 +190,7 @@ def ref_minimal_from_states(states, reference_q):
 def reference_predict(belief, rotor_speeds, noise, params):
     sp = ref_sigma_points(belief.minimal_mean(), belief.cov)
     states = ref_states_from_points(sp.points, belief.mean.q)
-    propagated = process_step(states, rotor_speeds, np.zeros((len(sp.points), 12)), params)
+    propagated = reference_process_step(states, rotor_speeds, np.zeros((len(sp.points), 12)), params)
     reference = propagated.q[0]
     mean_min, cov = ref_recombine(ref_minimal_from_states(propagated, reference), sp.weights)
     T, accel_map = params.dt, att.rotmat_body_to_global(belief.mean.q) / params.mass
@@ -371,8 +372,9 @@ class TestPredict:
     @pytest.mark.parametrize("rho_std", [0.1, 1.0, 10.0, 1e4])
     def test_wide_attitude_covariance_predicts_and_corrects(self, rho_std):
         # Sigma points far out in MRP space are rotations of up to +-2 pi, but
-        # both predict and correct take the short arc before error_quat_to_mrp,
-        # so the scalar part is >= 0 and NearSingularRotation cannot escape.
+        # both predict and correct take the short arc: predict divides by
+        # d0 - 1 where the scalar part d0 < 0, and correct flips the sign
+        # before error_quat_to_mrp_floats, so NearSingularRotation cannot escape.
         belief = default_belief(p_rho=rho_std**2)
         noise = NoiseConfig.default()
         predicted = predict(belief, hover_speeds(PARAMS), noise, PARAMS)
@@ -995,6 +997,9 @@ class TestStepAndEquivariance:
                                                      q=truth.q))
             np.testing.assert_array_equal(est.mean_vector(), est.belief.mean.as_vector())
             np.testing.assert_array_equal(est.cov_diagonal(), est.belief.cov_diagonal())
+            # the diagonal is read straight off the covariance, not copied
+            np.testing.assert_array_equal(est.cov_diagonal(), np.diag(est.belief.cov))
+            assert not est.cov_diagonal().flags.writeable
 
     def test_mean_quaternion_stays_unit(self):
         # predict and correct compose the mean attitude with quat_multiply,

@@ -16,7 +16,8 @@ is held to a tolerance fixed from the dtype:
 * the observer's estimates within ``ESTIMATE_RTOL`` of each logged column's
   largest magnitude.
 
-The truth step's oracle is ``process_step`` on the seeded state; the two are
+The truth step's oracle is ``reference_process_step``, the per-field form of
+``process_step`` in ``tests/test_rigid_body.py``, on the seeded state; the two are
 held to each other per call in ``tests/test_simulator.py`` and over a closed
 loop here.
 
@@ -54,6 +55,7 @@ from quadwrench.simulator import (
     run_scenario,
 )
 from test_attitude import quat_to_rotvec
+from test_rigid_body import reference_process_step
 from test_simulator import mix_motor_speeds
 
 PARAMS = VehicleParams()
@@ -78,7 +80,7 @@ def ref_quat_from_rotvec(v):
 def ref_truth_step(state, rotor_speeds, wrench, params):
     seeded = VehicleState(q=state.q, omega=state.omega, pos=state.pos, vel=state.vel,
                           tau_e=np.asarray(wrench[1], dtype=float), f_e=np.asarray(wrench[0], dtype=float))
-    return rigid_body.process_step(seeded, rotor_speeds, None, params)
+    return reference_process_step(seeded, rotor_speeds, None, params)
 
 
 def ref_admittance_command(tau_z, cfg):

@@ -12,7 +12,7 @@ from quadwrench import attitude as att
 from quadwrench.control import AdmittanceConfig
 from quadwrench.logio import STATE_FIELDS, TimeSeriesLog
 from quadwrench.observer import ObserverGains
-from quadwrench.rigid_body import NoiseConfig, VehicleParams, VehicleState, process_step, rotor_wrench
+from quadwrench.rigid_body import NoiseConfig, VehicleParams, VehicleState, rotor_wrench
 from quadwrench.simulator import (
     FanDisturbance,
     FanModel,
@@ -28,10 +28,12 @@ from quadwrench.simulator import (
     run_scenario,
     truth_step,
 )
+from test_rigid_body import reference_process_step
 
 PARAMS = VehicleParams()
 EPS = np.finfo(float).eps
-# the float truth step against process_step: per entry of the state record,
+# the float truth step against process_step's per-field form
+# (reference_process_step): per entry of the state record,
 # TRUTH_RTOL of max(1, |entry|).  The two sum the rotation matrix, the
 # quaternion product and the matrix-vector products in different orders, each
 # a few ulp of its unit-scale factors.
@@ -60,7 +62,7 @@ class TestTruthStep:
         seeded = VehicleState(q=state.q, omega=state.omega, pos=state.pos, vel=state.vel,
                               tau_e=wrench[1], f_e=wrench[0])
         got = truth_step(state, speeds, wrench, params).as_vector()
-        want = process_step(seeded, speeds, None, params).as_vector()
+        want = reference_process_step(seeded, speeds, None, params).as_vector()
         assert np.all(np.abs(got - want) <= TRUTH_RTOL * np.maximum(1.0, np.abs(want))), got - want
         # the carried wrench bit for bit, a -0.0 component included
         wrench_slots = slice(STATE_FIELDS.index("tau_e_x"), None)
