@@ -10,9 +10,11 @@ points from the 18-dim belief, injects each point's MRP as an error quaternion
 onto the reference mean, pushes the set through the deterministic process
 model in one batched call and converts relative quaternions against the
 central point back to MRPs (short-arc sign) before recombination.  The process
-noise is added in closed form, as the USQUE adds it (Crassidis & Markley 2003):
-``G Q G'`` goes onto the recombined covariance as its three non-zero blocks
-(rates, position/velocity, wrench), computed on floats.
+noise enters in closed form, as ``G Q G'`` in the USQUE (Crassidis & Markley
+2003), but as the square-root UKF forms it (van der Merwe & Wan 2001): the
+rows ``sqrt(Q) G'``, G the process model's own noise gain at the prior mean,
+stack under the weighted sigma deviations, and the predicted covariance is
+one product ``S' S`` of the stacked rows.
 
 The pose measurement reads position and the attitude MRP straight off the
 minimal state and adds its noise, so the measurement model is linear in the
@@ -32,8 +34,7 @@ rows are one concatenate.  The filter written on the per-field ``attitude``
 kernels and ``reference_process_step`` stays in the tests as the oracle.
 Work on one quaternion (the rotation in G, the posterior mean of ``predict``
 and ``correct``, the innovation) is done on Python floats with the
-``*_floats`` forms, where a numpy call would cost more than the arithmetic;
-the parts of ``G Q G'`` and ``R`` fixed for a run are built once.
+``*_floats`` forms, where a numpy call would cost more than the arithmetic.
 """
 
 from __future__ import annotations
@@ -182,21 +183,25 @@ class GaussianBelief:
 
 @dataclass
 class SigmaPointSet:
-    """2L+1 points of an L-dim Gaussian with their recombination weights;
-    ``jittered`` marks a covariance that needed diagonal jitter to factor."""
+    """2L+1 points of an L-dim Gaussian with their recombination weights and
+    the weights' square roots as a column; ``jittered`` marks a covariance
+    that needed diagonal jitter to factor."""
 
     points: np.ndarray   # (2L+1, L)
     weights: np.ndarray  # (2L+1,), read-only
+    roots: np.ndarray    # (2L+1, 1), read-only
     jittered: bool = False
 
 
 @lru_cache(maxsize=8)
-def sigma_weights(dim: int) -> np.ndarray:
-    """Read-only recombination weights at :data:`KAPPA`, built once per ``dim``."""
+def sigma_weights(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only recombination weights at :data:`KAPPA` and their square
+    roots as a ``(2 dim + 1, 1)`` column, built once per ``dim``."""
     w = np.full(2 * dim + 1, 1.0 / (2.0 * (dim + KAPPA)))
     w[0] = KAPPA / (dim + KAPPA)
-    w.flags.writeable = False
-    return w
+    roots = np.sqrt(w)[:, None]
+    w.flags.writeable = roots.flags.writeable = False
+    return w, roots
 
 
 @lru_cache(maxsize=8)
@@ -234,15 +239,14 @@ def generate_sigma_points(mean: np.ndarray, cov: np.ndarray) -> SigmaPointSet:
         jittered = True
 
     points = mean + _stacking(dim) @ chol.T
-    return SigmaPointSet(points=points, weights=sigma_weights(dim), jittered=jittered)
+    return SigmaPointSet(points, *sigma_weights(dim), jittered=jittered)
 
 
-def recombine(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted mean and covariance ``S' S``, ``S = sqrt(w) * (points - mean)``
-    (w > 0): numpy forms it as a symmetric rank-k update, exactly symmetric."""
+def recombine(points: np.ndarray, weights: np.ndarray, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted mean and the rows ``S = roots * (points - mean)`` of the
+    covariance ``S' S``, ``roots`` the weights' square roots (w > 0)."""
     mean = weights @ points
-    scaled = np.sqrt(weights)[:, None] * (points - mean)
-    return mean, scaled.T @ scaled
+    return mean, roots * (points - mean)
 
 
 def _full_states(points: np.ndarray, q: np.ndarray) -> VehicleState:
@@ -272,64 +276,18 @@ def _mrp_about(q, reference_q) -> tuple[float, float, float]:
     return error_quat_to_mrp_floats(d_q if d_q[0] >= 0.0 else tuple(-c for c in d_q))
 
 
-def _sandwich(rows, var) -> tuple[tuple[float, float, float], ...]:
-    """Rows of ``M diag(var) M'`` for a 3x3 ``M`` given by its rows; each
-    entry below the diagonal is the one above it, so the result is exactly
-    symmetric."""
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
-    v0, v1, v2 = var
-    x0, x1, x2 = a0 * v0, a1 * v1, a2 * v2
-    y0, y1, y2 = b0 * v0, b1 * v1, b2 * v2
-    ab = x0 * b0 + x1 * b1 + x2 * b2
-    ac = x0 * c0 + x1 * c1 + x2 * c2
-    bc = y0 * c0 + y1 * c1 + y2 * c2
-    return (
-        (x0 * a0 + x1 * a1 + x2 * a2, ab, ac),
-        (ab, y0 * b0 + y1 * b1 + y2 * b2, bc),
-        (ac, bc, c0 * v0 * c0 + c1 * v1 * c1 + c2 * v2 * c2),
-    )
+def _noise_rows(q, noise: NoiseConfig, params: VehicleParams) -> np.ndarray:
+    """The rows ``sqrt(Q) G'`` (12, 18) at the attitude ``q`` (floats).
 
-
-# flat indices into the 18x18 covariance of the non-zero entries of G Q G',
-# in the order _process_noise lists them: the omega block, the pos/vel block,
-# then the tau_e and f_e diagonals
-_NOISE_IDX = np.concatenate([
-    (STATE_DIM * np.arange(3, 6)[:, None] + np.arange(3, 6)).ravel(),
-    (STATE_DIM * np.arange(6, 12)[:, None] + np.arange(6, 12)).ravel(),
-    (STATE_DIM + 1) * np.arange(12, 18),
-])
-
-
-@lru_cache(maxsize=8)
-def _constant_noise(inertia_inv, dt, mass, q_tau_m) -> tuple:
-    """The parts of ``G Q G'`` fixed for a run: the rate block's entries and
-    the factors of the position/velocity block (see :func:`_process_noise`)."""
-    tt, mm = dt * dt, mass * mass
-    rates = _sandwich(inertia_inv, [tt * v for v in q_tau_m])
-    return ((*rates[0], *rates[1], *rates[2]),
-            ((0.25 * tt * tt / mm, 0.5 * tt * dt / mm), (0.5 * tt * dt / mm, tt / mm)))
-
-
-def _process_noise(q, noise: NoiseConfig, params: VehicleParams) -> list[float]:
-    """The non-zero entries of ``G Q G'`` at the attitude ``q`` (floats), in
-    the order of :data:`_NOISE_IDX`.
-
-    G maps the noise ``[tau_m, tau_e, ct, f_e]`` into the rates through
-    ``T inv(J)``, into position and velocity through ``T^2/2 R(q)/m`` and
-    ``T R(q)/m``, and into the wrench as the identity, so G Q G' has three
-    non-zero blocks: ``T^2 inv(J) diag(q_tau_m) inv(J)'`` on the rates,
-    ``[[T^4/4, T^3/2], [T^3/2, T^2]] (x) R diag(q_ct) R' / m^2`` on position
-    and velocity, and the ``q_tau_e`` and ``q_f_e`` diagonals.  All but the
-    rotation are fixed for a run, and built once per vehicle and noise.
+    G is :func:`process_step`'s own noise gain: :attr:`VehicleParams.noise_map`
+    takes the noise ``[tau_m, tau_e, ct, f_e]`` to ``[omega, pos, vel, tau_e,
+    f_e]``, but its body-thrust rows hold only the ``-I`` of ``R + I``, so
+    the thrust enters as ``-R(q)'`` times them.  No noise reaches the MRP.
     """
-    constants, variances = params.floats, noise.floats
-    rates, factors = _constant_noise(constants.inertia_inv, constants.dt, constants.mass, variances.q_tau_m)
-    out = list(rates)
-    thrust = _sandwich(rotmat_body_to_global_floats(q), variances.q_ct)
-    for left, right in factors:
-        for a, b, c in thrust:
-            out += (left * a, left * b, left * c, right * a, right * b, right * c)
-    return out + list(variances.wrench)
+    gain = np.zeros((12, STATE_DIM))
+    gain[:, 3:] = params.noise_map
+    gain[6:9, 3:] = np.array(rotmat_body_to_global_floats(q)).T @ -params.noise_map[6:9]
+    return noise.process_std[:, None] * gain
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -342,11 +300,13 @@ def predict(
     """Sigma-point propagation of the belief through the process model.
 
     The 37 points of the belief go through the deterministic model in one
-    :func:`process_step` call, and the process noise, the diagonal Q of the
-    ``q_*`` variances of ``noise``, adds ``G Q G'``, G mapping it at the
-    prior mean (see :func:`_process_noise`).  Given the state the noise
-    enters linearly and never reaches q, so these are exactly the moments of
-    the noise-augmented set.  The jitter rule of
+    :func:`process_step` call.  The predicted covariance is ``S' S``, ``S``
+    the 37 weighted deviations ``sqrt(w_i) (X_i - x)`` stacked over the 12
+    rows ``sqrt(Q) G'`` (see :func:`_noise_rows`), Q the diagonal of the
+    ``q_*`` variances of ``noise``; numpy forms it as a symmetric rank-k
+    update, so it is exactly symmetric.  Given the state the noise enters
+    linearly and never reaches q, so these are exactly the moments of the
+    noise-augmented set.  The jitter rule of
     :func:`generate_sigma_points` sees the 18x18 prior's trace.  A non-finite
     predicted covariance, as an overflow leaves, raises :class:`CovarianceNotPD`.
     """
@@ -367,9 +327,9 @@ def predict(
          propagated.tau_e, propagated.f_e],
         axis=1,
     )
-    mean_min, cov = recombine(minimal, sp.weights)
-    # G Q G' is exactly symmetric, so the sum stays symmetric
-    cov.flat[_NOISE_IDX] += _process_noise(prior_q.tolist(), noise, params)
+    mean_min, deviations = recombine(minimal, sp.weights, sp.roots)
+    rows = np.concatenate([deviations, _noise_rows(prior_q.tolist(), noise, params)])
+    cov = rows.T @ rows
     if not np.isfinite(cov).all():
         raise CovarianceNotPD("predicted covariance is not finite", cov)
 

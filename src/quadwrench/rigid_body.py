@@ -14,9 +14,11 @@ the state at k-1 to the state at k:
 
 ``process_step`` is the one array form of the model.  It takes a state with
 any leading axes, so a whole sigma-point set (or a Monte-Carlo batch)
-propagates in one call, and its zero-noise map is the deterministic motion
-model of the filter's prediction.  It is a fused kernel of a few large array
-operations rather than one per field: the products ``u_i u_j`` of
+propagates in one call.  Its zero-noise map is the deterministic motion
+model of the filter's prediction, and its noise gain, ``noise_map`` with the
+body-thrust rows rotated into the global frame, is the filter's G, through
+which Q enters the predicted covariance.  It is a fused kernel of a few
+large array operations rather than one per field: the products ``u_i u_j`` of
 ``u = [q, omega]`` go through one constant map to the rotation matrix, the
 rate quaternion and the gyroscopic term; the body-frame external torque is one
 batched matrix product; and every next-step field but the attitude is one
@@ -48,7 +50,6 @@ __all__ = [
     "VehicleFloats",
     "VehicleState",
     "NoiseConfig",
-    "NoiseFloats",
     "rotor_wrench",
     "rotor_wrench_floats",
     "process_step",
@@ -240,15 +241,6 @@ class VehicleState:
         return np.concatenate([self.q, self.omega, self.pos, self.vel, self.tau_e, self.f_e], axis=-1)
 
 
-class NoiseFloats(NamedTuple):
-    """The process variances of one :class:`NoiseConfig` that the filter
-    reads on every step, as tuples of Python floats."""
-
-    q_ct: tuple
-    q_tau_m: tuple
-    wrench: tuple  # q_tau_e then q_f_e: the wrench diagonal of G Q G'
-
-
 @dataclass(frozen=True)
 class NoiseConfig:
     """Diagonal process and measurement covariances, three variances per block.
@@ -257,9 +249,10 @@ class NoiseConfig:
     measurement variances (m^2) and ``g_rho`` the attitude measurement
     variances in MRP units squared (a rotation by angle a has |rho| ~ a/4).
     Each block is a read-only ``(3,)`` copy (x, y, z; another shape raises
-    ``ValueError``).  Built once from them: ``meas_var``, the read-only
-    ``(6,)`` pose variances ``[g_x, g_rho]``, and ``floats``, the
-    :class:`NoiseFloats` of the process variances.
+    ``ValueError``).  Built once from them, read-only: ``meas_var``, the
+    ``(6,)`` pose variances ``[g_x, g_rho]``, and ``process_std``, the
+    ``(12,)`` process stds in the order of :func:`process_step`'s noise block
+    ``[tau_m, tau_e, ct, f_e]``, the square root of the filter's diagonal Q.
     """
 
     q_ct: np.ndarray
@@ -276,12 +269,11 @@ class NoiseConfig:
                 raise ValueError(f"NoiseConfig.{name} must be finite: three positive variances, got {var!r}")
             var.flags.writeable = False
             object.__setattr__(self, name, var)
-        meas_var = np.concatenate([self.g_x, self.g_rho])
-        meas_var.flags.writeable = False
-        object.__setattr__(self, "meas_var", meas_var)
-        object.__setattr__(self, "floats", NoiseFloats(
-            q_ct=tuple(self.q_ct.tolist()), q_tau_m=tuple(self.q_tau_m.tolist()),
-            wrench=tuple(self.q_tau_e.tolist() + self.q_f_e.tolist())))
+        derived = {"meas_var": np.concatenate([self.g_x, self.g_rho]),
+                   "process_std": np.sqrt(np.concatenate([self.q_tau_m, self.q_tau_e, self.q_ct, self.q_f_e]))}
+        for name, value in derived.items():
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @classmethod
     def default(cls) -> "NoiseConfig":

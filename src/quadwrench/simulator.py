@@ -467,7 +467,8 @@ class RunSetup:
     """Everything a run needs besides the scenario itself.
 
     The sensor samples poses with the stds of ``noise`` and quantizes motor
-    speeds to ``quant_bits`` (0: exact).  The first of ``estimators`` steers a
+    speeds to ``quant_bits`` (0: exact).  ``estimators`` names each estimator
+    at most once, or ``run_scenario`` raises ``ValueError``; the first steers a
     ``FanTrack`` reference with its logged z-torque estimate; the chi-square
     gate applies only while ``gate_enabled`` is set.
     """
@@ -535,6 +536,8 @@ def truth_step(state: VehicleState, rotor_speeds: np.ndarray,
 def _make_estimators(setup: RunSetup, initial: VehicleState):
     out = {}
     for name in setup.estimators:
+        if name in out:
+            raise ValueError(f"estimator {name!r} is listed twice; each estimator runs once")
         if name == "usque":
             belief = GaussianBelief.from_std(initial.copy(), setup.init_stds)
             out[name] = UsqueEstimator(setup.params, setup.noise, belief, gate_enabled=setup.gate_enabled)

@@ -47,7 +47,7 @@ from quadwrench.simulator import (
     SteppedMass,
     run_scenario,
 )
-from test_rigid_body import hover_speeds, measurement_cov, process_cov, reference_process_step
+from test_rigid_body import FULL_INERTIA, hover_speeds, measurement_cov, process_cov, reference_process_step
 
 PARAMS = VehicleParams()
 
@@ -85,7 +85,13 @@ def ref_sigma_points(mean, cov):
         jittered = True
     spread = np.sqrt(dim + estimator.KAPPA) * chol.T
     points = np.concatenate([mean[None, :], mean + spread, mean - spread], axis=0)
-    return estimator.SigmaPointSet(points=points, weights=sigma_weights(dim), jittered=jittered)
+    return estimator.SigmaPointSet(points, *sigma_weights(dim), jittered=jittered)
+
+
+def recombined(points, weights, roots):
+    """``recombine``'s mean and covariance ``S' S`` of its rows, as ``predict`` forms it."""
+    mean, rows = recombine(points, weights, roots)
+    return mean, rows.T @ rows
 
 
 def ref_recombine(points, weights):
@@ -273,7 +279,7 @@ class TestSigmaPoints:
         cov = a @ a.T + 6 * np.eye(6)
         mean = rng.standard_normal(6)
         sp = generate_sigma_points(mean, cov)
-        got_mean, got_cov = recombine(sp.points, sp.weights)
+        got_mean, got_cov = recombined(sp.points, sp.weights, sp.roots)
         np.testing.assert_allclose(got_mean, mean, atol=1e-12)
         np.testing.assert_allclose(got_cov, cov, atol=1e-9)
 
@@ -285,7 +291,7 @@ class TestSigmaPoints:
         A = rng.standard_normal((4, 5))
         b = rng.standard_normal(4)
         sp = generate_sigma_points(mean, cov)
-        got_mean, got_cov = recombine(sp.points @ A.T + b, sp.weights)
+        got_mean, got_cov = recombined(sp.points @ A.T + b, sp.weights, sp.roots)
         np.testing.assert_allclose(got_mean, A @ mean + b, atol=1e-9)
         np.testing.assert_allclose(got_cov, A @ cov @ A.T, atol=1e-9)
 
@@ -294,21 +300,24 @@ class TestSigmaPoints:
         # kappa = 14 for every dimension: at the filter's L = 18 that is the
         # USQUE's kappa = 2 on the state augmented with the 12-dim noise
         assert estimator.KAPPA == 14.0
-        w = sigma_weights(dim)
+        w, roots = sigma_weights(dim)
         assert w.shape == (2 * dim + 1,)
+        assert roots.tobytes() == np.sqrt(w)[:, None].tobytes()
         assert w[0] == pytest.approx(14.0 / (dim + 14.0))
         np.testing.assert_allclose(w[1:], 1.0 / (2 * (dim + 14.0)))
         assert np.sum(w) == pytest.approx(1.0, abs=1e-12)
 
     def test_weights_built_once_and_read_only(self):
-        w = sigma_weights(18)
-        assert sigma_weights(18) is w
-        assert not w.flags.writeable
+        w, roots = sigma_weights(18)
+        assert sigma_weights(18)[0] is w and sigma_weights(18)[1] is roots
+        assert not w.flags.writeable and not roots.flags.writeable
+        sp = generate_sigma_points(np.zeros(18), np.eye(18))
+        assert sp.weights is w and sp.roots is roots
 
     def test_jitter_recovers_semidefinite(self):
         cov = np.diag([1.0, 0.0])  # PSD but not PD
         sp = generate_sigma_points(np.zeros(2), cov)
-        _, got = recombine(sp.points, sp.weights)
+        _, got = recombined(sp.points, sp.weights, sp.roots)
         np.testing.assert_allclose(got, cov, atol=1e-8)
 
     def test_jitter_is_marked(self):
@@ -334,7 +343,7 @@ class TestSigmaPoints:
 
     @given(points=hnp.arrays(np.float64, (37, 18), elements=st.floats(-1e3, 1e3)))
     def test_recombined_covariance_is_exactly_symmetric(self, points):
-        _, cov = recombine(points, sigma_weights(18))
+        _, cov = recombined(points, *sigma_weights(18))
         assert np.array_equal(cov, cov.T)
 
 
@@ -487,20 +496,28 @@ class TestPredict:
         rotvec=hnp.arrays(np.float64, 3, elements=st.floats(-np.pi, np.pi)),
         speeds=hnp.arrays(np.float64, 4, elements=st.floats(500.0, 2500.0)),
         log_scales=hnp.arrays(np.float64, 18, elements=st.floats(np.log(1e-4), np.log(1e-1))),
+        log_q_scales=hnp.arrays(np.float64, 12, elements=st.floats(np.log(1e-2), np.log(1e2))),
+        inertia=st.sampled_from([PARAMS.inertia, FULL_INERTIA]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_augmented_prediction(self, rotvec, speeds, log_scales, seed):
+    def test_matches_augmented_prediction(self, rotvec, speeds, log_scales, log_q_scales, inertia, seed):
         # a random belief: any attitude, rates and wrench of order one, and a
-        # full covariance with per-axis scales over three decades
+        # full covariance with per-axis scales over three decades; process
+        # variances drawn per axis over four decades about the defaults, so
+        # that a transposed or axis-permuted block of G Q G' shows, and the
+        # diagonal or a full inertia
         rng = np.random.default_rng(seed)
         mean = VehicleState.at_rest(pos=rng.uniform(-2.0, 2.0, 3), q=att.quat_from_rotvec(rotvec))
         mean.omega, mean.vel, mean.tau_e, mean.f_e = rng.standard_normal((4, 3))
         a = rng.standard_normal((18, 18)) * np.exp(log_scales)
         belief = GaussianBelief(mean=mean, cov=a @ a.T + 1e-8 * np.eye(18))
-        noise = NoiseConfig.default()
+        default = NoiseConfig.default()
+        q_tau_m, q_tau_e, q_ct, q_f_e = (np.diag(process_cov(default)) * np.exp(log_q_scales)).reshape(4, 3)
+        noise = replace(default, q_tau_m=q_tau_m, q_tau_e=q_tau_e, q_ct=q_ct, q_f_e=q_f_e)
+        params = VehicleParams(inertia=inertia)
 
-        got = predict(belief, speeds, noise, PARAMS)
-        want = augmented_predict(belief, speeds, noise, PARAMS)
+        got = predict(belief, speeds, noise, params)
+        want = augmented_predict(belief, speeds, noise, params)
 
         d_q = att.quat_canonical(att.quat_multiply(got.mean.q, att.quat_conjugate(want.mean.q)))
         assert np.linalg.norm(att.error_quat_to_mrp(d_q)) <= AUGMENTED_RTOL

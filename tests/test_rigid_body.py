@@ -428,8 +428,9 @@ class TestNoiseConfig:
         cfg = NoiseConfig.default()
         np.testing.assert_array_equal(cfg.meas_var, np.concatenate([cfg.g_x, cfg.g_rho]), strict=True)
         assert not cfg.meas_var.flags.writeable
-        assert cfg.floats == (tuple(cfg.q_ct.tolist()), tuple(cfg.q_tau_m.tolist()),
-                              tuple(cfg.q_tau_e.tolist() + cfg.q_f_e.tolist()))
+        # the process stds in the order of process_step's noise block
+        np.testing.assert_array_equal(cfg.process_std, np.sqrt(np.diag(process_cov(cfg))), strict=True)
+        assert not cfg.process_std.flags.writeable
         # rebuilt with the blocks they come from
         assert dataclasses.replace(cfg, g_x=np.full(3, 2.0)).meas_var[:3].tolist() == [2.0, 2.0, 2.0]
 

@@ -588,6 +588,12 @@ class TestEstimatorRecord:
         with pytest.raises(ValueError, match="FanTrack"):
             run_scenario(Scenario(duration_s=0.1, trajectory=FanTrack()), RunSetup(estimators=()))
 
+    def test_repeated_estimator_is_rejected(self):
+        # the estimators were keyed by name, so a repeated one ran once and
+        # the log silently carried two estimator blocks for three names
+        with pytest.raises(ValueError, match="'usque' is listed twice"):
+            run_scenario(Scenario(duration_s=0.1), RunSetup(estimators=("usque", "observer", "usque")))
+
     def test_jitter_count_in_meta(self):
         scen = Scenario(duration_s=0.1, seed=1, trajectory=Hover())
         stds = {**RunSetup().init_stds, "omega": 0.0}
