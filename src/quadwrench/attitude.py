@@ -75,7 +75,6 @@ __all__ = [
     "quat_multiply_floats",
     "rotmat_body_to_global_floats",
     "mrp_to_error_quat_floats",
-    "error_quat_to_mrp_floats",
     "quat_from_rotvec_floats",
     "quat_to_rotvec_floats",
 ]
@@ -289,17 +288,6 @@ def mrp_to_error_quat_floats(rho) -> tuple[float, float, float, float]:
     s = r0 * r0 + r1 * r1 + r2 * r2
     d = 1.0 + s
     return ((1.0 - s) / d, 2.0 * r0 / d, 2.0 * r1 / d, 2.0 * r2 / d)
-
-
-def error_quat_to_mrp_floats(dq) -> tuple[float, float, float]:
-    """:func:`error_quat_to_mrp` of one error quaternion, with the same operations
-    and the same :class:`NearSingularRotation` guard."""
-    d0, d1, d2, d3 = dq
-    if d0 <= -1.0 + _MRP_SINGULARITY_EPS:
-        raise NearSingularRotation(
-            "error quaternion scalar part %r too close to -1 (rotation near +-2*pi)" % d0)
-    d = 1.0 + d0
-    return (d1 / d, d2 / d, d3 / d)
 
 
 def quat_from_rotvec_floats(v) -> tuple[float, float, float, float]:

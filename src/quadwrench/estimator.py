@@ -26,12 +26,14 @@ overflow warning and raise :class:`CovarianceNotPD` on a non-finite P.
 
 The 37-row sigma-point set is a handful of array operations per step: the
 sigma attitudes are ``mrp_to_error_quat`` of the points' MRPs composed with
-the prior by one 4x4 matmul (:func:`quat_product_matrix`); the set goes
-through the fused ``process_step`` kernel in one call; the relative
-quaternions against the centre are one more 4x4 matmul, and their short-arc
-MRPs one division, ``d_v / (d0 -+ 1)`` with the sign of ``d0``; the minimal
-rows are one concatenate.  The filter written on the per-field ``attitude``
-kernels and ``reference_process_step`` stays in the tests as the oracle.
+the prior by one 4x4 matmul (:func:`quat_product_matrix`), and beside the
+points' other columns, in the state record's layout, they are the records
+of the set, which goes through the fused ``process_step`` kernel in one
+call; the relative quaternions against the centre are one more 4x4 matmul,
+and their short-arc MRPs one division, ``d_v / (d0 -+ 1)`` with the sign of
+``d0`` (also ``correct``'s innovation); the minimal rows are one concatenate.
+The filter written on the per-field ``attitude`` kernels and
+``reference_process_step`` stays in the tests as the oracle.
 Work on one quaternion (the rotation in G, the posterior mean of ``predict``
 and ``correct``, the innovation) is done on Python floats with the
 ``*_floats`` forms, where a numpy call would cost more than the arithmetic.
@@ -46,7 +48,6 @@ from functools import lru_cache
 import numpy as np
 
 from .attitude import (
-    error_quat_to_mrp_floats,
     mrp_to_error_quat,
     mrp_to_error_quat_floats,
     quat_conjugate,
@@ -54,7 +55,7 @@ from .attitude import (
     quat_product_matrix,
     rotmat_body_to_global_floats,
 )
-from .rigid_body import NoiseConfig, VehicleParams, VehicleState, process_step
+from .rigid_body import NoiseConfig, VehicleParams, VehicleState, _Field, process_step
 
 __all__ = [
     "CovarianceNotPD",
@@ -109,31 +110,31 @@ class MeasurementRejected(RuntimeError):
         self.mahalanobis_sq = mahalanobis_sq
 
 
-@dataclass
 class PoseMeasurement:
     """6-DoF pose sample: global position and attitude quaternion, given as
-    sequences of three and four floats and stored as arrays.
+    sequences of three and four floats and stored as the ``(7,)`` record
+    ``vector`` in the log's layout ``[pos, q]``, of which both are views.
 
-    Validated and normalized on floats: a non-finite position, or a
-    quaternion that is non-finite or of zero norm, raises ``ValueError``;
-    the norm sums the squares left to right, as ``attitude.quat_normalize``
-    does, so the quaternion is its result to the bit.
+    Validated and normalized on floats: another length, a non-finite
+    position, or a quaternion that is non-finite or of zero norm, raises
+    ``ValueError``; the norm sums the squares left to right, as
+    ``attitude.quat_normalize`` does, so the quaternion is its result to the bit.
     """
 
-    pos: np.ndarray
-    q: np.ndarray
+    __slots__ = ("vector",)
+    pos = _Field(0, 3)
+    q = _Field(3, 4)
 
-    def __post_init__(self):
-        pos = [float(v) for v in self.pos]
-        w, x, y, z = (float(v) for v in self.q)
+    def __init__(self, pos, q):
+        px, py, pz = (float(v) for v in pos)
+        w, x, y, z = (float(v) for v in q)
         # the sum of squares is NaN or inf for a non-finite q, and 0 for a
         # zero one
         norm2 = w * w + x * x + y * y + z * z
-        if not (all(map(math.isfinite, pos)) and 0.0 < norm2 < math.inf):
+        if not (math.isfinite(px) and math.isfinite(py) and math.isfinite(pz) and 0.0 < norm2 < math.inf):
             raise ValueError("pose needs a finite position and a finite, nonzero quaternion")
         norm = math.sqrt(norm2)
-        self.pos = np.array(pos)
-        self.q = np.array([w / norm, x / norm, y / norm, z / norm])
+        self.vector = np.array([px, py, pz, w / norm, x / norm, y / norm, z / norm])
 
 
 @dataclass
@@ -173,8 +174,7 @@ class GaussianBelief:
         return cls(mean=mean, cov=np.diag(diag))
 
     def minimal_mean(self) -> np.ndarray:
-        m = self.mean
-        return np.concatenate([np.zeros(3), m.omega, m.pos, m.vel, m.tau_e, m.f_e])
+        return np.concatenate([np.zeros(3), self.mean.vector[4:]])
 
     def cov_diagonal(self) -> np.ndarray:
         """The 18 variances, a read-only view of ``cov``'s diagonal."""
@@ -249,31 +249,20 @@ def recombine(points: np.ndarray, weights: np.ndarray, roots: np.ndarray) -> tup
     return mean, roots * (points - mean)
 
 
-def _full_states(points: np.ndarray, q: np.ndarray) -> VehicleState:
-    """Minimal-state rows (..., 18) as full states with attitudes ``q``."""
-    return VehicleState(
-        q=q,
-        omega=points[..., 3:6],
-        pos=points[..., 6:9],
-        vel=points[..., 9:12],
-        tau_e=points[..., 12:15],
-        f_e=points[..., 15:18],
-    )
-
-
 def _mean_state(minimal: np.ndarray, reference_q) -> VehicleState:
     """One minimal-state row (18,) as the full state about ``reference_q``,
     a quaternion as floats; the attitude is composed on floats."""
     d_q = mrp_to_error_quat_floats(minimal[0:3].tolist())
-    return _full_states(minimal, np.array(quat_multiply_floats(d_q, reference_q)))
+    return VehicleState.from_vector(np.concatenate([quat_multiply_floats(d_q, reference_q), minimal[3:]]))
 
 
 def _mrp_about(q, reference_q) -> tuple[float, float, float]:
     """MRP of the left-relative rotation from ``reference_q`` to ``q``, short
-    arc; both one quaternion as floats."""
+    arc, as in :func:`predict`; both one quaternion as floats."""
     w, x, y, z = reference_q
-    d_q = quat_multiply_floats(q, (w, -x, -y, -z))
-    return error_quat_to_mrp_floats(d_q if d_q[0] >= 0.0 else tuple(-c for c in d_q))
+    d0, d1, d2, d3 = quat_multiply_floats(q, (w, -x, -y, -z))
+    d = d0 - 1.0 if d0 < 0.0 else d0 + 1.0
+    return (d1 / d, d2 / d, d3 / d)
 
 
 def _noise_rows(q, noise: NoiseConfig, params: VehicleParams) -> np.ndarray:
@@ -314,7 +303,8 @@ def predict(
     sp = generate_sigma_points(belief.minimal_mean(), belief.cov)
     points = sp.points
     q = mrp_to_error_quat(points[:, 0:3]) @ quat_product_matrix(prior_q)
-    propagated = process_step(_full_states(points, q), rotor_speeds, None, params)
+    propagated = process_step(VehicleState.from_vector(np.concatenate([q, points[:, 3:]], axis=1)),
+                              rotor_speeds, None, params)
 
     # each point's attitude relative to the centre's, and its short-arc MRP
     # d_v / (d0 - 1) for d0 < 0, else d_v / (d0 + 1): the MRP of -d_q when
@@ -322,11 +312,7 @@ def predict(
     reference = propagated.q[0]
     d_q = propagated.q @ quat_product_matrix(quat_conjugate(reference))
     d0 = d_q[:, :1]
-    minimal = np.concatenate(
-        [d_q[:, 1:] / (d0 + np.where(d0 < 0.0, -1.0, 1.0)), propagated.omega, propagated.pos, propagated.vel,
-         propagated.tau_e, propagated.f_e],
-        axis=1,
-    )
+    minimal = np.concatenate([d_q[:, 1:] / (d0 + np.where(d0 < 0.0, -1.0, 1.0)), propagated.vector[:, 4:]], axis=1)
     mean_min, deviations = recombine(minimal, sp.weights, sp.roots)
     rows = np.concatenate([deviations, _noise_rows(prior_q.tolist(), noise, params)])
     cov = rows.T @ rows
@@ -381,10 +367,10 @@ def correct(
         )
     whiten = eigvecs / np.sqrt(eigvals)
 
-    mean = belief.mean
-    (mx, my, mz), (px, py, pz) = measurement.pos.tolist(), mean.pos.tolist()
-    prior_q = mean.q.tolist()
-    whitened = (mx - px, my - py, mz - pz, *_mrp_about(measurement.q.tolist(), prior_q)) @ whiten
+    mx, my, mz, *meas_q = measurement.vector.tolist()
+    mean = belief.mean.vector.tolist()
+    prior_q, (px, py, pz) = mean[0:4], mean[7:10]
+    whitened = (mx - px, my - py, mz - pz, *_mrp_about(meas_q, prior_q)) @ whiten
 
     if gate_enabled:
         m2 = float(whitened @ whitened)
@@ -443,7 +429,7 @@ class UsqueEstimator:
                 self.rejected_count += 1
 
     def mean_vector(self) -> np.ndarray:
-        return self.belief.mean.as_vector()
+        return self.belief.mean.vector
 
     def cov_diagonal(self) -> np.ndarray:
         return self.belief.cov_diagonal()

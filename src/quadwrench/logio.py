@@ -3,12 +3,13 @@
 One row per simulation step.  Column groups:
 
 * ``time_s``
-* truth state, 19 columns: quaternion (q0..q3), body rates, position,
-  velocity, external torque, external force
-* pose measurement, 7 columns (NaN on steps without a sample)
-* per estimator: 19 mean-state columns plus 18 covariance-diagonal columns in
-  minimal coordinates (MRP, rates, position, velocity, torque, force); the
-  observer logs zeros for the diagonal
+* truth state, the 19-entry ``VehicleState.vector`` record: quaternion
+  (q0..q3), body rates, position, velocity, external torque, external force
+* pose measurement, the 7-entry ``PoseMeasurement.vector`` record (NaN on
+  steps without a sample)
+* per estimator: 19 mean-state columns (a state record) plus 18
+  covariance-diagonal columns in minimal coordinates (MRP, rates, position,
+  velocity, torque, force); the observer logs zeros for the diagonal
 
 In memory a log is one ``(N, len(log_columns(estimators)))`` matrix in this
 file layout; its blocks (time, truth, measurements, each estimator's mean and

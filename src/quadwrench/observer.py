@@ -36,13 +36,12 @@ from .attitude import (
 )
 from .estimator import PoseMeasurement
 from .logio import COV_FIELDS
-from .rigid_body import VehicleParams, _check_finite, rotor_wrench_floats
+from .rigid_body import _ZERO3, VehicleParams, _check_finite, rotor_wrench_floats
 
 __all__ = ["lowpass_alpha", "ObserverGains", "MomentumObserver"]
 
 _ZERO_COV = np.zeros(len(COV_FIELDS))
 _ZERO_COV.flags.writeable = False
-_ZERO3 = (0.0, 0.0, 0.0)
 
 
 def _time_constant(cutoff_hz: float) -> float:
@@ -109,7 +108,8 @@ class MomentumObserver:
             return
         p = self.params
         n, self._periods = self._periods, 0
-        pos, q = measurement.pos.tolist(), measurement.q.tolist()
+        pose = measurement.vector.tolist()
+        pos, q = pose[:3], pose[3:]
         previous, self._prev_pose = self._prev_pose, (pos, q)
         if previous is None:
             return

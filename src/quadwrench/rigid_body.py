@@ -12,12 +12,14 @@ the state at k-1 to the state at k:
   gyroscopic term;
 * wrench: ``f_e`` and ``tau_e`` carried forward plus their random-walk noise.
 
-``process_step`` is the one array form of the model.  It takes a state with
-any leading axes, so a whole sigma-point set (or a Monte-Carlo batch)
-propagates in one call.  Its zero-noise map is the deterministic motion
-model of the filter's prediction, and its noise gain, ``noise_map`` with the
-body-thrust rows rotated into the global frame, is the filter's G, through
-which Q enters the predicted covariance.  It is a fused kernel of a few
+``process_step`` is the one array form of the model.  It takes a state, one
+record ``[q, omega, pos, vel, tau_e, f_e]`` in the log's layout with views as
+its fields, with any leading axes, so a whole sigma-point set (or a
+Monte-Carlo batch) propagates in one call and no step packs or unpacks it.
+Its zero-noise map is the deterministic motion model of the filter's
+prediction, and its noise gain, ``noise_map`` with the body-thrust rows
+rotated into the global frame, is the filter's G, through which Q enters the
+predicted covariance.  It is a fused kernel of a few
 large array operations rather than one per field: the products ``u_i u_j`` of
 ``u = [q, omega]`` go through one constant map to the rotation matrix, the
 rate quaternion and the gyroscopic term; the body-frame external torque is one
@@ -54,6 +56,8 @@ __all__ = [
     "rotor_wrench_floats",
     "process_step",
 ]
+
+_ZERO3 = (0.0, 0.0, 0.0)
 
 # sign of each motor's term in [thrust, tau_x, tau_y, tau_z]; see rotor_wrench
 _ROTOR_SIGNS = np.array([
@@ -206,39 +210,68 @@ class VehicleParams:
             thrust_coeff=tuple(self.thrust_coeff.tolist())))
 
 
-@dataclass
+class _Field:
+    """A read/write view of columns ``start:start + width`` of a record's
+    ``vector``; a value of another width raises ``ValueError``."""
+
+    def __init__(self, start: int, width: int):
+        self.columns, self.width = slice(start, start + width), width
+
+    def __set_name__(self, owner, name):
+        self.name = f"{owner.__name__}.{name}"
+
+    def __get__(self, obj, owner=None):
+        return self if obj is None else obj.vector[..., self.columns]
+
+    def __set__(self, obj, value):
+        obj.vector[..., self.columns] = self.check(value)
+
+    def check(self, value) -> np.ndarray:
+        value = np.asarray(value, dtype=float)
+        if value.shape[-1:] != (self.width,):
+            raise ValueError(f"{self.name} takes {self.width} entries per row, got shape {value.shape}")
+        return value
+
+
 class VehicleState:
-    """Full vehicle state; fields broadcast over leading axes.
+    """Full vehicle state, one ``(..., 19)`` float record ``vector`` in the
+    log's layout ``[q, omega, pos, vel, tau_e, f_e]`` (``logio.STATE_FIELDS``)
+    over any leading axes; each field is a read/write view of its columns.
 
     ``q`` is the attitude quaternion (scalar-first, unit norm), ``omega`` the
     body-frame angular velocity, ``pos``/``vel`` global position and velocity,
     and ``tau_e``/``f_e`` the external torque and force in the global frame.
+    The keyword constructor checks each field's width and broadcasts their
+    leading axes; :meth:`from_vector` adopts a record as it is.
     """
 
-    q: np.ndarray
-    omega: np.ndarray
-    pos: np.ndarray
-    vel: np.ndarray
-    tau_e: np.ndarray
-    f_e: np.ndarray
+    __slots__ = ("vector",)
+    WIDTH = 19
+    q, omega, pos, vel = _Field(0, 4), _Field(4, 3), _Field(7, 3), _Field(10, 3)
+    tau_e, f_e = _Field(13, 3), _Field(16, 3)
+
+    def __init__(self, q, omega, pos, vel, tau_e, f_e):
+        cls = VehicleState
+        fields = [cls.q.check(q), cls.omega.check(omega), cls.pos.check(pos), cls.vel.check(vel),
+                  cls.tau_e.check(tau_e), cls.f_e.check(f_e)]
+        rows = np.broadcast_shapes(*(f.shape[:-1] for f in fields))
+        self.vector = np.concatenate([np.broadcast_to(f, rows + f.shape[-1:]) for f in fields], axis=-1)
 
     @classmethod
-    def at_rest(cls, pos=(0.0, 0.0, 0.0), q=None) -> "VehicleState":
-        return cls(
-            q=np.array([1.0, 0.0, 0.0, 0.0]) if q is None else np.asarray(q, dtype=float),
-            omega=np.zeros(3),
-            pos=np.asarray(pos, dtype=float),
-            vel=np.zeros(3),
-            tau_e=np.zeros(3),
-            f_e=np.zeros(3),
-        )
+    def from_vector(cls, vector: np.ndarray) -> "VehicleState":
+        """The state whose record is the ``(..., 19)`` float array ``vector`` itself."""
+        if vector.shape[-1:] != (cls.WIDTH,):
+            raise ValueError(f"a state record has {cls.WIDTH} entries per row, got shape {vector.shape}")
+        state = cls.__new__(cls)
+        state.vector = vector
+        return state
+
+    @classmethod
+    def at_rest(cls, pos=(0.0, 0.0, 0.0), q=(1.0, 0.0, 0.0, 0.0)) -> "VehicleState":
+        return cls(q=q, omega=_ZERO3, pos=pos, vel=_ZERO3, tau_e=_ZERO3, f_e=_ZERO3)
 
     def copy(self) -> "VehicleState":
-        return VehicleState(*(np.array(getattr(self, f)) for f in ("q", "omega", "pos", "vel", "tau_e", "f_e")))
-
-    def as_vector(self) -> np.ndarray:
-        """Flat [q(4), omega, pos, vel, tau_e, f_e] record, 19 entries."""
-        return np.concatenate([self.q, self.omega, self.pos, self.vel, self.tau_e, self.f_e], axis=-1)
+        return VehicleState.from_vector(self.vector.copy())
 
 
 @dataclass(frozen=True)
@@ -344,9 +377,10 @@ def process_step(
 
     The products of ``[q, omega]`` go through :attr:`VehicleParams.step_map`
     once, for the rotation matrix, the rate quaternion and the gyroscopic
-    term; the stacked rows then go through :attr:`VehicleParams.carry_map`
-    once, and the rotor wrench and gravity add as one per-call offset; the
-    noise block adds through :attr:`VehicleParams.noise_map`.
+    term; the stacked rows, the last of them the record after ``q``, then go
+    through :attr:`VehicleParams.carry_map` once, and the rotor wrench and
+    gravity add as one per-call offset; the noise block adds through
+    :attr:`VehicleParams.noise_map`.
     """
     T = params.dt
     c = params.floats
@@ -361,8 +395,8 @@ def process_step(
               T * (j20 * mx + j21 * my + j22 * mz), -half_tt * gx, -half_tt * gy, -half_tt * az,
               -T * gx, -T * gy, -T * az, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
 
-    q, omega = state.q, state.omega
-    u = np.concatenate([q, omega], axis=-1)
+    x = state.vector
+    u = x[..., 0:7]
     f = (u[..., :, None] * u[..., None, :]).reshape(u.shape[:-1] + (49,)) @ params.step_map
     r = f[..., 0:9]
     rotation = r.reshape(r.shape[:-1] + (3, 3))  # R + I
@@ -371,8 +405,7 @@ def process_step(
     else:
         noise = np.asarray(noise, dtype=float)
         force = (rotation @ (noise[..., 6:9] + (0.0, 0.0, thrust))[..., None])[..., 0]
-    rows = [(state.tau_e[..., None, :] @ rotation)[..., 0, :], force, f[..., 13:16], omega, state.pos, state.vel,
-            state.tau_e, state.f_e]
+    rows = [(x[..., None, 13:16] @ rotation)[..., 0, :], force, f[..., 13:16], x[..., 4:]]
     out = np.concatenate(rows, axis=-1) @ params.carry_map + offset
     if noise is not None:
         out = out + noise @ params.noise_map
@@ -381,7 +414,6 @@ def process_step(
     # sin(h)/h at h >= 1e-20: below that the ratio rounds to its limit 1
     half = np.sqrt(f[..., 16:17])
     h = np.maximum(half, _TINY_HALF_ANGLE)
-    q = np.cos(half) * q + (np.sin(h) / h) * f[..., 9:13]
+    q = np.cos(half) * x[..., 0:4] + (np.sin(h) / h) * f[..., 9:13]
     q = q / np.sqrt(np.add.reduce(q * q, axis=-1, keepdims=True))
-    return VehicleState(q=q, omega=out[..., 0:3], pos=out[..., 3:6], vel=out[..., 6:9], tau_e=out[..., 9:12],
-                        f_e=out[..., 12:15])
+    return VehicleState.from_vector(np.concatenate([q, out], axis=-1))

@@ -10,12 +10,13 @@ fixed draw order).
 The truth step, controller, mixer, pose sensor, disturbances and references
 serve one vehicle per call and compute on Python floats with ``attitude``'s
 ``*_floats`` forms, ``rotor_wrench_floats`` and ``VehicleParams.floats``: each
-reads its array inputs once with ``.tolist()`` and builds an array only where
-its caller needs one (the motor speeds, the truth state, the pose).
-References, and the disturbances' ``(force, torque)`` pair, are tuples of
-three floats.  The truth
-step is ``process_step`` written out on one vehicle and agrees with it to a
-few ulp; its rotor map and carried wrench are bit-identical.  The speed
+reads its array inputs once with ``.tolist()`` (the truth step, controller
+and pose sensor a state's whole record) and builds an array only where its
+caller needs one, with one ``np.array``: the motor speeds, the truth state's
+record and the pose's.  References, and the disturbances' ``(force,
+torque)`` pair, are tuples of three floats.  The truth step is
+``process_step`` written out on one vehicle and agrees with it to a few ulp;
+its rotor map and carried wrench are bit-identical.  The speed
 quantizer stays on numpy; a float form of it measured no faster.
 """
 
@@ -38,7 +39,7 @@ from .control import AdmittanceConfig, admittance_command
 from .estimator import GaussianBelief, PoseMeasurement, UsqueEstimator
 from .logio import STATE_FIELDS, DwellSegment, TimeSeriesLog, log_columns
 from .observer import MomentumObserver, ObserverGains
-from .rigid_body import NoiseConfig, VehicleParams, VehicleState, _check_finite, rotor_wrench_floats
+from .rigid_body import _ZERO3, NoiseConfig, VehicleParams, VehicleState, _check_finite, rotor_wrench_floats
 
 __all__ = [
     "FanModel",
@@ -56,7 +57,6 @@ __all__ = [
 ]
 
 
-_ZERO3 = (0.0, 0.0, 0.0)
 _ZERO_WRENCH = (_ZERO3, _ZERO3)
 
 
@@ -192,7 +192,7 @@ class GridSurvey:
     travel_speed: float = 0.5  # m/s between cells
 
     def __post_init__(self):
-        _check_finite(self, "height")
+        _check_finite(self, "x_range", "y_range", "spacing", "dwell_s", "height", "travel_speed")
         if not (self.spacing > 0.0 and self.dwell_s > 0.0 and self.travel_speed > 0.0
                 and self.x_range[0] <= self.x_range[1] and self.y_range[0] <= self.y_range[1]):
             raise ValueError("grid spacing, dwell and travel speed must be positive and ranges ordered")
@@ -317,9 +317,10 @@ class SensorModel:
     def sample_pose(self, state: VehicleState, rng: np.random.Generator) -> PoseMeasurement:
         # one draw of six is the stream of two draws of three
         draw = rng.standard_normal(6).tolist()
-        pos = [p + self.pos_std * d for p, d in zip(state.pos.tolist(), draw[:3])]
+        x = state.vector.tolist()
+        pos = [p + self.pos_std * d for p, d in zip(x[7:10], draw[:3])]
         rho = [self.att_std_mrp * d for d in draw[3:]]
-        q = quat_multiply_floats(mrp_to_error_quat_floats(rho), state.q.tolist())
+        q = quat_multiply_floats(mrp_to_error_quat_floats(rho), x[0:4])
         return PoseMeasurement(pos=pos, q=q)
 
     def quantize_speeds(self, speeds: np.ndarray, omega_max: float) -> np.ndarray:
@@ -395,7 +396,8 @@ class FlightController:
     def command(self, state: VehicleState, ref_pos, ref_vel=None, yaw: float = 0.0) -> np.ndarray:
         """Motor speeds steering ``state`` towards the reference; ``ref_pos``
         and ``ref_vel`` (default zero) are 3-sequences."""
-        (px, py, pz), (vx, vy, vz) = state.pos.tolist(), state.vel.tolist()
+        x = state.vector.tolist()
+        q, (bx, by, bz, px, py, pz, vx, vy, vz) = x[0:4], x[4:13]
         rx, ry, rz = ref_pos
         wx, wy, wz = _ZERO3 if ref_vel is None else ref_vel
 
@@ -421,11 +423,11 @@ class FlightController:
 
         # body-frame attitude error, the vee of 0.5 (R_des' R - R' R_des), whose
         # entry (i, j) is desired axis i . R column j minus axis j . column i
-        c0, c1, c2 = zip(*rotmat_body_to_global_floats(state.q.tolist()))
+        c0, c1, c2 = zip(*rotmat_body_to_global_floats(q))
         e_rot = (0.5 * (_dot3(z_des, c1) - _dot3(y_des, c2)),
                  0.5 * (_dot3(x_des, c2) - _dot3(z_des, c0)),
                  0.5 * (_dot3(y_des, c0) - _dot3(x_des, c1)))
-        ang_acc = [-ATT_P * e - ATT_D * w for e, w in zip(e_rot, state.omega.tolist())]
+        ang_acc = [-ATT_P * e - ATT_D * w for e, w in zip(e_rot, (bx, by, bz))]
         torque = [_dot3(row, ang_acc) for row in inertia]
 
         speeds, saturated = _mix(self.params, thrust, torque)
@@ -503,8 +505,8 @@ def truth_step(state: VehicleState, rotor_speeds: np.ndarray,
     gx, gy, gz = constants.gravity
     force, torque = wrench
     thrust, mx, my, mz = rotor_wrench_floats(params, rotor_speeds.tolist())
-    q = state.q.tolist()
-    (wx, wy, wz), (px, py, pz), (vx, vy, vz) = state.omega.tolist(), state.pos.tolist(), state.vel.tolist()
+    x = state.vector.tolist()
+    q, (wx, wy, wz, px, py, pz, vx, vy, vz) = x[0:4], x[4:13]
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rotmat_body_to_global_floats(q)
 
     # translation under the thrust along body z, gravity and the force
@@ -529,8 +531,8 @@ def truth_step(state: VehicleState, rotor_speeds: np.ndarray,
 
     # the wrench carries over with process_step's zero noise added, which
     # turns a -0.0 into 0.0
-    return VehicleState(q=np.array(q_next), omega=np.array(omega), pos=np.array(pos), vel=np.array(vel),
-                        tau_e=np.array([e + 0.0 for e in torque]), f_e=np.array([f + 0.0 for f in force]))
+    return VehicleState.from_vector(np.array([*q_next, *omega, *pos, *vel, ex + 0.0, ey + 0.0, ez + 0.0,
+                                              fx + 0.0, fy + 0.0, fz + 0.0]))
 
 
 def _make_estimators(setup: RunSetup, initial: VehicleState):
@@ -594,7 +596,7 @@ def run_scenario(scenario: Scenario, setup: RunSetup | None = None) -> TimeSerie
         measurement = None
         if (k + 1) % meas_every == 0:
             measurement = sensor.sample_pose(truth, rng)
-            log.meas[k] = np.concatenate([measurement.pos, measurement.q])
+            log.meas[k] = measurement.vector
 
         for name, est in estimators.items():
             est.step(speeds, measurement)
@@ -604,7 +606,7 @@ def run_scenario(scenario: Scenario, setup: RunSetup | None = None) -> TimeSerie
         if steering is not None:
             traj.advance(steering[k], dt)
 
-        log.truth[k] = truth.as_vector()
+        log.truth[k] = truth.vector
 
     usque = {name: est for name, est in estimators.items() if isinstance(est, UsqueEstimator)}
     log.meta = {

@@ -238,18 +238,6 @@ class TestFloatFormsMatchKernels:
     def test_mrp_to_error_quat(self, rho):
         assert att.mrp_to_error_quat_floats(rho.tolist()) == tuple(att.mrp_to_error_quat(rho).tolist())
 
-    # a half turn, and a scalar part just clear of the guard band at -1
-    @example(np.array([0.0, 0.6, 0.0, 0.8]))
-    @example(att.quat_normalize([-1.0 + 2e-6, 2e-3, 0.0, 0.0]))
-    @given(unit_quats((4,)).filter(lambda dq: dq[0] > -1.0 + 1e-6))
-    def test_error_quat_to_mrp(self, dq):
-        assert att.error_quat_to_mrp_floats(dq.tolist()) == tuple(att.error_quat_to_mrp(dq).tolist())
-
-    def test_error_quat_to_mrp_rejects_the_same_near_singular_rotation(self):
-        almost_2pi = att.quat_normalize([-1.0 + 1e-9, 1e-6, 0.0, 0.0])
-        with pytest.raises(att.NearSingularRotation):
-            att.error_quat_to_mrp_floats(almost_2pi.tolist())
-
     # the zero rotation of either sign, a negative scalar part (the short-arc
     # flip) and a half turn
     @example(IDENTITY)

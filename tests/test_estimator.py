@@ -36,6 +36,7 @@ from quadwrench.estimator import (
     recombine,
     sigma_weights,
 )
+from quadwrench.logio import MEAS_FIELDS
 from quadwrench.rigid_body import NoiseConfig, VehicleParams, VehicleState, process_step
 from quadwrench.simulator import (
     FanDisturbance,
@@ -363,7 +364,7 @@ class TestPredict:
         cov[6:9, 6:9] *= 1e308
         belief = GaussianBelief(mean=VehicleState.at_rest(pos=(0, 0, 1)), cov=cov)
         out = predict(belief, np.full(4, 600.0), NoiseConfig.default(), PARAMS)
-        assert np.isfinite(out.cov).all() and np.isfinite(out.mean.as_vector()).all()
+        assert np.isfinite(out.cov).all() and np.isfinite(out.mean.vector).all()
         assert np.array_equal(out.cov, out.cov.T)
 
     @pytest.mark.parametrize("seed", [1, 2])
@@ -381,9 +382,9 @@ class TestPredict:
     @pytest.mark.parametrize("rho_std", [0.1, 1.0, 10.0, 1e4])
     def test_wide_attitude_covariance_predicts_and_corrects(self, rho_std):
         # Sigma points far out in MRP space are rotations of up to +-2 pi, but
-        # both predict and correct take the short arc: predict divides by
-        # d0 - 1 where the scalar part d0 < 0, and correct flips the sign
-        # before error_quat_to_mrp_floats, so NearSingularRotation cannot escape.
+        # both predict and correct take the short arc: each divides by d0 - 1
+        # where the scalar part d0 < 0, so no denominator is below 1 in size
+        # and NearSingularRotation cannot escape.
         belief = default_belief(p_rho=rho_std**2)
         noise = NoiseConfig.default()
         predicted = predict(belief, hover_speeds(PARAMS), noise, PARAMS)
@@ -392,7 +393,7 @@ class TestPredict:
         assert np.all(np.diag(predicted.cov)[:3] <= 1.0)
         meas = PoseMeasurement(pos=np.array([0.0, 0.0, 1.0]), q=att.quat_from_rotvec(np.array([0.3, -0.2, 2.5])))
         corrected = correct(predicted, meas, noise)
-        assert np.isfinite(corrected.cov).all() and np.isfinite(corrected.mean.as_vector()).all()
+        assert np.isfinite(corrected.cov).all() and np.isfinite(corrected.mean.vector).all()
 
     def test_zero_covariance_limit_matches_deterministic_step(self):
         eps = 1e-10
@@ -400,7 +401,7 @@ class TestPredict:
         noise = NoiseConfig(*(np.full(3, eps),) * 4, g_x=np.ones(3), g_rho=np.ones(3))
         out = predict(belief, hover_speeds(PARAMS), noise, PARAMS)
         det = process_step(belief.mean, hover_speeds(PARAMS), None, PARAMS)
-        np.testing.assert_allclose(out.mean.as_vector(), det.as_vector(), atol=10 * eps)
+        np.testing.assert_allclose(out.mean.vector, det.vector, atol=10 * eps)
 
     def test_force_block_is_linear_random_walk(self):
         belief = default_belief()
@@ -438,7 +439,7 @@ class TestPredict:
         np.testing.assert_allclose(out.cov[np.ix_(idx, idx)], expected, atol=1e-9)
 
         det = process_step(belief.mean, hover_speeds(PARAMS), None, PARAMS)
-        np.testing.assert_allclose(out.mean.as_vector(), det.as_vector(), atol=1e-12)
+        np.testing.assert_allclose(out.mean.vector, det.vector, atol=1e-12)
 
     def test_moments_match_monte_carlo_oracle(self):
         rng = np.random.default_rng(3)
@@ -521,7 +522,7 @@ class TestPredict:
 
         d_q = att.quat_canonical(att.quat_multiply(got.mean.q, att.quat_conjugate(want.mean.q)))
         assert np.linalg.norm(att.error_quat_to_mrp(d_q)) <= AUGMENTED_RTOL
-        for x, y in ((got.mean.as_vector()[4:], want.mean.as_vector()[4:]), (got.cov, want.cov)):
+        for x, y in ((got.mean.vector[4:], want.mean.vector[4:]), (got.cov, want.cov)):
             assert np.linalg.norm(x - y) <= AUGMENTED_RTOL * np.linalg.norm(y)
 
 
@@ -531,7 +532,7 @@ class TestCorrect:
         noise = NoiseConfig.default()
         meas = PoseMeasurement(pos=belief.mean.pos.copy(), q=belief.mean.q.copy())
         out = correct(belief, meas, noise)
-        np.testing.assert_allclose(out.mean.as_vector(), belief.mean.as_vector(), atol=1e-12)
+        np.testing.assert_allclose(out.mean.vector, belief.mean.vector, atol=1e-12)
         # covariance never grows on an update
         eigs = np.linalg.eigvalsh(belief.cov - out.cov)
         assert eigs.min() > -1e-12
@@ -545,7 +546,7 @@ class TestCorrect:
         )
         meas = PoseMeasurement(pos=belief.mean.pos + [0.5, -0.2, 0.1], q=att.quat_from_axis_angle([0, 0, 1], 0.3))
         out = correct(belief, meas, noise)
-        np.testing.assert_allclose(out.mean.as_vector(), belief.mean.as_vector(), atol=1e-6)
+        np.testing.assert_allclose(out.mean.vector, belief.mean.vector, atol=1e-6)
         np.testing.assert_allclose(out.cov, belief.cov, atol=1e-8)
 
     def test_position_update_matches_linear_kalman_oracle(self):
@@ -682,7 +683,7 @@ class TestCorrect:
             # the MRP of the posterior attitude relative to the oracle's
             d_q = att.quat_canonical(att.quat_multiply(got.mean.q, att.quat_conjugate(want.mean.q)))
             assert np.linalg.norm(att.error_quat_to_mrp(d_q)) <= CLOSED_FORM_RTOL
-            close(got.mean.as_vector()[4:], want.mean.as_vector()[4:])
+            close(got.mean.vector[4:], want.mean.vector[4:])
             close(got.cov, want.cov)
 
     def test_gate_rejects_outlier(self):
@@ -719,6 +720,20 @@ class TestCorrect:
         with pytest.raises(ValueError):
             PoseMeasurement(pos=pos, q=q)
 
+    @pytest.mark.parametrize("pos, q", [([0.0, 1.0], [1.0, 0.0, 0.0, 0.0]), ([0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0]),
+                                        ([0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0, 0.0])])
+    def test_pose_measurement_rejects_a_wrong_length(self, pos, q):
+        # the record [pos, q] would shift the quaternion
+        with pytest.raises(ValueError):
+            PoseMeasurement(pos=pos, q=q)
+
+    def test_pose_record_is_the_logged_row(self):
+        assert MEAS_FIELDS[PoseMeasurement.pos.columns] == [f"meas_pos_{a}" for a in "xyz"]
+        assert MEAS_FIELDS[PoseMeasurement.q.columns] == [f"meas_q{i}" for i in range(4)]
+        pose = PoseMeasurement(pos=[1.0, 2.0, 3.0], q=[2.0, 0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(pose.vector, [1.0, 2.0, 3.0, 1.0, 0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(np.concatenate([pose.pos, pose.q]), pose.vector)
+
     # magnitudes whose squares reach 1e300 or underflow to subnormals
     @given(pos=hnp.arrays(np.float64, 3, elements=st.floats(-1e3, 1e3)),
            q=hnp.arrays(np.float64, 4, elements=st.floats(-1e150, 1e150)).filter(
@@ -743,7 +758,7 @@ def assert_beliefs_close(got, want, rtol):
     mean and the covariance within ``rtol`` relative, norm-wise."""
     d_q = att.quat_canonical(att.quat_multiply(got.mean.q, att.quat_conjugate(want.mean.q)))
     assert np.linalg.norm(att.error_quat_to_mrp(d_q)) <= rtol
-    for x, y in ((got.mean.as_vector()[4:], want.mean.as_vector()[4:]), (got.cov, want.cov)):
+    for x, y in ((got.mean.vector[4:], want.mean.vector[4:]), (got.cov, want.cov)):
         assert np.linalg.norm(x - y) <= rtol * np.linalg.norm(y)
 
 
@@ -901,7 +916,7 @@ class TestStepAndEquivariance:
         est.step(hover_speeds(PARAMS), measurement=None)
         out = est.belief
         direct = predict(default_belief(), hover_speeds(PARAMS), noise, PARAMS)
-        np.testing.assert_allclose(out.mean.as_vector(), direct.mean.as_vector(), atol=1e-12)
+        np.testing.assert_allclose(out.mean.vector, direct.mean.vector, atol=1e-12)
         np.testing.assert_allclose(out.cov, direct.cov, atol=1e-12)
 
     def test_step_equivariant_under_global_yaw(self):
@@ -956,7 +971,7 @@ class TestStepAndEquivariance:
         # third-order truncation of the unscented transform; frame-handling
         # bugs show up orders of magnitude above this tolerance
         np.testing.assert_allclose(
-            stepped_then_rotated.mean.as_vector(), rotated_then_stepped.mean.as_vector(), atol=1e-5
+            stepped_then_rotated.mean.vector, rotated_then_stepped.mean.vector, atol=1e-5
         )
         np.testing.assert_allclose(stepped_then_rotated.cov, rotated_then_stepped.cov, atol=1e-7)
 
@@ -1012,7 +1027,7 @@ class TestStepAndEquivariance:
             truth = process_step(truth, hover_speeds(PARAMS), None, PARAMS)
             est.step(hover_speeds(PARAMS), PoseMeasurement(pos=truth.pos + 0.001 * rng.standard_normal(3),
                                                      q=truth.q))
-            np.testing.assert_array_equal(est.mean_vector(), est.belief.mean.as_vector())
+            np.testing.assert_array_equal(est.mean_vector(), est.belief.mean.vector)
             np.testing.assert_array_equal(est.cov_diagonal(), est.belief.cov_diagonal())
             # the diagonal is read straight off the covariance, not copied
             np.testing.assert_array_equal(est.cov_diagonal(), np.diag(est.belief.cov))

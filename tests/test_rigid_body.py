@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.spatial.transform import Rotation
 
 from quadwrench import attitude as att
+from quadwrench.logio import STATE_FIELDS
 from quadwrench.rigid_body import (
     NoiseConfig,
     VehicleParams,
@@ -100,6 +101,66 @@ def reference_process_step(state, rotor_speeds, noise, params):
     return VehicleState(q=q, omega=omega, pos=pos, vel=vel, tau_e=tau_e, f_e=f_e)
 
 
+# each field of the state record and the log columns it fills
+RECORD_COLUMNS = {
+    "q": [f"q{i}" for i in range(4)],
+    "omega": [f"w{a}" for a in "xyz"],
+    **{name: [f"{name}_{a}" for a in "xyz"] for name in ("pos", "vel", "tau_e", "f_e")},
+}
+
+
+class TestStateRecord:
+    def test_record_layout_matches_state_fields(self):
+        # the fields tile the record in the log's column order
+        assert [c for columns in RECORD_COLUMNS.values() for c in columns] == STATE_FIELDS
+        assert VehicleState.WIDTH == len(STATE_FIELDS)
+        for name, columns in RECORD_COLUMNS.items():
+            assert STATE_FIELDS[getattr(VehicleState, name).columns] == columns
+
+    def test_fields_are_views_of_the_record(self):
+        s = VehicleState.at_rest(pos=(1.0, 2.0, 3.0))
+        s.omega = [0.1, 0.2, 0.3]
+        s.f_e[2] = 4.0
+        np.testing.assert_array_equal(
+            s.vector, [1.0, 0.0, 0.0, 0.0, 0.1, 0.2, 0.3, 1.0, 2.0, 3.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 4.0])
+        for name, columns in RECORD_COLUMNS.items():
+            np.testing.assert_array_equal(getattr(s, name), s.vector[[STATE_FIELDS.index(c) for c in columns]])
+
+    def test_keyword_constructor_broadcasts_leading_axes(self):
+        q = att.quat_normalize(np.random.default_rng(1).standard_normal((5, 4)))
+        s = VehicleState(q=q, omega=np.zeros(3), pos=np.ones((5, 3)), vel=np.zeros(3), tau_e=np.zeros(3),
+                         f_e=np.zeros(3))
+        assert s.vector.shape == (5, 19)
+        np.testing.assert_array_equal(s.q, q)
+        np.testing.assert_array_equal(s.pos, np.ones((5, 3)))
+
+    @pytest.mark.parametrize("name", list(RECORD_COLUMNS))
+    @pytest.mark.parametrize("change", [-1, 1], ids=["short", "long"])
+    def test_field_of_wrong_width_is_rejected(self, name, change):
+        # a short field would shift every later one in the record
+        fields = {field: np.zeros(len(columns)) for field, columns in RECORD_COLUMNS.items()}
+        fields[name] = np.zeros(len(RECORD_COLUMNS[name]) + change)
+        with pytest.raises(ValueError, match=f"VehicleState.{name}"):
+            VehicleState(**fields)
+        s = VehicleState.at_rest()
+        with pytest.raises(ValueError, match=f"VehicleState.{name}"):
+            setattr(s, name, fields[name])
+        np.testing.assert_array_equal(s.vector, VehicleState.at_rest().vector)
+
+    def test_at_rest_rejects_a_short_position(self):
+        with pytest.raises(ValueError, match="VehicleState.pos"):
+            VehicleState.at_rest(pos=(0.0, 0.0))
+
+    def test_from_vector_adopts_the_record(self):
+        record = np.arange(2 * 19, dtype=float).reshape(2, 19)
+        s = VehicleState.from_vector(record)
+        assert s.vector is record
+        s.copy().vel[:] = 0.0
+        assert s.vel[1, 0] == 29.0
+        with pytest.raises(ValueError, match="19 entries"):
+            VehicleState.from_vector(record[:, :18])
+
+
 class TestParams:
     def test_defaults_valid(self, params):
         assert params.mass == pytest.approx(0.48)
@@ -187,14 +248,14 @@ class TestProcessStep:
     def test_hover_equilibrium(self, params):
         s = VehicleState.at_rest(pos=(0, 0, 1))
         out = process_step(s, hover_speeds(params), None, params)
-        np.testing.assert_allclose(out.as_vector(), s.as_vector(), atol=1e-12)
+        np.testing.assert_allclose(out.vector, s.vector, atol=1e-12)
 
     def test_noise_block_order(self, params):
         # columns [tau_m, tau_e, ct, f_e], as in process_cov()
         s = VehicleState.at_rest(pos=(0, 0, 1))
         w = hover_speeds(params)
         base = process_step(s, w, None, params)
-        np.testing.assert_array_equal(process_step(s, w, np.zeros(12), params).as_vector(), base.as_vector())
+        np.testing.assert_array_equal(process_step(s, w, np.zeros(12), params).vector, base.vector)
         eta = np.arange(1.0, 13.0) * 1e-3
         out = process_step(s, w, eta, params)
         np.testing.assert_array_equal(out.tau_e, eta[3:6])
@@ -270,7 +331,7 @@ class TestProcessStep:
         stepped_then_rotated = rotate(process_step(s, w, None, params))
         rotated_then_stepped = process_step(rotate(s), w, None, params)
         np.testing.assert_allclose(
-            stepped_then_rotated.as_vector(), rotated_then_stepped.as_vector(), atol=1e-10
+            stepped_then_rotated.vector, rotated_then_stepped.vector, atol=1e-10
         )
 
     def test_batched_matches_scalar(self, params):
@@ -294,7 +355,7 @@ class TestProcessStep:
                 eta[i],
                 params,
             )
-            np.testing.assert_allclose(out.as_vector()[i], single.as_vector(), atol=1e-12)
+            np.testing.assert_allclose(out.vector[i], single.vector, atol=1e-12)
 
 
 def _blocks(rows, width, low, high):
@@ -329,8 +390,8 @@ class TestFusedKernel:
         # noise draws up to ~10x each block's default std: motor torque,
         # torque walk, thrust and force walk
         noise = data.draw(_blocks(rows, 12, -1.0, 1.0)) * np.repeat([0.05, 5e-4, 0.5, 6e-3], 3) if with_noise else None
-        got = process_step(state, speeds, noise, params).as_vector()
-        want = reference_process_step(state, speeds, noise, params).as_vector()
+        got = process_step(state, speeds, noise, params).vector
+        want = reference_process_step(state, speeds, noise, params).vector
         scale = np.maximum(1.0, np.abs(want))
         omega = slice(4, 7)
         gyro = params.dt * np.sum(state.omega * state.omega, axis=-1, keepdims=True) * np.linalg.cond(params.inertia)

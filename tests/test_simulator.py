@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from quadwrench import attitude as att
+from quadwrench import simulator
 from quadwrench.control import AdmittanceConfig
 from quadwrench.logio import STATE_FIELDS, TimeSeriesLog
 from quadwrench.observer import ObserverGains
@@ -61,8 +62,8 @@ class TestTruthStep:
     def assert_matches_process_step(state, speeds, wrench, params=PARAMS):
         seeded = VehicleState(q=state.q, omega=state.omega, pos=state.pos, vel=state.vel,
                               tau_e=wrench[1], f_e=wrench[0])
-        got = truth_step(state, speeds, wrench, params).as_vector()
-        want = reference_process_step(seeded, speeds, None, params).as_vector()
+        got = truth_step(state, speeds, wrench, params).vector
+        want = reference_process_step(seeded, speeds, None, params).vector
         assert np.all(np.abs(got - want) <= TRUTH_RTOL * np.maximum(1.0, np.abs(want))), got - want
         # the carried wrench bit for bit, a -0.0 component included
         wrench_slots = slice(STATE_FIELDS.index("tau_e_x"), None)
@@ -165,6 +166,11 @@ def _fan_disturbance(**settings):
     return FanDisturbance(FanModel(), **settings)
 
 
+def _survey_range(**settings):
+    """A GridSurvey with each given range ending at the given value."""
+    return GridSurvey(**{name: (-0.5, value) for name, value in settings.items()})
+
+
 # every disturbance, reference, observer, admittance and scenario setting that
 # must be finite, with a vector setting given one non-finite entry
 FINITE_SETTINGS = [
@@ -172,7 +178,9 @@ FINITE_SETTINGS = [
     (SteppedMass, "mass", False), (SteppedMass, "offset_body", True), (SteppedMass, "onset_s", False),
     (_fan_disturbance, "velocity", True), (_fan_disturbance, "move_from_s", False),
     (Hover, "point", True), (FanTrack, "start_point", True),
-    (GridSurvey, "height", False), (FanTrack, "yaw", False),
+    (GridSurvey, "height", False), (GridSurvey, "spacing", False), (GridSurvey, "dwell_s", False),
+    (GridSurvey, "travel_speed", False), (_survey_range, "x_range", False), (_survey_range, "y_range", False),
+    (FanTrack, "yaw", False),
     (ObserverGains, "force", False), (ObserverGains, "torque", False),
     (AdmittanceConfig, "gain", False), (AdmittanceConfig, "limit", False), (AdmittanceConfig, "deadband", False),
     (Scenario, "duration_s", False),
@@ -187,8 +195,10 @@ def test_disturbance_and_reference_settings_reject_non_finite(build, name, vecto
     # error (t < nan is false); ObserverGains(force=inf) logs non-finite
     # estimates without an error, AdmittanceConfig(gain=inf) commands NaN and
     # Scenario(duration_s=inf) raised an untyped OverflowError in run_scenario;
-    # the others fail steps later, in the sensor or the mixer, under a message
-    # that names neither setting
+    # GridSurvey(dwell_s=inf) built a survey of infinite duration, and an
+    # infinite range end failed inside np.arange; the others fail steps
+    # later, in the sensor or the mixer, under a message that names neither
+    # setting
     with pytest.raises(ValueError, match=name):
         build(**{name: np.array([0.0, value, 1.0]) if vector else value})
 
@@ -583,6 +593,27 @@ class TestEstimatorRecord:
         np.testing.assert_array_equal(seen, log.estimates[order[0]][:, col])
         # the two estimates differ, so the check tells the estimators apart
         assert not np.array_equal(seen, log.estimates[order[1]][:, col])
+
+    def test_logged_rows_are_the_step_records(self, monkeypatch):
+        # each truth row is truth_step's record and each pose row the
+        # measurement's, bit for bit; poses arrive every other step
+        states, poses = [], []
+        step, sample = simulator.truth_step, SensorModel.sample_pose
+
+        def stepping(*args):
+            states.append(step(*args))
+            return states[-1]
+
+        def sampling(self, *args):
+            poses.append(sample(self, *args))
+            return poses[-1]
+
+        monkeypatch.setattr(simulator, "truth_step", stepping)
+        monkeypatch.setattr(SensorModel, "sample_pose", sampling)
+        log = run_scenario(Scenario(duration_s=0.1, seed=1, sensor_rate_hz=100.0), RunSetup())
+        assert log.truth.tobytes() == np.stack([s.vector for s in states]).tobytes()
+        assert log.meas[1::2].tobytes() == np.stack([p.vector for p in poses]).tobytes()
+        assert np.isnan(log.meas[0::2]).all()
 
     def test_fan_track_needs_an_estimator(self):
         with pytest.raises(ValueError, match="FanTrack"):
