@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .logio import STATE_FIELDS, TimeSeriesLog, write_csv
-from .rigid_body import _check_finite
+from .rigid_body import VehicleState, _check_settings
 
 __all__ = [
     "AdmittanceConfig",
@@ -44,9 +44,9 @@ class AdmittanceConfig:
     deadband: float = 0.002  # N m, suppresses hover jitter
 
     def __post_init__(self):
-        _check_finite(self, "gain", "limit", "deadband")
-        if not (self.gain > 0.0 and self.limit > 0.0 and self.deadband >= 0.0):
-            raise ValueError("admittance gain/limit must be positive, deadband non-negative")
+        _check_settings(self, ("deadband",), positive=("gain", "limit"))
+        if not self.deadband >= 0.0:
+            raise ValueError(f"AdmittanceConfig.deadband must be >= 0, got {self.deadband!r}")
 
 
 def admittance_command(tau_z: float, cfg: AdmittanceConfig) -> float:
@@ -74,8 +74,7 @@ class WrenchMapCell:
     count: int
 
 
-_TAU_SLICE = slice(STATE_FIELDS.index("tau_e_x"), STATE_FIELDS.index("tau_e_z") + 1)
-_F_SLICE = slice(STATE_FIELDS.index("f_e_x"), STATE_FIELDS.index("f_e_z") + 1)
+_TAU_SLICE, _F_SLICE = VehicleState.tau_e.columns, VehicleState.f_e.columns
 _BASELINE_WINDOW_S = 1.0  # s, the leading window rise_time_10_90 averages as baseline
 _STEADY_WINDOW_S = 10.0   # s, the trailing window log_metrics takes as steady state
 

@@ -36,7 +36,7 @@ from .attitude import (
 )
 from .estimator import PoseMeasurement
 from .logio import COV_FIELDS
-from .rigid_body import _ZERO3, VehicleParams, _check_finite, rotor_wrench_floats
+from .rigid_body import _ZERO3, VehicleParams, _check_settings, rotor_wrench_floats
 
 __all__ = ["lowpass_alpha", "ObserverGains", "MomentumObserver"]
 
@@ -66,9 +66,8 @@ class ObserverGains:
     att_cutoff_hz: float = 5.0  # body rates from attitude differencing
 
     def __post_init__(self):
-        _check_finite(self, "force", "torque")
-        if not (self.force > 0.0 and self.torque > 0.0):
-            raise ValueError("observer gains must be positive")
+        # the cutoffs' Nyquist bound is checked by MomentumObserver, which knows dt
+        _check_settings(self, positive=("force", "torque", "pos_cutoff_hz", "att_cutoff_hz"))
 
 
 class MomentumObserver:

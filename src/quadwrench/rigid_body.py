@@ -113,12 +113,32 @@ def _step_maps(dt, mass, inertia, inertia_inv):
     return step.reshape(49, 17), carry[:24].copy(), carry[24:].copy()
 
 
-def _check_finite(obj, *names):
-    """Raise ``ValueError`` unless each named setting of ``obj`` is finite."""
-    for name in names:
-        value = getattr(obj, name)
+def _check_settings(obj, finite=(), positive=(), **shapes):
+    """Check the settings of the configuration object ``obj``, each by name.
+
+    The rule: a configuration object checks every setting at construction,
+    by name, so a bad one raises ``ValueError`` naming ``Class.setting``
+    there and not steps into a run.  ``finite`` names scalar settings, which
+    must be finite numbers of shape ``()``; ``positive`` names settings that
+    must also be ``> 0``, every entry of a vector one; each keyword is a
+    vector setting and its shape, stored back as a finite float copy of that
+    shape (``np.array``: the caller's array is never the one kept).
+    """
+    cls = type(obj).__name__
+    for name in shapes:
+        object.__setattr__(obj, name, np.array(getattr(obj, name), dtype=float))
+    for name in (*finite, *positive, *shapes):
+        value, shape = getattr(obj, name), shapes.get(name, ())
+        if np.shape(value) != shape:
+            raise ValueError(f"{cls}.{name} must have shape {shape}, got {value!r}")
+        # an infinite setting passes the checks beside the call and turns into
+        # a NaN mid-run, through an inf * 0 that raises no warning on floats
         if not np.isfinite(value).all():
-            raise ValueError(f"{type(obj).__name__}.{name} must be finite, got {value!r}")
+            raise ValueError(f"{cls}.{name} must be finite, got {value!r}")
+    for name in positive:
+        # written as "not > 0" so that NaN fails too
+        if not np.all(getattr(obj, name) > 0.0):
+            raise ValueError(f"{cls}.{name} must be positive, got {getattr(obj, name)!r}")
 
 
 class VehicleFloats(NamedTuple):
@@ -151,24 +171,12 @@ class VehicleParams:
     omega_max: float = 2550.0               # rad/s, motor limit and telemetry full scale
 
     def __post_init__(self):
-        for name in ("inertia", "thrust_coeff", "drag_coeff", "gravity"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        # an infinite setting passes every check below and turns into a NaN
-        # mid-run, through an inf * 0 that raises no warning on floats
-        _check_finite(self, "mass", "inertia", "arm_length", "thrust_coeff", "drag_coeff", "gravity",
-                      "dt", "omega_max")
-        # written as "not > 0" so that NaN fails too
-        for name in ("mass", "arm_length", "dt", "omega_max"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
-        if self.inertia.shape != (3, 3) or not np.allclose(self.inertia, self.inertia.T, atol=1e-12):
-            raise ValueError("inertia must be a symmetric 3x3 matrix")
+        _check_settings(self, positive=("mass", "arm_length", "dt", "omega_max", "thrust_coeff", "drag_coeff"),
+                        inertia=(3, 3), thrust_coeff=(4,), drag_coeff=(4,), gravity=(3,))
+        if not np.allclose(self.inertia, self.inertia.T, atol=1e-12):
+            raise ValueError(f"VehicleParams.inertia must be symmetric, got {self.inertia!r}")
         if not np.all(np.linalg.eigvalsh(self.inertia) > 0.0):
-            raise ValueError("inertia must be positive definite")
-        if self.thrust_coeff.shape != (4,) or not np.all(self.thrust_coeff > 0.0):
-            raise ValueError("thrust_coeff must be 4 positive values")
-        if self.drag_coeff.shape != (4,) or not np.all(self.drag_coeff > 0.0):
-            raise ValueError("drag_coeff must be 4 positive values")
+            raise ValueError(f"VehicleParams.inertia must be positive definite, got {self.inertia!r}")
         # run constants of rotor_wrench and of the motor mixer (the inverse of
         # the map from per-motor thrust k_i * Omega_i^2 to [T, tau], and each
         # motor's thrust at omega_max), built without numpy warnings and then
@@ -296,12 +304,10 @@ class NoiseConfig:
     g_rho: np.ndarray
 
     def __post_init__(self):
-        for name in ("q_ct", "q_tau_m", "q_f_e", "q_tau_e", "g_x", "g_rho"):
-            var = np.array(getattr(self, name), dtype=float)
-            if var.shape != (3,) or not np.all((var > 0.0) & (var < np.inf)):
-                raise ValueError(f"NoiseConfig.{name} must be finite: three positive variances, got {var!r}")
-            var.flags.writeable = False
-            object.__setattr__(self, name, var)
+        blocks = ("q_ct", "q_tau_m", "q_f_e", "q_tau_e", "g_x", "g_rho")
+        _check_settings(self, positive=blocks, **dict.fromkeys(blocks, (3,)))
+        for name in blocks:
+            getattr(self, name).flags.writeable = False
         derived = {"meas_var": np.concatenate([self.g_x, self.g_rho]),
                    "process_std": np.sqrt(np.concatenate([self.q_tau_m, self.q_tau_e, self.q_ct, self.q_f_e]))}
         for name, value in derived.items():

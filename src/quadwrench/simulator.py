@@ -37,9 +37,9 @@ from .attitude import (
 )
 from .control import AdmittanceConfig, admittance_command
 from .estimator import GaussianBelief, PoseMeasurement, UsqueEstimator
-from .logio import STATE_FIELDS, DwellSegment, TimeSeriesLog, log_columns
+from .logio import DwellSegment, TimeSeriesLog, log_columns
 from .observer import MomentumObserver, ObserverGains
-from .rigid_body import _ZERO3, NoiseConfig, VehicleParams, VehicleState, _check_finite, rotor_wrench_floats
+from .rigid_body import _ZERO3, NoiseConfig, VehicleParams, VehicleState, _check_settings, rotor_wrench_floats
 
 __all__ = [
     "FanModel",
@@ -83,22 +83,18 @@ class FanModel:
     torque_peak_radius: float = 0.5   # m
 
     def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float)
-        _check_finite(self, "position", "axial_force", "torque_peak")
-        self.axis = np.asarray(self.axis, dtype=float)
+        _check_settings(self, ("axial_force", "torque_peak"), position=(3,), axis=(3,),
+                        positive=("axial_decay", "radial_sigma", "torque_peak_radius"))
         length = np.linalg.norm(self.axis)
         if not 0.0 < length < np.inf:
-            raise ValueError("fan axis must have a finite, nonzero length")
+            raise ValueError(f"FanModel.axis must have a finite, nonzero length, got {self.axis!r}")
         self.axis = self.axis / length
-        for name in ("axial_decay", "radial_sigma", "torque_peak_radius"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
         # the torque's sign follows the offset along global z x axis, which a
         # vertical axis leaves undefined
         lateral = cross3(np.array([0.0, 0.0, 1.0]), self.axis)
         lateral_norm = np.linalg.norm(lateral)
         if not lateral_norm > 0.0:
-            raise ValueError("fan axis must have a horizontal component")
+            raise ValueError(f"FanModel.axis must have a horizontal component, got {self.axis!r}")
         self._lateral_dir = tuple((lateral / lateral_norm).tolist())
 
     def wrench_at(self, point, position=None) -> tuple[tuple, tuple]:
@@ -130,8 +126,7 @@ class SteppedMass:
     onset_s: float = 7.0
 
     def __post_init__(self):
-        self.offset_body = np.asarray(self.offset_body, dtype=float)
-        _check_finite(self, "mass", "offset_body", "onset_s")
+        _check_settings(self, ("mass", "onset_s"), offset_body=(3,))
 
     def wrench(self, t: float, state: VehicleState) -> tuple[tuple, tuple]:
         if t < self.onset_s:
@@ -150,8 +145,7 @@ class FanDisturbance:
     move_from_s: float = 0.0
 
     def __post_init__(self):
-        self.velocity = np.asarray(self.velocity, dtype=float)
-        _check_finite(self, "velocity", "move_from_s")
+        _check_settings(self, ("move_from_s",), velocity=(3,))
 
     def fan_position(self, t: float) -> tuple[float, float, float]:
         dt_moving = max(t - self.move_from_s, 0.0)
@@ -170,8 +164,7 @@ class Hover:
     point: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
 
     def __post_init__(self):
-        self.point = np.asarray(self.point, dtype=float)
-        _check_finite(self, "point")
+        _check_settings(self, point=(3,))
 
     def start(self) -> np.ndarray:
         return self.point.copy()
@@ -192,10 +185,11 @@ class GridSurvey:
     travel_speed: float = 0.5  # m/s between cells
 
     def __post_init__(self):
-        _check_finite(self, "x_range", "y_range", "spacing", "dwell_s", "height", "travel_speed")
-        if not (self.spacing > 0.0 and self.dwell_s > 0.0 and self.travel_speed > 0.0
-                and self.x_range[0] <= self.x_range[1] and self.y_range[0] <= self.y_range[1]):
-            raise ValueError("grid spacing, dwell and travel speed must be positive and ranges ordered")
+        _check_settings(self, ("height",), positive=("spacing", "dwell_s", "travel_speed"),
+                        x_range=(2,), y_range=(2,))
+        for name in ("x_range", "y_range"):
+            if not getattr(self, name)[0] <= getattr(self, name)[1]:
+                raise ValueError(f"GridSurvey.{name} must be ordered (low, high), got {getattr(self, name)!r}")
         xs = np.arange(self.x_range[0], self.x_range[1] + 1e-9, self.spacing)
         ys = np.arange(self.y_range[0], self.y_range[1] + 1e-9, self.spacing)
         cells = []
@@ -254,8 +248,7 @@ class FanTrack:
     yaw: float = np.pi  # facing the fan (fan blows along +x)
 
     def __post_init__(self):
-        self.start_point = np.asarray(self.start_point, dtype=float)
-        _check_finite(self, "start_point", "yaw")
+        _check_settings(self, ("yaw",), start_point=(3,))
         # body +y mapped through the reference yaw
         self._lateral_dir = (-math.sin(self.yaw), math.cos(self.yaw), 0.0)
         self.start()
@@ -297,6 +290,11 @@ class SensorModel:
     quant_bits: int
 
     def __post_init__(self):
+        # a zero std gives exact poses
+        _check_settings(self, ("pos_std", "att_std_mrp"))
+        for name in ("pos_std", "att_std_mrp"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"SensorModel.{name} must be >= 0, got {getattr(self, name)!r}")
         # past 52 bits the grid step falls below the float spacing of speeds
         # near omega_max; a fraction or a negative count makes no grid, and
         # from 1024 bits 2**bits - 1 overflows a float
@@ -451,16 +449,12 @@ class Scenario:
     disturbance: SteppedMass | FanDisturbance | None = None
 
     def __post_init__(self):
-        _check_finite(self, "duration_s")
-        if not self.duration_s > 0.0:
-            raise ValueError("duration must be positive")
-        if not 0.0 < self.sensor_rate_hz < math.inf:
-            raise ValueError(f"sensor rate must be positive and finite, got {self.sensor_rate_hz!r}")
+        _check_settings(self, positive=("duration_s", "sensor_rate_hz"))
 
     def steps_per_measurement(self, dt: float) -> int:
         per = (1.0 / dt) / self.sensor_rate_hz
         if abs(per - round(per)) > 1e-9 or per < 1.0 - 1e-9:
-            raise ValueError("sensor rate must divide the simulation rate evenly")
+            raise ValueError(f"Scenario.sensor_rate_hz, {self.sensor_rate_hz!r} Hz, must divide the simulation rate evenly")
         return int(round(per))
 
 
@@ -484,9 +478,6 @@ class RunSetup:
     init_stds: dict = field(default_factory=lambda: {
         "rho": 0.005, "omega": 0.05, "pos": 0.005, "vel": 0.05, "tau_e": 0.01, "f_e": 0.05,
     })
-
-
-_TAU_Z = STATE_FIELDS.index("tau_e_z")
 
 
 def truth_step(state: VehicleState, rotor_speeds: np.ndarray,
@@ -579,7 +570,8 @@ def run_scenario(scenario: Scenario, setup: RunSetup | None = None) -> TimeSerie
     log.time[:] = dt * np.arange(1, n + 1)
     log.meas[:] = np.nan
     # the first listed estimator's logged z-torque column steers a FanTrack
-    steering = next(iter(log.estimates.values()))[:, _TAU_Z] if isinstance(traj, FanTrack) else None
+    first = next(iter(log.estimates.values()), None)
+    steering = VehicleState.from_vector(first).tau_e[:, 2] if isinstance(traj, FanTrack) else None
 
     for k in range(n):
         t = k * dt

@@ -145,7 +145,7 @@ def _noise(**diagonals):
 POSITIVE_SETTINGS = [
     *((VehicleParams, name) for name in ("mass", "dt", "arm_length", "omega_max")),
     *((_noise, name) for name in ("q_ct", "q_tau_m", "q_f_e", "q_tau_e", "g_x", "g_rho")),
-    (ObserverGains, "force"), (ObserverGains, "torque"),
+    *((ObserverGains, name) for name in ("force", "torque", "pos_cutoff_hz", "att_cutoff_hz")),
     (AdmittanceConfig, "gain"), (AdmittanceConfig, "limit"),
     *((FanModel, name) for name in ("axial_decay", "radial_sigma", "torque_peak_radius")),
     (Scenario, "duration_s"),
@@ -158,7 +158,7 @@ POSITIVE_SETTINGS = [
 def test_positive_setting_rejects_nan_zero_and_negative(build, name, value):
     # a check written "x <= 0" passes NaN, which then spreads through every
     # estimate of the run without an error
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=rf"\.{name} must be"):
         build(**{name: value})
 
 
@@ -175,6 +175,7 @@ def _survey_range(**settings):
 # must be finite, with a vector setting given one non-finite entry
 FINITE_SETTINGS = [
     (FanModel, "axial_force", False), (FanModel, "torque_peak", False), (FanModel, "position", True),
+    (FanModel, "axial_decay", False), (FanModel, "radial_sigma", False), (FanModel, "torque_peak_radius", False),
     (SteppedMass, "mass", False), (SteppedMass, "offset_body", True), (SteppedMass, "onset_s", False),
     (_fan_disturbance, "velocity", True), (_fan_disturbance, "move_from_s", False),
     (Hover, "point", True), (FanTrack, "start_point", True),
@@ -196,7 +197,9 @@ def test_disturbance_and_reference_settings_reject_non_finite(build, name, vecto
     # estimates without an error, AdmittanceConfig(gain=inf) commands NaN and
     # Scenario(duration_s=inf) raised an untyped OverflowError in run_scenario;
     # GridSurvey(dwell_s=inf) built a survey of infinite duration, and an
-    # infinite range end failed inside np.arange; the others fail steps
+    # infinite range end failed inside np.arange; an infinite FanModel
+    # axial_decay, radial_sigma or torque_peak_radius built a field without
+    # its decay, its radial bell or its z-torque; the others fail steps
     # later, in the sensor or the mixer, under a message that names neither
     # setting
     with pytest.raises(ValueError, match=name):
@@ -222,6 +225,81 @@ VEHICLE_FINITE_SETTINGS = [
 def test_vehicle_and_noise_settings_reject_non_finite(build, name, value):
     with pytest.raises(ValueError, match=rf"\.{name} must be finite"):
         build(**{name: value})
+
+
+# one default instance of every configuration class
+CONFIGS = {config.__class__: config for config in (
+    VehicleParams(), NoiseConfig.default(), FanModel(), SteppedMass(), FanDisturbance(FanModel()), Hover(),
+    GridSurvey(), FanTrack(), Scenario(duration_s=1.0), ObserverGains(), AdmittanceConfig(),
+    SensorModel(pos_std=0.0, att_std_mrp=0.0, quant_bits=8),
+)}
+# the settings that are not numbers or arrays of them: integers with checks of
+# their own, and nested configuration objects, which check themselves
+NON_NUMERIC_SETTINGS = {"Scenario.seed", "SensorModel.quant_bits", "Scenario.trajectory", "Scenario.disturbance",
+                        "FanTrack.admittance", "FanDisturbance.fan"}
+NUMERIC_SETTINGS = [
+    pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
+    for cls, config in CONFIGS.items() for f in dataclasses.fields(config)
+    if isinstance(getattr(config, f.name), (float, np.ndarray))
+]
+VECTOR_SETTINGS = [param for param in NUMERIC_SETTINGS
+                   if isinstance(getattr(CONFIGS[param.values[0]], param.values[1]), np.ndarray)]
+
+
+def _with_setting(cls, name, value):
+    return dataclasses.replace(CONFIGS[cls], **{name: value})
+
+
+def test_every_setting_is_numeric_or_listed_apart():
+    # a setting added to a configuration class joins the sweeps below unless
+    # it is listed here as one that is not a number
+    swept = {param.id for param in NUMERIC_SETTINGS}
+    every = {f"{cls.__name__}.{f.name}" for cls, config in CONFIGS.items() for f in dataclasses.fields(config)}
+    assert every - swept == NON_NUMERIC_SETTINGS
+
+
+@pytest.mark.parametrize("cls, name", NUMERIC_SETTINGS)
+def test_every_numeric_setting_rejects_nan_by_name(cls, name):
+    # ObserverGains' cutoffs and SensorModel's stds took NaN and failed when
+    # the observer was built or at the run's first pose, under messages that
+    # named no setting; Scenario.sensor_rate_hz's error said "sensor rate"
+    value = getattr(CONFIGS[cls], name)
+    with pytest.raises(ValueError, match=rf"\b{cls.__name__}\.{name}\b"):
+        _with_setting(cls, name, np.full(np.shape(value), np.nan) if np.ndim(value) else np.nan)
+
+
+@pytest.mark.parametrize("cls, name, value", [
+    pytest.param(VehicleParams, "gravity", [0.0, 9.81], id="VehicleParams.gravity-2"),
+    pytest.param(VehicleParams, "gravity", [[0.0], [0.0], [9.81]], id="VehicleParams.gravity-3x1"),
+    pytest.param(VehicleParams, "inertia", np.eye(2), id="VehicleParams.inertia-2x2"),
+    pytest.param(VehicleParams, "thrust_coeff", np.full(3, 3.5e-7), id="VehicleParams.thrust_coeff-3"),
+    pytest.param(VehicleParams, "mass", [0.48, 0.48], id="VehicleParams.mass-2"),
+    pytest.param(SteppedMass, "offset_body", [0.05, 0.0], id="SteppedMass.offset_body-2"),
+    pytest.param(FanModel, "position", [0.0, 0.0], id="FanModel.position-2"),
+    pytest.param(FanModel, "axis", [1.0, 0.0], id="FanModel.axis-2"),
+    pytest.param(FanModel, "axis", [1.0, 0.0, 0.0, 0.0], id="FanModel.axis-4"),
+    pytest.param(FanDisturbance, "velocity", [0.1, 0.0], id="FanDisturbance.velocity-2"),
+    pytest.param(Hover, "point", [0.0, 1.0], id="Hover.point-2"),
+    pytest.param(FanTrack, "start_point", [2.3, 0.8], id="FanTrack.start_point-2"),
+    pytest.param(GridSurvey, "x_range", (0.5,), id="GridSurvey.x_range-1"),
+    pytest.param(GridSurvey, "x_range", (0.5, 1.5, 2.5), id="GridSurvey.x_range-3"),
+    pytest.param(ObserverGains, "force", [2.2], id="ObserverGains.force-1"),
+])
+def test_setting_of_a_wrong_shape_is_rejected_by_name(cls, name, value):
+    # each was stored and failed at run start or steps in, under a message
+    # naming no setting (an unpacking error, an untyped TypeError, an
+    # IndexError), or was cut short: the third entry of a range was ignored
+    with pytest.raises(ValueError, match=rf"{cls.__name__}\.{name} must have shape"):
+        _with_setting(cls, name, value)
+
+
+@pytest.mark.parametrize("cls, name", VECTOR_SETTINGS)
+def test_vector_setting_is_stored_as_a_float_copy(cls, name):
+    # the caller's array is copied, not kept, and a list is stored as floats
+    given = getattr(CONFIGS[cls], name).copy()
+    stored = getattr(_with_setting(cls, name, given), name)
+    assert not np.shares_memory(stored, given)
+    np.testing.assert_array_equal(getattr(_with_setting(cls, name, given.tolist()), name), given, strict=True)
 
 
 @pytest.mark.parametrize("name, value, derived", [
@@ -308,6 +386,14 @@ class TestSensorModel:
     def test_quant_bits_must_be_an_integer_from_0_to_52(self, bits):
         with pytest.raises(ValueError, match="quant_bits"):
             SensorModel(pos_std=0.0, att_std_mrp=0.0, quant_bits=bits)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1e-3])
+    @pytest.mark.parametrize("name", ["pos_std", "att_std_mrp"])
+    def test_std_must_be_finite_and_non_negative(self, name, value):
+        # a NaN std failed only at the run's first pose, under a pose message
+        stds = {"pos_std": 0.0, "att_std_mrp": 0.0, name: value}
+        with pytest.raises(ValueError, match=rf"SensorModel\.{name} must be"):
+            SensorModel(quant_bits=8, **stds)
 
     @pytest.mark.parametrize("bits", [1, 8, 52])
     def test_quant_bits_in_range_quantize(self, bits):
@@ -524,7 +610,7 @@ class TestScenarios:
     @pytest.mark.parametrize("rate", [0.0, -200.0, np.inf, np.nan])
     def test_sensor_rate_must_be_positive_and_finite(self, rate):
         # a zero rate used to construct and then divide by zero mid-run
-        with pytest.raises(ValueError, match="sensor rate"):
+        with pytest.raises(ValueError, match=r"Scenario\.sensor_rate_hz"):
             Scenario(duration_s=1.0, sensor_rate_hz=rate)
 
     def test_sensor_rate_must_divide(self):
