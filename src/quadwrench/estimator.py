@@ -137,6 +137,19 @@ class PoseMeasurement:
         self.vector = np.array([px, py, pz, w / norm, x / norm, y / norm, z / norm])
 
 
+def _std_variances(stds, setting: str = "std") -> np.ndarray:
+    """The 18 variances of the per-block stds ``stds``, which map exactly the
+    keys rho, omega, pos, vel, tau_e, f_e to finite stds >= 0; anything else
+    raises ``ValueError`` naming ``setting`` and the key."""
+    order = ("rho", "omega", "pos", "vel", "tau_e", "f_e")
+    for key in set(stds) ^ set(order):
+        raise ValueError(f"{setting} key {key!r} is unknown or missing; the keys are {', '.join(order)}")
+    for key in order:
+        if not 0.0 <= float(stds[key]) < np.inf:
+            raise ValueError(f"{setting} {key!r} must be finite and >= 0, got {stds[key]!r}")
+    return np.concatenate([np.full(3, float(stds[k]) ** 2) for k in order])
+
+
 @dataclass
 class GaussianBelief:
     """Mean vehicle state plus 18x18 covariance in minimal coordinates.
@@ -164,14 +177,7 @@ class GaussianBelief:
         ``stds`` maps exactly the keys rho, omega, pos, vel, tau_e, f_e to
         finite stds >= 0; anything else raises ``ValueError`` naming the key.
         """
-        order = ("rho", "omega", "pos", "vel", "tau_e", "f_e")
-        for key in set(stds) ^ set(order):
-            raise ValueError(f"std key {key!r} is unknown or missing; the keys are {', '.join(order)}")
-        for key in order:
-            if not 0.0 <= float(stds[key]) < np.inf:
-                raise ValueError(f"std {key!r} must be finite and >= 0, got {stds[key]!r}")
-        diag = np.concatenate([np.full(3, float(stds[k]) ** 2) for k in order])
-        return cls(mean=mean, cov=np.diag(diag))
+        return cls(mean=mean, cov=np.diag(_std_variances(stds)))
 
     def minimal_mean(self) -> np.ndarray:
         return np.concatenate([np.zeros(3), self.mean.vector[4:]])

@@ -113,7 +113,7 @@ def _step_maps(dt, mass, inertia, inertia_inv):
     return step.reshape(49, 17), carry[:24].copy(), carry[24:].copy()
 
 
-def _check_settings(obj, finite=(), positive=(), **shapes):
+def _check_settings(obj, finite=(), positive=(), counts=None, **shapes):
     """Check the settings of the configuration object ``obj``, each by name.
 
     The rule: a configuration object checks every setting at construction,
@@ -122,13 +122,24 @@ def _check_settings(obj, finite=(), positive=(), **shapes):
     must be finite numbers of shape ``()``; ``positive`` names settings that
     must also be ``> 0``, every entry of a vector one; each keyword is a
     vector setting and its shape, stored back as a finite float copy of that
-    shape (``np.array``: the caller's array is never the one kept).
+    shape (``np.array``: the caller's array is never the one kept).  A string
+    or any other value that is not a number, or an array of them, fails too.
+    ``counts`` maps integer settings to their largest value: each must be an
+    ``int`` from 0 up to it, and not a ``bool``.
     """
     cls = type(obj).__name__
-    for name in shapes:
-        object.__setattr__(obj, name, np.array(getattr(obj, name), dtype=float))
-    for name in (*finite, *positive, *shapes):
+    for name in dict.fromkeys((*finite, *positive, *shapes)):
         value, shape = getattr(obj, name), shapes.get(name, ())
+        try:
+            kind = np.asarray(value).dtype.kind
+        except ValueError:  # a ragged nesting
+            kind = None
+        # a string converts to a float ("2.2" to 2.2), so the kind is checked
+        if kind not in ("i", "u", "f"):
+            raise ValueError(f"{cls}.{name} must be a number or an array of numbers, got {value!r}")
+        if name in shapes:
+            value = np.array(value, dtype=float)
+            object.__setattr__(obj, name, value)
         if np.shape(value) != shape:
             raise ValueError(f"{cls}.{name} must have shape {shape}, got {value!r}")
         # an infinite setting passes the checks beside the call and turns into
@@ -139,6 +150,11 @@ def _check_settings(obj, finite=(), positive=(), **shapes):
         # written as "not > 0" so that NaN fails too
         if not np.all(getattr(obj, name) > 0.0):
             raise ValueError(f"{cls}.{name} must be positive, got {getattr(obj, name)!r}")
+    for name, high in (counts or {}).items():
+        # a bool is an int to Python; a float or a numpy integer is not one
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value <= high:
+            raise ValueError(f"{cls}.{name} must be an integer from 0 to {high}, got {value!r}")
 
 
 class VehicleFloats(NamedTuple):

@@ -18,6 +18,14 @@ torque)`` pair, are tuples of three floats.  The truth step is
 ``process_step`` written out on one vehicle and agrees with it to a few ulp;
 its rotor map and carried wrench are bit-identical.  The speed
 quantizer stays on numpy; a float form of it measured no faster.
+
+A run is a flight read by one estimation loop.  The flight (reference,
+controller, quantizer, disturbance, truth step, pose sensor) writes the truth
+and pose rows and yields each step's quantized speeds and pose to
+``_estimate``, the only code that steps estimators and writes their rows; a
+recorded flight, the list of those pairs, replays through it bit for bit.
+The two interleave step by step because a ``FanTrack`` reference steers on
+the estimate the loop has just written.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from .attitude import (
     rotmat_body_to_global_floats,
 )
 from .control import AdmittanceConfig, admittance_command
-from .estimator import GaussianBelief, PoseMeasurement, UsqueEstimator
+from .estimator import GaussianBelief, PoseMeasurement, UsqueEstimator, _std_variances
 from .logio import DwellSegment, TimeSeriesLog, log_columns
 from .observer import MomentumObserver, ObserverGains
 from .rigid_body import _ZERO3, NoiseConfig, VehicleParams, VehicleState, _check_settings, rotor_wrench_floats
@@ -290,17 +298,13 @@ class SensorModel:
     quant_bits: int
 
     def __post_init__(self):
-        # a zero std gives exact poses
-        _check_settings(self, ("pos_std", "att_std_mrp"))
+        # a zero std gives exact poses; past 52 bits the grid step falls below
+        # the float spacing of speeds near omega_max, a fraction or a negative
+        # count makes no grid, and from 1024 bits 2**bits - 1 overflows a float
+        _check_settings(self, ("pos_std", "att_std_mrp"), counts={"quant_bits": MAX_QUANT_BITS})
         for name in ("pos_std", "att_std_mrp"):
             if not getattr(self, name) >= 0.0:
                 raise ValueError(f"SensorModel.{name} must be >= 0, got {getattr(self, name)!r}")
-        # past 52 bits the grid step falls below the float spacing of speeds
-        # near omega_max; a fraction or a negative count makes no grid, and
-        # from 1024 bits 2**bits - 1 overflows a float
-        bits = self.quant_bits
-        if isinstance(bits, bool) or not isinstance(bits, int) or not 0 <= bits <= MAX_QUANT_BITS:
-            raise ValueError(f"quant_bits must be an integer from 0 to {MAX_QUANT_BITS}, got {bits!r}")
 
     @classmethod
     def from_noise(cls, noise: NoiseConfig, quant_bits: int) -> "SensorModel":
@@ -449,7 +453,7 @@ class Scenario:
     disturbance: SteppedMass | FanDisturbance | None = None
 
     def __post_init__(self):
-        _check_settings(self, positive=("duration_s", "sensor_rate_hz"))
+        _check_settings(self, positive=("duration_s", "sensor_rate_hz"), counts={"seed": math.inf})
 
     def steps_per_measurement(self, dt: float) -> int:
         per = (1.0 / dt) / self.sensor_rate_hz
@@ -463,10 +467,12 @@ class RunSetup:
     """Everything a run needs besides the scenario itself.
 
     The sensor samples poses with the stds of ``noise`` and quantizes motor
-    speeds to ``quant_bits`` (0: exact).  ``estimators`` names each estimator
-    at most once, or ``run_scenario`` raises ``ValueError``; the first steers a
-    ``FanTrack`` reference with its logged z-torque estimate; the chi-square
-    gate applies only while ``gate_enabled`` is set.
+    speeds to ``quant_bits`` (0: exact).  ``estimators`` names each of usque
+    and observer at most once; the first steers a ``FanTrack`` reference with
+    its logged z-torque estimate.  The chi-square gate applies only while
+    ``gate_enabled`` is set.  ``init_stds`` are the UKF's start stds, checked
+    by :meth:`GaussianBelief.from_std`'s rule.  A bad setting raises
+    ``ValueError`` here, naming it.
     """
 
     params: VehicleParams = field(default_factory=VehicleParams)
@@ -478,6 +484,17 @@ class RunSetup:
     init_stds: dict = field(default_factory=lambda: {
         "rho": 0.005, "omega": 0.05, "pos": 0.005, "vel": 0.05, "tau_e": 0.01, "f_e": 0.05,
     })
+
+    def __post_init__(self):
+        _check_settings(self, counts={"quant_bits": MAX_QUANT_BITS})
+        _std_variances(self.init_stds, "RunSetup.init_stds")
+        for i, name in enumerate(self.estimators):
+            if name not in ("usque", "observer"):
+                raise ValueError(f"RunSetup.estimators: unknown estimator {name!r}; the estimators are usque, observer")
+            if name in self.estimators[:i]:
+                raise ValueError(f"RunSetup.estimators: {name!r} is listed twice; each estimator runs once")
+        if not isinstance(self.gate_enabled, bool):
+            raise ValueError(f"RunSetup.gate_enabled must be a bool, got {self.gate_enabled!r}")
 
 
 def truth_step(state: VehicleState, rotor_speeds: np.ndarray,
@@ -529,23 +546,32 @@ def truth_step(state: VehicleState, rotor_speeds: np.ndarray,
 def _make_estimators(setup: RunSetup, initial: VehicleState):
     out = {}
     for name in setup.estimators:
-        if name in out:
-            raise ValueError(f"estimator {name!r} is listed twice; each estimator runs once")
         if name == "usque":
             belief = GaussianBelief.from_std(initial.copy(), setup.init_stds)
             out[name] = UsqueEstimator(setup.params, setup.noise, belief, gate_enabled=setup.gate_enabled)
-        elif name == "observer":
-            out[name] = MomentumObserver(setup.params, setup.observer_gains)
         else:
-            raise ValueError(f"unknown estimator {name!r}")
+            out[name] = MomentumObserver(setup.params, setup.observer_gains)
     return out
+
+
+def _estimate(flight, estimators: dict, log: TimeSeriesLog) -> None:
+    """The one estimation loop: step ``estimators`` over ``flight`` and write row k of their columns in ``log``."""
+    for k, (speeds, measurement) in enumerate(flight):
+        for name, est in estimators.items():
+            est.step(speeds, measurement)
+            log.estimates[name][k] = est.mean_vector()
+            log.cov_diags[name][k] = est.cov_diagonal()
 
 
 def run_scenario(scenario: Scenario, setup: RunSetup | None = None) -> TimeSeriesLog:
     """Simulate one scenario; deterministic for a given seed.
 
     Logs truth, measurements, and every selected estimator's mean and
-    covariance diagonal, one row per step.
+    covariance diagonal, one row per step.  The flight yields each step to
+    :func:`_estimate` and keeps no per-step record.  A ``FanTrack`` reads row
+    k of the first listed estimator's z-torque only after the loop has
+    written it: the order of one loop, whose last bits a steered flight
+    amplifies.
     """
     setup = setup or RunSetup()
     params = setup.params
@@ -573,33 +599,29 @@ def run_scenario(scenario: Scenario, setup: RunSetup | None = None) -> TimeSerie
     first = next(iter(log.estimates.values()), None)
     steering = VehicleState.from_vector(first).tau_e[:, 2] if isinstance(traj, FanTrack) else None
 
-    for k in range(n):
-        t = k * dt
-        ref_pos, ref_vel = traj.reference(t)
-        # actuator commands share the telemetry's quantized word, so the
-        # vehicle flies exactly the speeds the estimators are told about; the
-        # truth flies the filter's own rotor map, so there is no thrust-map
-        # error for Q_ct to cover
-        speeds = sensor.quantize_speeds(controller.command(truth, ref_pos, ref_vel, yaw=yaw), params.omega_max)
+    def fly(truth):
+        for k in range(n):
+            t = k * dt
+            ref_pos, ref_vel = traj.reference(t)
+            # actuator commands share the telemetry's quantized word, so the
+            # vehicle flies exactly the speeds the estimators are told about;
+            # the truth flies the filter's own rotor map, so there is no
+            # thrust-map error for Q_ct to cover
+            speeds = sensor.quantize_speeds(controller.command(truth, ref_pos, ref_vel, yaw=yaw), params.omega_max)
 
-        wrench = scenario.disturbance.wrench(t, truth) if scenario.disturbance else _ZERO_WRENCH
-        truth = truth_step(truth, speeds, wrench, params)
+            wrench = scenario.disturbance.wrench(t, truth) if scenario.disturbance else _ZERO_WRENCH
+            truth = truth_step(truth, speeds, wrench, params)
+            log.truth[k] = truth.vector
 
-        measurement = None
-        if (k + 1) % meas_every == 0:
-            measurement = sensor.sample_pose(truth, rng)
-            log.meas[k] = measurement.vector
+            measurement = None
+            if (k + 1) % meas_every == 0:
+                measurement = sensor.sample_pose(truth, rng)
+                log.meas[k] = measurement.vector
+            yield speeds, measurement
+            if steering is not None:
+                traj.advance(steering[k], dt)
 
-        for name, est in estimators.items():
-            est.step(speeds, measurement)
-            log.estimates[name][k] = est.mean_vector()
-            log.cov_diags[name][k] = est.cov_diagonal()
-
-        if steering is not None:
-            traj.advance(steering[k], dt)
-
-        log.truth[k] = truth.vector
-
+    _estimate(fly(truth), estimators, log)
     usque = {name: est for name, est in estimators.items() if isinstance(est, UsqueEstimator)}
     log.meta = {
         "seed": scenario.seed,

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import pytest
 
+from quadwrench.observer import MomentumObserver
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # per-layer figures that perfbench/measure.py adds around the tracer's own
 MEASURE_FIGURES = {
@@ -85,3 +87,25 @@ def test_postprocessing_round_trip_reports_no_problem(workload, tmp_path, monkey
     (metrics, _, back, _), _ = measure.postprocess(workloads.WORKLOADS[workload], log, tmp_path)
     assert set(metrics) == set(setup.estimators)
     assert measure.check_round_trip(log, back) == []
+
+
+@pytest.mark.parametrize("workload", sorted(EXERCISED))
+def test_failure_count_keeps_the_step_of_a_raise(workload, monkeypatch):
+    # measure.py counts the steps a raising call completed from the reference
+    # calls of a traced second run, so the flight must draw no step past the
+    # one whose estimator raised
+    workloads = _load("workloads")
+    monkeypatch.setitem(sys.modules, "layertrace", _load("layertrace"))
+    measure = _load("measure")
+    step = MomentumObserver.step
+
+    def failing(self, *args):
+        self.steps = getattr(self, "steps", 0) + 1
+        if self.steps > STEPS:
+            raise RuntimeError("injected")
+        step(self, *args)
+
+    monkeypatch.setattr(MomentumObserver, "step", failing)
+    run = measure.Run(workloads.WORKLOADS[workload], 1)
+    assert run.call() is None
+    assert run.attempted - run.failed == STEPS

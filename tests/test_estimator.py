@@ -49,6 +49,7 @@ from quadwrench.simulator import (
     run_scenario,
 )
 from test_rigid_body import FULL_INERTIA, hover_speeds, measurement_cov, process_cov, reference_process_step
+from test_simulator import record_flight, replay
 
 PARAMS = VehicleParams()
 
@@ -368,7 +369,7 @@ class TestPredict:
         assert np.array_equal(out.cov, out.cov.T)
 
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_gated_grid_survey_overflow_is_typed(self, seed):
+    def test_gated_grid_survey_overflow_is_typed(self, seed, monkeypatch):
         # the gated 35 s fan-field survey: the gate rejects every pose once
         # the fan's wrench arrives, the covariance grows until it overflows,
         # which numpy warned about in recombine's product before the typed
@@ -376,8 +377,15 @@ class TestPredict:
         survey = GridSurvey(x_range=(0.5, 1.5), y_range=(-0.5, 0.5), spacing=0.5, dwell_s=3.0, height=1.0)
         scenario = Scenario(duration_s=survey.duration(), seed=seed, sensor_rate_hz=200.0,
                             trajectory=survey, disturbance=FanDisturbance(FanModel()))
+        references, steps = [], []
+        reference, step = GridSurvey.reference, UsqueEstimator.step
+        monkeypatch.setattr(GridSurvey, "reference", lambda self, t: references.append(t) or reference(self, t))
+        monkeypatch.setattr(UsqueEstimator, "step", lambda self, *args: steps.append(args) or step(self, *args))
         with pytest.raises(CovarianceNotPD, match="predicted covariance is not finite"):
             run_scenario(scenario, RunSetup(estimators=("usque",), gate_enabled=True))
+        # the raise keeps its step: the flight drew no step past the raising
+        # one, which perfbench's failure count reads off the reference calls
+        assert len(references) == len(steps) < scenario.duration_s / PARAMS.dt
 
     @pytest.mark.parametrize("rho_std", [0.1, 1.0, 10.0, 1e4])
     def test_wide_attitude_covariance_predicts_and_corrects(self, rho_std):
@@ -874,10 +882,10 @@ class TestAgainstArrayFilter:
                             disturbance=SteppedMass(offset_body=[0.05, 0.0, 0.0], onset_s=1.0))
 
         setup = RunSetup(estimators=("usque", "observer"))
-        got = run_scenario(scenario(), setup)
+        got, flight, fresh = record_flight(scenario(), setup)
         monkeypatch.setattr(estimator, "predict", reference_predict)
         monkeypatch.setattr(estimator, "correct", reference_correct)
-        want = run_scenario(scenario(), setup)
+        want = replay(flight, fresh, got)
 
         np.testing.assert_array_equal(got.truth, want.truth)
         np.testing.assert_array_equal(got.estimates["observer"], want.estimates["observer"])
@@ -982,10 +990,10 @@ class TestStepAndEquivariance:
             return Scenario(duration_s=2.0, seed=5, trajectory=Hover(),
                             disturbance=SteppedMass(offset_body=[0.05, 0.0, 0.0], onset_s=1.0))
 
-        got = run_scenario(scenario(), RunSetup())
+        got, flight, fresh = record_flight(scenario(), RunSetup())
         monkeypatch.setattr(estimator, "correct",
                             lambda belief, meas, noise, gate: sigma_point_correct(belief, meas, noise))
-        want = run_scenario(scenario(), RunSetup())
+        want = replay(flight, fresh, got)
 
         np.testing.assert_array_equal(got.truth, want.truth)
         for g, w in ((got.estimates["usque"], want.estimates["usque"]),
@@ -1000,9 +1008,9 @@ class TestStepAndEquivariance:
             return Scenario(duration_s=2.0, seed=5, trajectory=Hover(),
                             disturbance=SteppedMass(offset_body=[0.05, 0.0, 0.0], onset_s=1.0))
 
-        got = run_scenario(scenario(), RunSetup())
+        got, flight, fresh = record_flight(scenario(), RunSetup())
         monkeypatch.setattr(estimator, "predict", augmented_predict)
-        want = run_scenario(scenario(), RunSetup())
+        want = replay(flight, fresh, got)
 
         np.testing.assert_array_equal(got.truth, want.truth)
         for g, w in ((got.estimates["usque"], want.estimates["usque"]),

@@ -1,6 +1,9 @@
 """Simulator tests: truth/model equivalence, sensors, controller, scenarios."""
 
+import copy
 import dataclasses
+import inspect
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -231,12 +234,29 @@ def test_vehicle_and_noise_settings_reject_non_finite(build, name, value):
 CONFIGS = {config.__class__: config for config in (
     VehicleParams(), NoiseConfig.default(), FanModel(), SteppedMass(), FanDisturbance(FanModel()), Hover(),
     GridSurvey(), FanTrack(), Scenario(duration_s=1.0), ObserverGains(), AdmittanceConfig(),
-    SensorModel(pos_std=0.0, att_std_mrp=0.0, quant_bits=8),
+    SensorModel(pos_std=0.0, att_std_mrp=0.0, quant_bits=8), RunSetup(),
 )}
-# the settings that are not numbers or arrays of them: integers with checks of
-# their own, and nested configuration objects, which check themselves
-NON_NUMERIC_SETTINGS = {"Scenario.seed", "SensorModel.quant_bits", "Scenario.trajectory", "Scenario.disturbance",
-                        "FanTrack.admittance", "FanDisturbance.fan"}
+# the settings that are not numbers or arrays of them: nested configuration
+# objects, which check themselves ...
+NESTED_SETTINGS = {"Scenario.trajectory", "Scenario.disturbance", "FanTrack.admittance", "FanDisturbance.fan",
+                   "RunSetup.params", "RunSetup.noise", "RunSetup.observer_gains"}
+# ... and settings with checks of their own, each with values it rejects: a
+# count (a fraction, a negative, a bool or a string), the UKF's start stds, the
+# estimator names and the gate switch.  Each of these built, and Scenario.seed
+# and the RunSetup ones failed only when the run started, under messages that
+# named no setting ("expected non-negative integer", an untyped TypeError);
+# a gate_enabled of "False" switched the gate on.
+OTHER_SETTINGS = [
+    pytest.param(cls, name, value, id=f"{cls.__name__}.{name}-{case}") for cls, name, cases in (
+        (Scenario, "seed", {"negative": -1, "fraction": 1.5, "bool": True, "string": "1"}),
+        (SensorModel, "quant_bits", {"too-many": 53}),  # the other cases are TestSensorModel's
+        (RunSetup, "quant_bits", {"negative": -1, "too-many": 99, "fraction": 8.5, "bool": True}),
+        (RunSetup, "init_stds", {"missing-keys": {"rho": 1}, "negative": {**RunSetup().init_stds, "pos": -1.0},
+                                 "unknown-key": {**RunSetup().init_stds, "fe": 0.05}}),
+        (RunSetup, "estimators", {"unknown": ("ukf",), "a-string": "usque"}),  # and a repeated name, below
+        (RunSetup, "gate_enabled", {"string": "False", "integer": 1, "none": None}),
+    ) for case, value in cases.items()
+]
 NUMERIC_SETTINGS = [
     pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
     for cls, config in CONFIGS.items() for f in dataclasses.fields(config)
@@ -254,8 +274,15 @@ def test_every_setting_is_numeric_or_listed_apart():
     # a setting added to a configuration class joins the sweeps below unless
     # it is listed here as one that is not a number
     swept = {param.id for param in NUMERIC_SETTINGS}
+    tabled = {f"{cls.__name__}.{name}" for cls, name, _ in (param.values for param in OTHER_SETTINGS)}
     every = {f"{cls.__name__}.{f.name}" for cls, config in CONFIGS.items() for f in dataclasses.fields(config)}
-    assert every - swept == NON_NUMERIC_SETTINGS
+    assert every - swept == NESTED_SETTINGS | tabled
+
+
+@pytest.mark.parametrize("cls, name, value", OTHER_SETTINGS)
+def test_other_setting_rejects_a_bad_value_by_name(cls, name, value):
+    with pytest.raises(ValueError, match=rf"\b{cls.__name__}\.{name}\b"):
+        _with_setting(cls, name, value)
 
 
 @pytest.mark.parametrize("cls, name", NUMERIC_SETTINGS)
@@ -266,6 +293,21 @@ def test_every_numeric_setting_rejects_nan_by_name(cls, name):
     value = getattr(CONFIGS[cls], name)
     with pytest.raises(ValueError, match=rf"\b{cls.__name__}\.{name}\b"):
         _with_setting(cls, name, np.full(np.shape(value), np.nan) if np.ndim(value) else np.nan)
+
+
+@pytest.mark.parametrize("cls, name", NUMERIC_SETTINGS)
+def test_every_numeric_setting_rejects_a_string_by_name(cls, name):
+    # a string reached np.isfinite and raised an untyped TypeError naming no
+    # setting, and a vector of strings was converted to floats
+    value = getattr(CONFIGS[cls], name)
+    with pytest.raises(ValueError, match=rf"\b{cls.__name__}\.{name} must be a number"):
+        _with_setting(cls, name, np.full(np.shape(value), "2.2") if np.ndim(value) else "2.2")
+
+
+def test_ragged_setting_is_rejected_by_name():
+    # numpy's own error on the conversion named no setting
+    with pytest.raises(ValueError, match=r"VehicleParams\.inertia must be a number"):
+        VehicleParams(inertia=[[3.4e-3, 0.0, 0.0], [0.0, 3.4e-3]])
 
 
 @pytest.mark.parametrize("cls, name, value", [
@@ -708,8 +750,8 @@ class TestEstimatorRecord:
     def test_repeated_estimator_is_rejected(self):
         # the estimators were keyed by name, so a repeated one ran once and
         # the log silently carried two estimator blocks for three names
-        with pytest.raises(ValueError, match="'usque' is listed twice"):
-            run_scenario(Scenario(duration_s=0.1), RunSetup(estimators=("usque", "observer", "usque")))
+        with pytest.raises(ValueError, match=r"RunSetup\.estimators: 'usque' is listed twice"):
+            RunSetup(estimators=("usque", "observer", "usque"))
 
     def test_jitter_count_in_meta(self):
         scen = Scenario(duration_s=0.1, seed=1, trajectory=Hover())
@@ -737,6 +779,102 @@ class TestEstimatorRecord:
         assert log.cov_diags["observer"].shape == log.cov_diags["usque"].shape
         assert np.all(log.cov_diags["observer"] == 0.0)
         assert np.all(log.cov_diags["usque"] > 0.0)
+
+
+def record_flight(scenario, setup):
+    """One live run; returns its log, its flight as recorded (each step's
+    speeds and pose as the estimators got them) and copies of its estimators
+    taken before their first step."""
+    flight, fresh = [], {}
+    estimate = simulator._estimate
+
+    def recording(steps, estimators, log):
+        # the live flight is a generator: the run keeps no per-step record
+        assert inspect.isgenerator(steps)
+        fresh.update(copy.deepcopy(estimators))
+        estimate((flight.append(step) or step for step in steps), estimators, log)
+
+    with mock.patch.object(simulator, "_estimate", recording):
+        log = run_scenario(scenario, setup)
+    return log, flight, fresh
+
+
+def replay(flight, estimators, live):
+    """The log ``live`` with its estimator columns from ``estimators`` stepped
+    over ``flight`` through the estimation loop."""
+    log = TimeSeriesLog(np.full_like(live.to_matrix(), np.nan), estimators, live.segments)
+    log.time[:], log.truth[:], log.meas[:] = live.time, live.truth, live.meas
+    simulator._estimate(flight, estimators, log)
+    return log
+
+
+def _stepped_mass(seed=5, duration_s=2.0, **settings):
+    settings = {"offset_body": [0.05, 0.0, 0.0], "onset_s": 1.0, **settings}
+    return Scenario(duration_s=duration_s, seed=seed, trajectory=Hover(), disturbance=SteppedMass(**settings))
+
+
+def _survey(seed=2, duration_s=None):
+    survey = GridSurvey(x_range=(0.5, 1.5), y_range=(-0.5, 0.5), spacing=0.5, dwell_s=3.0)
+    return Scenario(duration_s=duration_s or survey.duration(), seed=seed, trajectory=survey,
+                    disturbance=FanDisturbance(FanModel()))
+
+
+class TestFlight:
+    def test_flight_does_not_depend_on_the_estimators(self):
+        # a mass heavy enough to saturate the motors, so the count is not 0
+        runs = [run_scenario(_stepped_mass(seed=3, mass=0.2, offset_body=[0.2, 0.0, 0.0]), RunSetup(estimators=e))
+                for e in ((), ("observer",), ("usque", "observer"))]
+        assert runs[0].meta["saturation_steps"] > 0
+        for log in runs[1:]:
+            assert log.truth.tobytes() == runs[0].truth.tobytes()
+            assert log.meas.tobytes() == runs[0].meas.tobytes()
+            assert log.meta["saturation_steps"] == runs[0].meta["saturation_steps"]
+
+    @pytest.mark.parametrize("k", [0, 37])
+    def test_a_raise_keeps_its_step(self, k, monkeypatch):
+        # perfbench counts the steps completed before a raise from the
+        # reference calls, one per step and the first thing each step does
+        references, steps = [], []
+        reference, step = Hover.reference, simulator.MomentumObserver.step
+
+        def failing(self, *args):
+            steps.append(args)
+            if len(steps) > k:
+                raise RuntimeError("injected")
+            step(self, *args)
+
+        monkeypatch.setattr(Hover, "reference", lambda self, t: references.append(t) or reference(self, t))
+        monkeypatch.setattr(simulator.MomentumObserver, "step", failing)
+        with pytest.raises(RuntimeError, match="injected"):
+            run_scenario(_stepped_mass(), RunSetup(estimators=("usque", "observer")))
+        assert len(references) == len(steps) == k + 1
+
+    @pytest.mark.parametrize("scenario, estimators", [
+        pytest.param(_stepped_mass(), ("usque", "observer"), id="stepped-mass"),
+        pytest.param(_survey(duration_s=2.0), ("usque", "observer"), id="survey"),
+        pytest.param(Scenario(duration_s=1.0, seed=2, trajectory=FanTrack(), disturbance=FanDisturbance(FanModel())),
+                     ("observer", "usque"), id="fan-track"),
+    ])
+    def test_fresh_estimators_replay_a_recorded_flight_bit_for_bit(self, scenario, estimators):
+        live, flight, fresh = record_flight(scenario, RunSetup(estimators=estimators))
+        assert len(flight) == len(live)
+        again = replay(flight, fresh, live)
+        assert again.to_matrix().tobytes() == live.to_matrix().tobytes()
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("build, estimators", [
+        pytest.param(lambda seed: _stepped_mass(seed, duration_s=20.0, onset_s=7.0, mass=0.053),
+                     ("usque", "observer"), id="stepped-mass"),
+        pytest.param(lambda seed: _survey(seed), ("usque", "observer"), id="survey-ungated"),
+    ])
+    def test_full_runs_replay_bit_for_bit(self, build, estimators, seed):
+        live, flight, fresh = record_flight(build(seed), RunSetup(estimators=estimators))
+        again = replay(flight, fresh, live)
+        for name in estimators:
+            assert again.estimates[name].tobytes() == live.estimates[name].tobytes()
+            assert again.cov_diags[name].tobytes() == live.cov_diags[name].tobytes()
+        assert fresh["usque"].jitter_count == live.meta["jitter_count"]["usque"]
 
 
 class TestMovingFan:
